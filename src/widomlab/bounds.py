@@ -233,7 +233,7 @@ def verify_coeff_lemma(samples: int, tol: float = 1e-12) -> BoundReport:
 def verify_m_monotone(
     n_max: int = 1000, samples: int = 9, limit_tol: float = 1e-3
 ) -> BoundReport:
-    """Check that M_n decreases in n toward its limit on the parameter square.
+    """Check that M_n increases in n toward its limit on the parameter square.
 
     For every (alpha, beta) on a ``samples`` x ``samples`` grid of
     [-1/2, 1/2]^2, checks M_1 <= M_2 <= ... <= M_{n_max}, strictly except at

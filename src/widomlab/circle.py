@@ -117,6 +117,25 @@ def circle_minimizer_from_interval(w: WeightParams, sol: ChebyshevSolution) -> C
     return CircleFunction(2.0 * ra - 1.0, 2.0 * rb - 1.0, RealPolynomial(tuple(Q)))
 
 
+def _polish_peak(modulus, phi: np.ndarray, values: np.ndarray, steps: int) -> tuple[float, float]:
+    """Parabolic polish of the largest of ``values``, sampled on the uniform angle grid ``phi``.
+
+    Each step fits a parabola to ``modulus`` at three angles and halves their
+    spacing.  Returns the final angle and the largest modulus seen.
+    """
+    ph = float(phi[int(np.argmax(values))])
+    h = 2.0 * np.pi / len(phi)
+    best = float(np.max(values))
+    for _ in range(steps):
+        mm = modulus(np.array([ph - h, ph, ph + h]))
+        den = mm[0] - 2.0 * mm[1] + mm[2]
+        step = 0.0 if den == 0.0 else 0.5 * (mm[0] - mm[2]) / den * h
+        ph += min(max(step, -h), h)
+        h /= 2.0
+        best = max(best, float(np.max(mm)))
+    return ph, best
+
+
 def circle_sup(f: CircleFunction, grid: int = 4096) -> float:
     """Max modulus over the unit circle: doubling grid plus parabolic polish."""
     floor = math.ceil(10 * (f.poly.degree + f.exp_plus + f.exp_minus + 4))
@@ -129,14 +148,7 @@ def circle_sup(f: CircleFunction, grid: int = 4096) -> float:
         m = f.modulus_at_angle(phi)
         cur = float(np.max(m))
         if prev is not None and abs(cur - prev) <= 1e-10 * max(cur, 1.0):
-            ph = float(phi[int(np.argmax(m))])
-            h = 2.0 * np.pi / G
-            for _ in range(40):
-                mm = f.modulus_at_angle(np.array([ph - h, ph, ph + h]))
-                den = mm[0] - 2.0 * mm[1] + mm[2]
-                step = 0.0 if den == 0.0 else 0.5 * (mm[0] - mm[2]) / den * h
-                ph += min(max(step, -h), h)
-                h /= 2.0
+            ph, _ = _polish_peak(f.modulus_at_angle, phi, m, 40)
             return max(cur, float(f.modulus_at_angle(ph)))
         prev = cur
         G *= 2
@@ -200,24 +212,9 @@ def erdos_lax_check(angles, exponents, grid: int = 16384) -> tuple[float, float]
         return absd, absf
 
     absd, absf = moduli(phi)
-
-    def polished_max(values: np.ndarray, which: int) -> float:
-        ph = float(phi[int(np.argmax(values))])
-        h = 2.0 * np.pi / grid
-        best = float(np.max(values))
-        for _ in range(30):
-            trio = np.array([ph - h, ph, ph + h])
-            mm = moduli(trio)[which]
-            den = mm[0] - 2.0 * mm[1] + mm[2]
-            step = 0.0 if den == 0.0 else 0.5 * (mm[0] - mm[2]) / den * h
-            ph += min(max(step, -h), h)
-            h /= 2.0
-            best = max(best, float(np.max(mm)))
-        return best
-
-    lhs = polished_max(absd, 0)
-    rhs = 0.5 * float(np.sum(s)) * polished_max(absf, 1)
-    return lhs, rhs
+    _, lhs = _polish_peak(lambda p: moduli(p)[0], phi, absd, 30)
+    _, max_f = _polish_peak(lambda p: moduli(p)[1], phi, absf, 30)
+    return lhs, 0.5 * float(np.sum(s)) * max_f
 
 
 def polya_szego_combine(points) -> np.ndarray:

@@ -12,11 +12,12 @@ first-kind Chebyshev basis with the monic leading coefficient 2^{1-n} implied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from widomlab.special import WeightParams
+from widomlab.special import WeightParams, _weight_theta
 
 __all__ = [
     "MonicPolynomial",
@@ -131,16 +132,6 @@ def weight_eval(w: WeightParams, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _weight_theta(ra: float, rb: float, theta: np.ndarray) -> np.ndarray:
-    # (1-cos t)^ra (1+cos t)^rb via half-angle forms, stable at the endpoints
-    out = np.ones_like(np.asarray(theta, dtype=float))
-    if ra != 0.0:
-        out = out * (2.0 * np.sin(0.5 * theta) ** 2) ** ra
-    if rb != 0.0:
-        out = out * (2.0 * np.cos(0.5 * theta) ** 2) ** rb
-    return out
-
-
 def _cheb_eval_012(coef, x):
     """Value, first, and second derivative of a Chebyshev series: fused Clenshaw."""
     x = np.asarray(x, dtype=float)
@@ -184,24 +175,31 @@ def _log_error_slope(ra, rb, coef, theta):
     return g, gp
 
 
-def _refine_newton(ra, rb, coef, lo, hi, max_steps: int = 50) -> np.ndarray:
-    """Safeguarded Newton on g(theta) = 0 inside brackets [lo, hi] (g falls through 0)."""
-    lo = lo.copy()
-    hi = hi.copy()
-    t = 0.5 * (lo + hi)
+def _bracketed_newton(f, lo, hi, sign_lo, tol: float, max_steps: int) -> np.ndarray:
+    """Safeguarded Newton on f = 0 inside brackets [lo, hi], where f has sign ``sign_lo`` at lo.
+
+    ``f`` maps points to (value, derivative); a step that leaves the shrinking
+    bracket becomes a bisection.  Stops once no point moves by ``tol``.
+    """
+    x = 0.5 * (lo + hi)
     for _ in range(max_steps):
-        g, gp = _log_error_slope(ra, rb, coef, t)
-        pos = g > 0
-        lo = np.where(pos, t, lo)
-        hi = np.where(pos, hi, t)
+        v, dv = f(x)
+        same = np.sign(v) == sign_lo
+        lo = np.where(same, x, lo)
+        hi = np.where(same, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            tn = t - g / gp
-        bad = ~np.isfinite(tn) | (tn <= lo) | (tn >= hi)
-        tn = np.where(bad, 0.5 * (lo + hi), tn)
-        if np.max(np.abs(tn - t)) < 3e-16:
-            return tn
-        t = tn
-    return t
+            xn = x - v / dv
+        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
+        xn = np.where(bad, 0.5 * (lo + hi), xn)
+        if np.max(np.abs(xn - x)) < tol:
+            return xn
+        x = xn
+    return x
+
+
+def _refine_newton(ra, rb, coef, lo, hi) -> np.ndarray:
+    """Maxima of |e| inside brackets [lo, hi], where g = d/dtheta ln|e| falls through 0."""
+    return _bracketed_newton(partial(_log_error_slope, ra, rb, coef), lo, hi, 1.0, 3e-16, 50)
 
 
 def _hump_argmax_cheap(ra, rb, coef, side: int, gap: float) -> float:
@@ -278,6 +276,69 @@ def _solve_leveled_theta(ra, rb, n, tref, signs, lead):
     return coef, float(sol[n])
 
 
+def _theta_grid(ra: float, rb: float, n: int, size: int):
+    """Uniform theta-grid on [0, pi], the weight on it, and T_0 .. T_n sampled there."""
+    theta = np.linspace(0.0, np.pi, size)
+    wgrid = _weight_theta(ra, rb, theta)
+    # exact endpoint zeros: float cos(pi/2) rounding would otherwise leak through
+    if ra > 0.0:
+        wgrid[0] = 0.0
+    if rb > 0.0:
+        wgrid[-1] = 0.0
+    return theta, wgrid, np.cos(np.outer(theta, np.arange(n + 1)))
+
+
+def _extremum_step(ra, rb, coef, theta, e, certify: bool, floor: float):
+    """Alternating extrema of the error w p from its samples ``e`` on the uniform ``theta``.
+
+    Grid local maxima of |e| are refined by one parabolic step (cheap) or by
+    bracketed Newton on the log-derivative (certified); a point keeps its grid
+    value where refinement lowered |e|.  An endpoint is a candidate where the
+    weight does not vanish.  Where it vanishes and |e| still rises into the
+    endpoint, the boundary hump is narrower than the grid and is searched
+    explicitly.  Returns (theta, e) of the max-|e| point of each sign run,
+    ignoring errors below ``floor``.
+    """
+    ae = np.abs(e)
+    step = theta[1]
+    idx = np.nonzero((ae[1:-1] >= ae[:-2]) & (ae[1:-1] >= ae[2:]))[0] + 1
+    tr = er = np.empty(0)
+    if idx.size:
+        if certify:
+            tr = _refine_newton(ra, rb, coef, theta[idx - 1], theta[idx + 1])
+        else:
+            y0, y1, y2 = ae[idx - 1], ae[idx], ae[idx + 1]
+            den = y0 - 2.0 * y1 + y2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = np.where(np.abs(den) > 0, 0.5 * (y0 - y2) / den * step, 0.0)
+            tr = np.clip(theta[idx] + np.clip(d, -step, step), 0.0, np.pi)
+        er = _signed_error_theta(ra, rb, coef, tr)
+        worse = np.abs(er) < ae[idx]
+        tr = np.where(worse, theta[idx], tr)
+        er = np.where(worse, e[idx], er)
+
+    cand_t = list(tr)
+    cand_e = list(er)
+    hump = _hump_argmax_newton if certify else _hump_argmax_cheap
+    if ra == 0.0:
+        if ae[0] >= ae[1]:
+            cand_t.insert(0, 0.0)
+            cand_e.insert(0, float(e[0]))
+    elif ae[1] >= ae[2]:
+        th = hump(ra, rb, coef, +1, step)
+        cand_t.insert(0, th)
+        cand_e.insert(0, float(_signed_error_theta(ra, rb, coef, np.asarray([th]))[0]))
+    if rb == 0.0:
+        if ae[-1] >= ae[-2]:
+            cand_t.append(np.pi)
+            cand_e.append(float(e[-1]))
+    elif ae[-2] >= ae[-3]:
+        th = hump(ra, rb, coef, -1, step)
+        cand_t.append(th)
+        cand_e.append(float(_signed_error_theta(ra, rb, coef, np.asarray([th]))[0]))
+    return _alternating_prune(np.asarray(cand_t), np.asarray(cand_e), floor)
+
+
 def leveled_system(w: WeightParams, n: int, reference) -> tuple[MonicPolynomial, float]:
     """Solve w(x_j) p(x_j) = (-1)^{n-j} h on a fixed reference; returns (p, |h|)."""
     if n < 1:
@@ -301,57 +362,22 @@ def leveled_system(w: WeightParams, n: int, reference) -> tuple[MonicPolynomial,
 
 
 def error_extrema(w: WeightParams, poly: MonicPolynomial, grid: int) -> list[tuple[float, float]]:
-    """Local extrema of |w p| on [-1,1], sorted by x with alternating signs.
+    """Local extrema of the weighted error w p on [-1,1], sorted by x with alternating signs.
 
-    Samples a uniform theta-grid and refines by iterated 3-point parabolic
-    interpolation; endpoints appear only where the weight exponent vanishes.
+    This is the certified extremum step of :func:`solve` on a uniform
+    theta-grid of ``grid`` points: grid local maxima of |w p| refined by
+    bracketed Newton, the endpoints where the weight does not vanish, and a
+    log-scale search for the boundary hump where the weight vanishes and the
+    error still rises into the endpoint.  Of each run of one sign only the
+    largest |w p| is kept.
     """
     if grid < 10 * max(poly.degree, 1):
         raise ValueError("grid must be at least 10 times the degree")
     ra, rb = w.rho_a, w.rho_b
     coef = poly.full_cheb_coeffs()
-    theta = np.linspace(0.0, np.pi, grid)
-    e = _signed_error_theta(ra, rb, coef, theta)
-    if ra > 0.0:
-        e[0] = 0.0
-    if rb > 0.0:
-        e[-1] = 0.0
-    ae = np.abs(e)
-
-    mask = (ae[1:-1] >= ae[:-2]) & (ae[1:-1] >= ae[2:])
-    idx = np.nonzero(mask)[0] + 1
-    cand_t: list[float] = []
-    cand_e: list[float] = []
-    if idx.size:
-        t = theta[idx]
-        y = ae[idx]
-        step = theta[1]
-        for _ in range(3):
-            lo = np.clip(t - step, 0.0, np.pi)
-            hi = np.clip(t + step, 0.0, np.pi)
-            yl = np.abs(_signed_error_theta(ra, rb, coef, lo))
-            yh = np.abs(_signed_error_theta(ra, rb, coef, hi))
-            den = yl - 2.0 * y + yh
-            with np.errstate(divide="ignore", invalid="ignore"):
-                shift = np.where(den != 0.0, 0.5 * (yl - yh) / den * step, 0.0)
-            shift = np.clip(shift, -step, step)
-            t2 = np.clip(t + shift, 0.0, np.pi)
-            y2 = np.abs(_signed_error_theta(ra, rb, coef, t2))
-            better = y2 >= y
-            t = np.where(better, t2, t)
-            y = np.where(better, y2, y)
-            step /= 4.0
-        cand_t.extend(t)
-        cand_e.extend(_signed_error_theta(ra, rb, coef, t))
-    if ra == 0.0 and ae[0] >= ae[1]:
-        cand_t.insert(0, 0.0)
-        cand_e.insert(0, float(e[0]))
-    if rb == 0.0 and ae[-1] >= ae[-2]:
-        cand_t.append(np.pi)
-        cand_e.append(float(e[-1]))
-
-    scale = float(np.max(ae)) if ae.size else 0.0
-    kt, ke = _alternating_prune(np.asarray(cand_t), np.asarray(cand_e), 1e-15 * scale)
+    theta, wgrid, K = _theta_grid(ra, rb, poly.degree, grid)
+    e = wgrid * (K @ coef)
+    kt, ke = _extremum_step(ra, rb, coef, theta, e, True, 1e-15 * float(np.max(np.abs(e))))
     if len(kt) < poly.degree + 1:
         raise ExchangeError(
             f"found {len(kt)} alternations, need {poly.degree + 1}; grid too coarse"
@@ -376,27 +402,21 @@ def exchange(reference, extrema) -> list[float]:
 
 
 def _polish_roots(coef: np.ndarray, xref: np.ndarray) -> np.ndarray:
-    """Roots of the Chebyshev series, one in each reference gap, by safeguarded Newton."""
-    lo = xref[:-1].copy()
-    hi = xref[1:].copy()
-    flo, _, _ = _cheb_eval_012(coef, lo)
-    x = 0.5 * (lo + hi)
-    for _ in range(100):
-        p, dp, _ = _cheb_eval_012(coef, x)
-        same = np.sign(p) == np.sign(flo)
-        lo = np.where(same, x, lo)
-        flo = np.where(same, p, flo)
-        hi = np.where(same, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = p / dp
-        xn = x - step
-        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-        xn = np.where(bad, 0.5 * (lo + hi), xn)
-        if np.max(np.abs(xn - x)) < 1e-16:
-            x = xn
-            break
-        x = xn
-    return x
+    """Roots of the Chebyshev series, one in each reference gap, by bracketed Newton."""
+    lo, hi = xref[:-1], xref[1:]
+    sign_lo = np.sign(_cheb_eval_012(coef, lo)[0])
+    return _bracketed_newton(lambda x: _cheb_eval_012(coef, x)[:2], lo, hi, sign_lo, 1e-16, 100)
+
+
+@dataclass(frozen=True)
+class _Iterate:
+    """A levelled iterate: coefficients, theta-reference, max error E and levelling defect."""
+
+    coef: np.ndarray
+    tref: np.ndarray
+    E: float
+    it: int
+    defect: float
 
 
 def solve(
@@ -409,25 +429,22 @@ def solve(
 ) -> ChebyshevSolution:
     """Compute the weighted minimax monic polynomial of degree n.
 
-    Remez exchange in two phases: a cheap hunt with single parabolic
-    refinement until the levelling defect is small, then certified extremum
-    location by bracketed Newton on the log-derivative of the error (plus a
-    log-scale search for the boundary hump when the weight vanishes at an
-    endpoint and the alternation set presses against it).
+    Remez exchange on a theta-grid of ``grid_factor * n + 200`` points.  Each
+    iteration solves the levelled system on the reference, samples the error
+    on the grid and takes one extremum step, in one of two phases.  The cheap
+    phase refines grid maxima by one parabolic step and the boundary hump by
+    a log-spaced scan.  Once its levelling defect is below
+    max(1e-8, 10 * tolerance), or the reference stops moving, the iteration
+    redoes the same reference in the certified phase, the step of
+    :func:`error_extrema`, which every later iteration keeps.  A certified
+    defect within ``tolerance`` returns the solution.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
     if tolerance <= 0.0 or max_iter < 1 or grid_factor < 1:
         raise ValueError("tolerance, max_iter, and grid_factor must be positive")
     ra, rb = w.rho_a, w.rho_b
-    G = grid_factor * n + 200
-    tgrid = np.linspace(0.0, np.pi, G)
-    wgrid = _weight_theta(ra, rb, tgrid)
-    if ra > 0.0:
-        wgrid[0] = 0.0
-    if rb > 0.0:
-        wgrid[-1] = 0.0
-    K = np.cos(np.outer(tgrid, np.arange(n + 1)))
+    tgrid, wgrid, K = _theta_grid(ra, rb, n, grid_factor * n + 200)
     lead = _implied_leading(n)
 
     tref = np.pi * np.arange(n + 1) / n
@@ -437,121 +454,68 @@ def solve(
         tref[-1] = np.pi - np.pi / (2 * n + 2)
     signs = (-1.0) ** np.arange(n + 1)
 
-    hstep = tgrid[1]
-    best: dict | None = None
+    best: _Iterate | None = None
     certify = False
-    it = 0
-    while it < max_iter:
-        it += 1
+    for it in range(1, max_iter + 1):
         if np.any(np.diff(np.cos(tref)[::-1]) <= 1e-14):
             raise DegeneracyError(f"reference collapse at iteration {it}")
         coef, h = _solve_leveled_theta(ra, rb, n, tref, signs, lead)
-
+        h = abs(h)
         e = wgrid * (K @ coef)
-        ae = np.abs(e)
-        mask = (ae[1:-1] >= ae[:-2]) & (ae[1:-1] >= ae[2:])
-        idx = np.nonzero(mask)[0] + 1
-        if idx.size:
-            if certify:
-                tr = _refine_newton(ra, rb, coef, tgrid[idx - 1], tgrid[idx + 1])
-                er = _signed_error_theta(ra, rb, coef, tr)
-            else:
-                y0, y1, y2 = ae[idx - 1], ae[idx], ae[idx + 1]
-                den = y0 - 2.0 * y1 + y2
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    d = np.where(np.abs(den) > 0, 0.5 * (y0 - y2) / den * hstep, 0.0)
-                d = np.clip(d, -hstep, hstep)
-                tr = np.clip(tgrid[idx] + d, 0.0, np.pi)
-                er = _signed_error_theta(ra, rb, coef, tr)
-            worse = np.abs(er) < ae[idx]
-            tr = np.where(worse, tgrid[idx], tr)
-            er = np.where(worse, e[idx], er)
-        else:
-            tr = np.empty(0)
-            er = np.empty(0)
-
-        cand_t = list(tr)
-        cand_e = list(er)
-        if ra == 0.0:
-            if ae[0] >= ae[1]:
-                cand_t.insert(0, 0.0)
-                cand_e.insert(0, float(e[0]))
-        elif ae[1] >= ae[2]:
-            # error still rising into the vanishing-weight endpoint: the
-            # boundary hump is narrower than the grid, search it explicitly
-            th = (_hump_argmax_newton if certify else _hump_argmax_cheap)(
-                ra, rb, coef, +1, hstep
-            )
-            cand_t.insert(0, th)
-            cand_e.insert(0, float(_signed_error_theta(ra, rb, coef, np.asarray([th]))[0]))
-        if rb == 0.0:
-            if ae[-1] >= ae[-2]:
-                cand_t.append(np.pi)
-                cand_e.append(float(e[-1]))
-        elif ae[-2] >= ae[-3]:
-            th = (_hump_argmax_newton if certify else _hump_argmax_cheap)(
-                ra, rb, coef, -1, hstep
-            )
-            cand_t.append(th)
-            cand_e.append(float(_signed_error_theta(ra, rb, coef, np.asarray([th]))[0]))
-
-        kt, ke = _alternating_prune(np.asarray(cand_t), np.asarray(cand_e), 1e-15 * abs(h))
-        if len(kt) < n + 1:
-            raise ExchangeError(
-                f"found {len(kt)} alternations, need {n + 1} "
-                f"(rho_a={ra}, rho_b={rb}, n={n}, iteration {it})"
-            )
-        E = float(np.max(np.abs(ke)))
-        defect = (E - abs(h)) / E
-        cur = dict(coef=coef, h=abs(h), E=E, tref=tref.copy(), it=it, defect=defect)
-        if best is None or defect < best["defect"]:
-            best = cur
-        if certify and defect <= tolerance:
-            return _package(w, n, cur)
-        if not certify and defect <= max(1e-8, 10.0 * tolerance):
-            certify = True  # redo this reference with certified extrema
-            it -= 1
-            continue
-
-        s0 = _pick_window(ke, n + 1)
-        new_tref = kt[s0 : s0 + n + 1]
-        if new_tref.shape == tref.shape and np.max(np.abs(new_tref - tref)) <= 1e-14:
-            if certify:
-                # reference has stopped moving but the defect is still above
-                # tolerance: further exchanges cannot improve the iterate
-                raise ConvergenceError(
-                    f"reference stalled at defect {defect:.3e} > {tolerance:.1e} "
-                    f"(rho_a={ra}, rho_b={rb}, n={n}, iteration {it})",
-                    _package(w, n, best),
-                    best["defect"],
+        while True:
+            kt, ke = _extremum_step(ra, rb, coef, tgrid, e, certify, 1e-15 * h)
+            if len(kt) < n + 1:
+                raise ExchangeError(
+                    f"found {len(kt)} alternations, need {n + 1} "
+                    f"(rho_a={ra}, rho_b={rb}, n={n}, iteration {it})"
                 )
-            certify = True
-            it -= 1
-            continue
+            E = float(np.max(np.abs(ke)))
+            cur = _Iterate(coef, tref, E, it, (E - h) / E)
+            if best is None or cur.defect < best.defect:
+                best = cur
+            s0 = _pick_window(ke, n + 1)
+            new_tref = kt[s0 : s0 + n + 1]
+            stalled = np.max(np.abs(new_tref - tref)) <= 1e-14
+            if certify or not (stalled or cur.defect <= max(1e-8, 10.0 * tolerance)):
+                break
+            certify = True  # redo this reference with certified extrema
+
+        if certify and cur.defect <= tolerance:
+            return _package(w, n, cur)
+        if stalled:
+            # the certified reference has stopped moving above tolerance:
+            # further exchanges cannot improve the iterate
+            raise ConvergenceError(
+                f"reference stalled at defect {cur.defect:.3e} > {tolerance:.1e} "
+                f"(rho_a={ra}, rho_b={rb}, n={n}, iteration {it})",
+                _package(w, n, best),
+                best.defect,
+            )
         tref = new_tref
         signs = (1.0 if ke[s0] > 0 else -1.0) * (-1.0) ** np.arange(n + 1)
 
-    assert best is not None
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations "
-        f"(rho_a={ra}, rho_b={rb}, n={n}, best defect {best['defect']:.3e})",
+        f"(rho_a={ra}, rho_b={rb}, n={n}, best defect {best.defect:.3e})",
         _package(w, n, best),
-        best["defect"],
+        best.defect,
     )
 
 
-def _package(w: WeightParams, n: int, state: dict) -> ChebyshevSolution:
-    coef = state["coef"]
-    xref = np.cos(state["tref"])[::-1]
-    roots = _polish_roots(coef, xref)
-    poly = MonicPolynomial(n, tuple(coef[:n]), tuple(float(r) for r in roots))
-    norm = state["E"]
+def _package(w: WeightParams, n: int, state: _Iterate) -> ChebyshevSolution:
+    # a boundary hump closer to its endpoint than the float spacing at -1 or 1
+    # would round onto the endpoint, where the weight vanishes; report the
+    # nearest float inside the weight's open support instead
+    lo = np.nextafter(-1.0, 0.0) if w.rho_b > 0.0 else -1.0
+    hi = np.nextafter(1.0, 0.0) if w.rho_a > 0.0 else 1.0
+    xref = np.clip(np.cos(state.tref)[::-1], lo, hi)
+    roots = _polish_roots(state.coef, xref)
     return ChebyshevSolution(
         weight=w,
-        poly=poly,
-        reference=tuple(float(x) for x in xref),
-        norm=norm,
-        widom=float(2.0**n * norm),
-        iterations=state["it"],
-        levelling_defect=state["defect"],
+        poly=MonicPolynomial(n, tuple(state.coef[:n]), tuple(roots)),
+        reference=tuple(xref),
+        norm=state.E,
+        widom=float(2.0**n * state.E),
+        iterations=state.it,
+        levelling_defect=state.defect,
     )

@@ -188,13 +188,13 @@ def jacobi_zeros(p: JacobiParams, n: int) -> list[float]:
     return sorted(float(t) for t in x)
 
 
-def _weight_theta(w: WeightParams, theta: np.ndarray) -> np.ndarray:
-    """(1-x)^rho_a (1+x)^rho_b at x = cos(theta), stable near the endpoints."""
+def _weight_theta(ra: float, rb: float, theta: np.ndarray) -> np.ndarray:
+    """(1-x)^ra (1+x)^rb at x = cos(theta), via half-angle forms stable near the endpoints."""
     out = np.ones_like(theta)
-    if w.rho_a != 0.0:
-        out = out * (2.0 * np.sin(0.5 * theta) ** 2) ** w.rho_a
-    if w.rho_b != 0.0:
-        out = out * (2.0 * np.cos(0.5 * theta) ** 2) ** w.rho_b
+    if ra != 0.0:
+        out = out * (2.0 * np.sin(0.5 * theta) ** 2) ** ra
+    if rb != 0.0:
+        out = out * (2.0 * np.cos(0.5 * theta) ** 2) ** rb
     return out
 
 
@@ -212,7 +212,7 @@ def weighted_monic_jacobi_sup(w: WeightParams, n: int, grid: int | None = None) 
         grid = 50 * n + 500
 
     theta = np.linspace(0.0, np.pi, grid)
-    wt = _weight_theta(w, theta)
+    wt = _weight_theta(w.rho_a, w.rho_b, theta)
     # exact endpoint zeros: float cos(pi/2) rounding would otherwise leak through
     if w.rho_a > 0.0:
         wt[0] = 0.0
@@ -223,7 +223,7 @@ def weighted_monic_jacobi_sup(w: WeightParams, n: int, grid: int | None = None) 
 
     def eval_mag(t: np.ndarray) -> np.ndarray:
         v, _ = jacobi_eval(p, n, np.cos(t))
-        return _weight_theta(w, t) * np.abs(scale * v)
+        return _weight_theta(w.rho_a, w.rho_b, t) * np.abs(scale * v)
 
     best = max(mag[0], mag[-1])
     is_max = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from widomlab.minimax import (
     ChebyshevSolution,
@@ -142,6 +144,37 @@ def test_alternation_certificate_random_weights():
         dense = dense_weighted_max(w, sol.poly, 50001)
         assert dense <= sol.norm * (1.0 + 1e-10)
         assert dense >= sol.norm * (1.0 - 1e-6)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    ra=st.floats(0.0, 1.5),
+    rb=st.floats(0.0, 1.5),
+    n=st.integers(1, 25),
+)
+# the boundary hump lies ~1e-18 from theta = pi, so its x rounds onto -1
+@example(ra=0.0, rb=6.8932807574548875e-211, n=1)
+def test_certificate_routes_agree(ra, rb, n):
+    # the norm is the solver's own certified step, so error_extrema on the
+    # solver's grid reproduces it; the levelled system on the returned
+    # reference reproduces |h|; the mirrored weight x -> -x gives the same norm
+    w = WeightParams(ra, rb)
+    sol = solve(w, n)
+    emax = max(abs(e) for _, e in error_extrema(w, sol.poly, 30 * n + 200))
+    assert abs(emax - sol.norm) <= 1e-15 * sol.norm
+    _, h = leveled_system(w, n, sol.reference)
+    assert abs(h - sol.norm) <= 1e-12 * sol.norm
+    mirrored = solve(WeightParams(rb, ra), n)
+    assert abs(mirrored.norm - sol.norm) <= 2e-12 * sol.norm
+
+
+def test_certified_phase_does_not_use_an_iteration():
+    # the first-kind reference is exact, so the cheap phase levels it at once
+    # and the certified redo of that reference still counts as iteration 1
+    for n in range(1, 11):
+        sol = solve(WeightParams(0.0, 0.0), n, max_iter=1)
+        assert sol.iterations == 1
+        assert sol.levelling_defect <= 1e-12
 
 
 def test_solution_norm_is_minimal_among_perturbations():
