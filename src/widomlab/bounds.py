@@ -45,7 +45,8 @@ class BoundReport:
     """Outcome of a bound-verification sweep.
 
     ``values`` holds one number per index in the inclusive ``n_range``;
-    ``max_violation`` is 0 when every check passed within tolerance.
+    ``max_violation`` is the worst breach the sweep measured, clipped at 0
+    (for :func:`verify_m_monotone`, the largest drop M_n - M_{n+1}).
     """
 
     n_range: tuple[int, int]
@@ -241,8 +242,8 @@ def verify_m_monotone(
     cancellation noise is tolerated), and that
     |M_{n_max} - 2^{(1-alpha-beta)/2}| <= limit_tol.  Returns a report whose
     ``values`` are the final deviations per grid point, indexed row-major with
-    alpha fastest; raises :class:`PropertyViolation` on any monotonicity break
-    or limit miss.
+    alpha fastest, and whose ``max_violation`` is the largest drop; raises
+    :class:`PropertyViolation` on any monotonicity break or limit miss.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -252,6 +253,7 @@ def verify_m_monotone(
     step_tol = 1e-11
     offenders: list[str] = []
     deviations: list[float] = []
+    worst_drop = 0.0
     for b in grid:
         for a in grid:
             p = JacobiParams(float(a), float(b))
@@ -265,6 +267,7 @@ def verify_m_monotone(
                 prev = cur
             dev = abs(prev - lim)
             deviations.append(dev)
+            worst_drop = max(worst_drop, worst_step)
             if worst_step > step_tol:
                 offenders.append(f"({a:.6g},{b:.6g}): M_n decreased by {worst_step:.3g}")
             if not corner and prev - first <= 0.0:
@@ -280,7 +283,7 @@ def verify_m_monotone(
         values=tuple(deviations),
         monotone=True,
         limit=max(deviations),
-        max_violation=0.0,
+        max_violation=worst_drop,
     )
 
 

@@ -22,7 +22,7 @@ from numpy.polynomial import polynomial as npp
 
 from widomlab.bounds import weight_sup_bound
 from widomlab.minimax import ChebyshevSolution, MonicPolynomial, solve
-from widomlab.special import WeightParams
+from widomlab.special import WeightParams, _polish_peaks
 
 __all__ = [
     "RealPolynomial",
@@ -117,25 +117,6 @@ def circle_minimizer_from_interval(w: WeightParams, sol: ChebyshevSolution) -> C
     return CircleFunction(2.0 * ra - 1.0, 2.0 * rb - 1.0, RealPolynomial(tuple(Q)))
 
 
-def _polish_peak(modulus, phi: np.ndarray, values: np.ndarray, steps: int) -> tuple[float, float]:
-    """Parabolic polish of the largest of ``values``, sampled on the uniform angle grid ``phi``.
-
-    Each step fits a parabola to ``modulus`` at three angles and halves their
-    spacing.  Returns the final angle and the largest modulus seen.
-    """
-    ph = float(phi[int(np.argmax(values))])
-    h = 2.0 * np.pi / len(phi)
-    best = float(np.max(values))
-    for _ in range(steps):
-        mm = modulus(np.array([ph - h, ph, ph + h]))
-        den = mm[0] - 2.0 * mm[1] + mm[2]
-        step = 0.0 if den == 0.0 else 0.5 * (mm[0] - mm[2]) / den * h
-        ph += min(max(step, -h), h)
-        h /= 2.0
-        best = max(best, float(np.max(mm)))
-    return ph, best
-
-
 def circle_sup(f: CircleFunction, grid: int = 4096) -> float:
     """Max modulus over the unit circle: doubling grid plus parabolic polish."""
     floor = math.ceil(10 * (f.poly.degree + f.exp_plus + f.exp_minus + 4))
@@ -148,8 +129,9 @@ def circle_sup(f: CircleFunction, grid: int = 4096) -> float:
         m = f.modulus_at_angle(phi)
         cur = float(np.max(m))
         if prev is not None and abs(cur - prev) <= 1e-10 * max(cur, 1.0):
-            ph, _ = _polish_peak(f.modulus_at_angle, phi, m, 40)
-            return max(cur, float(f.modulus_at_angle(ph)))
+            k = np.argmax(m, keepdims=True)
+            top = _polish_peaks(f.modulus_at_angle, phi[k], m[k], 2.0 * np.pi / G, 40, 0.5)
+            return float(top[0])
         prev = cur
         G *= 2
         if G > 2**21:
@@ -196,6 +178,7 @@ def erdos_lax_check(angles, exponents, grid: int = 16384) -> tuple[float, float]
     zk = np.exp(1j * np.asarray(angles, dtype=float))
     # offset grid so no sample collides with a zero of F
     phi = (np.arange(grid) + 0.31) * 2.0 * np.pi / grid
+    h = 2.0 * np.pi / grid
 
     def moduli(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = np.exp(1j * p)
@@ -211,10 +194,13 @@ def erdos_lax_check(angles, exponents, grid: int = 16384) -> tuple[float, float]
             absd[near] = np.abs(np.sum(terms, axis=1))
         return absd, absf
 
+    def peak(which: int, values: np.ndarray) -> float:
+        k = np.argmax(values, keepdims=True)
+        top = _polish_peaks(lambda p: moduli(p)[which], phi[k], values[k], h, 30, 0.5)
+        return float(top[0])
+
     absd, absf = moduli(phi)
-    _, lhs = _polish_peak(lambda p: moduli(p)[0], phi, absd, 30)
-    _, max_f = _polish_peak(lambda p: moduli(p)[1], phi, absf, 30)
-    return lhs, 0.5 * float(np.sum(s)) * max_f
+    return peak(0, absd), 0.5 * float(np.sum(s)) * peak(1, absf)
 
 
 def polya_szego_combine(points) -> np.ndarray:

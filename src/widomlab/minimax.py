@@ -17,7 +17,8 @@ from functools import partial
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from widomlab.special import WeightParams, _weight_theta
+from widomlab.special import WeightParams, _bracketed_newton, _parabolic_shift
+from widomlab.special import _theta_grid, _weight_theta
 
 __all__ = [
     "MonicPolynomial",
@@ -175,28 +176,6 @@ def _log_error_slope(ra, rb, coef, theta):
     return g, gp
 
 
-def _bracketed_newton(f, lo, hi, sign_lo, tol: float, max_steps: int) -> np.ndarray:
-    """Safeguarded Newton on f = 0 inside brackets [lo, hi], where f has sign ``sign_lo`` at lo.
-
-    ``f`` maps points to (value, derivative); a step that leaves the shrinking
-    bracket becomes a bisection.  Stops once no point moves by ``tol``.
-    """
-    x = 0.5 * (lo + hi)
-    for _ in range(max_steps):
-        v, dv = f(x)
-        same = np.sign(v) == sign_lo
-        lo = np.where(same, x, lo)
-        hi = np.where(same, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = x - v / dv
-        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-        xn = np.where(bad, 0.5 * (lo + hi), xn)
-        if np.max(np.abs(xn - x)) < tol:
-            return xn
-        x = xn
-    return x
-
-
 def _refine_newton(ra, rb, coef, lo, hi) -> np.ndarray:
     """Maxima of |e| inside brackets [lo, hi], where g = d/dtheta ln|e| falls through 0."""
     return _bracketed_newton(partial(_log_error_slope, ra, rb, coef), lo, hi, 1.0, 3e-16, 50)
@@ -276,18 +255,6 @@ def _solve_leveled_theta(ra, rb, n, tref, signs, lead):
     return coef, float(sol[n])
 
 
-def _theta_grid(ra: float, rb: float, n: int, size: int):
-    """Uniform theta-grid on [0, pi], the weight on it, and T_0 .. T_n sampled there."""
-    theta = np.linspace(0.0, np.pi, size)
-    wgrid = _weight_theta(ra, rb, theta)
-    # exact endpoint zeros: float cos(pi/2) rounding would otherwise leak through
-    if ra > 0.0:
-        wgrid[0] = 0.0
-    if rb > 0.0:
-        wgrid[-1] = 0.0
-    return theta, wgrid, np.cos(np.outer(theta, np.arange(n + 1)))
-
-
 def _extremum_step(ra, rb, coef, theta, e, certify: bool, floor: float):
     """Alternating extrema of the error w p from its samples ``e`` on the uniform ``theta``.
 
@@ -307,11 +274,8 @@ def _extremum_step(ra, rb, coef, theta, e, certify: bool, floor: float):
         if certify:
             tr = _refine_newton(ra, rb, coef, theta[idx - 1], theta[idx + 1])
         else:
-            y0, y1, y2 = ae[idx - 1], ae[idx], ae[idx + 1]
-            den = y0 - 2.0 * y1 + y2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d = np.where(np.abs(den) > 0, 0.5 * (y0 - y2) / den * step, 0.0)
-            tr = np.clip(theta[idx] + np.clip(d, -step, step), 0.0, np.pi)
+            d = _parabolic_shift(ae[idx - 1], ae[idx], ae[idx + 1], step)
+            tr = np.clip(theta[idx] + d, 0.0, np.pi)
         er = _signed_error_theta(ra, rb, coef, tr)
         worse = np.abs(er) < ae[idx]
         tr = np.where(worse, theta[idx], tr)
@@ -375,8 +339,8 @@ def error_extrema(w: WeightParams, poly: MonicPolynomial, grid: int) -> list[tup
         raise ValueError("grid must be at least 10 times the degree")
     ra, rb = w.rho_a, w.rho_b
     coef = poly.full_cheb_coeffs()
-    theta, wgrid, K = _theta_grid(ra, rb, poly.degree, grid)
-    e = wgrid * (K @ coef)
+    theta, wgrid = _theta_grid(ra, rb, grid)
+    e = wgrid * (np.cos(np.outer(theta, np.arange(poly.degree + 1))) @ coef)
     kt, ke = _extremum_step(ra, rb, coef, theta, e, True, 1e-15 * float(np.max(np.abs(e))))
     if len(kt) < poly.degree + 1:
         raise ExchangeError(
@@ -444,7 +408,8 @@ def solve(
     if tolerance <= 0.0 or max_iter < 1 or grid_factor < 1:
         raise ValueError("tolerance, max_iter, and grid_factor must be positive")
     ra, rb = w.rho_a, w.rho_b
-    tgrid, wgrid, K = _theta_grid(ra, rb, n, grid_factor * n + 200)
+    tgrid, wgrid = _theta_grid(ra, rb, grid_factor * n + 200)
+    K = np.cos(np.outer(tgrid, np.arange(n + 1)))
     lead = _implied_leading(n)
 
     tref = np.pi * np.arange(n + 1) / n

@@ -9,7 +9,6 @@ Remez machinery, which makes it a trustworthy cross-check.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from widomlab.special import WeightParams
 
@@ -30,6 +29,9 @@ def brute_minimax(
         raise ValueError("brute_minimax only supports degrees 0 through 3")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    # scipy.optimize takes most of a cold `import widomlab`; only the oracle needs it
+    from scipy.optimize import minimize
+
     theta = np.linspace(0.0, np.pi, _GRID)
     x = np.cos(theta)
     wt = np.ones_like(theta)

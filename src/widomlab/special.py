@@ -132,62 +132,6 @@ def monic_scale(p: JacobiParams, n: int) -> float:
     )
 
 
-def _zero_guesses(p: JacobiParams, n: int) -> np.ndarray:
-    """Interior-asymptotic angles for the zeros, increasing in theta."""
-    k = np.arange(1, n + 1, dtype=float)
-    return (k + 0.5 * p.alpha - 0.25) * np.pi / (n + 0.5 * (p.alpha + p.beta + 1.0))
-
-
-def _newton_zeros(p: JacobiParams, n: int, x0: np.ndarray, max_steps: int = 100):
-    """Vectorized Newton on P_n from starting points x0; returns (x, converged)."""
-    x = x0.copy()
-    done = np.zeros(x.shape, dtype=bool)
-    for _ in range(max_steps):
-        v, d = jacobi_eval(p, n, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = v / d
-        step = np.where(np.isfinite(step), step, 0.0)
-        x = x - np.where(done, 0.0, step)
-        done |= np.abs(step) <= 1e-13 * np.maximum(np.abs(x), 1e-3)
-        if done.all():
-            break
-    return x, done
-
-
-def jacobi_zeros(p: JacobiParams, n: int) -> list[float]:
-    """The n simple zeros of P_n^{(alpha,beta)}, strictly increasing in (-1,1)."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    theta = _zero_guesses(p, n)
-    x, done = _newton_zeros(p, n, np.cos(theta)[::-1])
-    if done.all() and x.shape == (n,) and np.all(np.diff(x) > 0) and np.all(np.abs(x) < 1.0):
-        return [float(t) for t in x]
-
-    # fallback: bracket sign changes on a dense theta-grid, then bisect
-    grid = np.cos(np.linspace(0.0, np.pi, 20 * n + 100))
-    vals, _ = jacobi_eval(p, n, grid)
-    sign_flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if sign_flip.size != n:
-        raise RuntimeError(
-            f"zero bracketing found {sign_flip.size} of {n} zeros for {p}"
-        )
-    lo = np.minimum(grid[sign_flip], grid[sign_flip + 1])
-    hi = np.maximum(grid[sign_flip], grid[sign_flip + 1])
-    flo, _ = jacobi_eval(p, n, lo)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm, _ = jacobi_eval(p, n, mid)
-        same = np.sign(fm) == np.sign(flo)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
-    x, done = _newton_zeros(p, n, 0.5 * (lo + hi))
-    bad = np.nonzero(~done)[0]
-    if bad.size:
-        raise RuntimeError(f"Newton did not converge for zero index {bad[0]} of {p}")
-    return sorted(float(t) for t in x)
-
-
 def _weight_theta(ra: float, rb: float, theta: np.ndarray) -> np.ndarray:
     """(1-x)^ra (1+x)^rb at x = cos(theta), via half-angle forms stable near the endpoints."""
     out = np.ones_like(theta)
@@ -196,6 +140,86 @@ def _weight_theta(ra: float, rb: float, theta: np.ndarray) -> np.ndarray:
     if rb != 0.0:
         out = out * (2.0 * np.cos(0.5 * theta) ** 2) ** rb
     return out
+
+
+def _theta_grid(ra: float, rb: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform theta-grid of ``size`` points on [0, pi] and the weight on it."""
+    theta = np.linspace(0.0, np.pi, size)
+    wgrid = _weight_theta(ra, rb, theta)
+    # exact endpoint zeros: float cos(pi/2) rounding would otherwise leak through
+    if ra > 0.0:
+        wgrid[0] = 0.0
+    if rb > 0.0:
+        wgrid[-1] = 0.0
+    return theta, wgrid
+
+
+def _parabolic_shift(yl, y, yh, step):
+    """Vertex offset of the parabola through (-step, yl), (0, y), (step, yh), clipped to +-step."""
+    den = yl - 2.0 * y + yh
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.where(den != 0.0, 0.5 * (yl - yh) / den * step, 0.0)
+    return np.clip(shift, -step, step)
+
+
+def _polish_peaks(f, t, y, step: float, rounds: int, shrink: float):
+    """Iterated parabolic polish of the peaks of ``f`` at points ``t`` with values ``y``.
+
+    Each round fits a parabola to f at t - step, t, t + step, moves each point
+    to its vertex (at most ``step`` away) unless f is lower there, and scales
+    ``step`` by ``shrink``.  ``f`` must accept points up to ``step`` outside
+    the range ``t`` was sampled from.  Returns the polished values.
+    """
+    for _ in range(rounds):
+        t2 = t + _parabolic_shift(f(t - step), y, f(t + step), step)
+        y2 = f(t2)
+        better = y2 >= y
+        t = np.where(better, t2, t)
+        y = np.where(better, y2, y)
+        step *= shrink
+    return y
+
+
+def _bracketed_newton(f, lo, hi, sign_lo, tol: float, max_steps: int) -> np.ndarray:
+    """Safeguarded Newton on f = 0 inside brackets [lo, hi], where f has sign ``sign_lo`` at lo.
+
+    ``f`` maps points to (value, derivative); a step that leaves the shrinking
+    bracket becomes a bisection, and a point where f is exactly 0 stays put.
+    Stops once no point moves by ``tol``.
+    """
+    x = 0.5 * (lo + hi)
+    for _ in range(max_steps):
+        v, dv = f(x)
+        same = np.sign(v) == sign_lo
+        lo = np.where(same, x, lo)
+        hi = np.where(same, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - v / dv
+        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
+        xn = np.where(v == 0.0, x, np.where(bad, 0.5 * (lo + hi), xn))
+        if np.max(np.abs(xn - x)) < tol:
+            return xn
+        x = xn
+    return x
+
+
+def jacobi_zeros(p: JacobiParams, n: int) -> list[float]:
+    """The n simple zeros of P_n^{(alpha,beta)}, strictly increasing in (-1,1).
+
+    Brackets the sign changes of P_n on a uniform theta-grid of 20n + 100
+    points and refines each by bracketed Newton.
+    """
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    grid = np.cos(np.linspace(0.0, np.pi, 20 * n + 100))[::-1]
+    vals, _ = jacobi_eval(p, n, grid)
+    flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    if flip.size != n:
+        raise RuntimeError(f"zero bracketing found {flip.size} of {n} zeros for {p}")
+    x = _bracketed_newton(
+        lambda t: jacobi_eval(p, n, t), grid[flip], grid[flip + 1], np.sign(vals[flip]), 1e-15, 100
+    )
+    return [float(t) for t in x]
 
 
 def weighted_monic_jacobi_sup(w: WeightParams, n: int, grid: int | None = None) -> float:
@@ -211,40 +235,17 @@ def weighted_monic_jacobi_sup(w: WeightParams, n: int, grid: int | None = None) 
     if grid is None:
         grid = 50 * n + 500
 
-    theta = np.linspace(0.0, np.pi, grid)
-    wt = _weight_theta(w.rho_a, w.rho_b, theta)
-    # exact endpoint zeros: float cos(pi/2) rounding would otherwise leak through
-    if w.rho_a > 0.0:
-        wt[0] = 0.0
-    if w.rho_b > 0.0:
-        wt[-1] = 0.0
-    vals, _ = jacobi_eval(p, n, np.cos(theta))
-    mag = wt * np.abs(scale * vals)
-
     def eval_mag(t: np.ndarray) -> np.ndarray:
+        # even about theta = 0 and pi, so the polish may step past either end
         v, _ = jacobi_eval(p, n, np.cos(t))
         return _weight_theta(w.rho_a, w.rho_b, t) * np.abs(scale * v)
 
+    theta, wt = _theta_grid(w.rho_a, w.rho_b, grid)
+    vals, _ = jacobi_eval(p, n, np.cos(theta))
+    mag = wt * np.abs(scale * vals)
     best = max(mag[0], mag[-1])
-    is_max = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:])
-    idx = np.nonzero(is_max)[0] + 1
+    idx = np.nonzero((mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]))[0] + 1
     if idx.size:
-        t = theta[idx]
-        y = mag[idx]
-        step = theta[1]
-        for _ in range(3):
-            lo = np.clip(t - step, 0.0, np.pi)
-            hi = np.clip(t + step, 0.0, np.pi)
-            yl, yh = eval_mag(lo), eval_mag(hi)
-            den = yl - 2.0 * y + yh
-            with np.errstate(divide="ignore", invalid="ignore"):
-                shift = np.where(den != 0.0, 0.5 * (yl - yh) / den * step, 0.0)
-            shift = np.clip(shift, -step, step)
-            t2 = np.clip(t + shift, 0.0, np.pi)
-            y2 = eval_mag(t2)
-            better = y2 >= y
-            t = np.where(better, t2, t)
-            y = np.where(better, y2, y)
-            step /= 4.0
+        y = _polish_peaks(eval_mag, theta[idx], mag[idx], theta[1], 3, 0.25)
         best = max(best, float(np.max(y)))
     return best

@@ -15,6 +15,7 @@ from widomlab.bounds import (
     m_bound_raw,
     m_ratio,
     verify_coeff_lemma,
+    verify_m_monotone,
     weight_sup_bound,
 )
 from widomlab.special import (
@@ -99,6 +100,18 @@ def test_m_bound_deficit_shrinks_like_one_over_n():
         assert abs(d2 / d1 - 0.5) < 0.05
         c0, c1, c2 = c_coeffs(p)
         assert abs(d1 - lim * abs(c2) / 2000.0) < 0.05 * d1
+
+
+def test_m_monotone_reports_worst_drop():
+    report = verify_m_monotone(n_max=60, samples=3, limit_tol=0.1)
+    drops = []
+    for b in (-0.5, 0.0, 0.5):
+        for a in (-0.5, 0.0, 0.5):
+            m = [m_bound(JacobiParams(a, b), n) for n in range(1, 61)]
+            drops += [max(x - y, 0.0) for x, y in zip(m, m[1:])]
+    # log-Gamma noise makes the flat corner sequences dip by ~1e-13
+    assert max(drops) > 0.0
+    assert report.max_violation == max(drops)
 
 
 def test_c_coeffs_values():

@@ -1,6 +1,9 @@
 """Tests for the brute-force minimax oracle."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +41,16 @@ def test_brute_degree_zero_is_weight_max():
 def test_brute_rejects_large_degree():
     with pytest.raises(ValueError):
         brute_minimax(WeightParams(0.0, 0.0), 4)
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy.optimize dominates a cold import; only brute_minimax loads it
+    code = "import sys, widomlab, widomlab.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_brute_agrees_with_remez():

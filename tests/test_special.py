@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from widomlab.special import (
     JacobiParams,
     WeightParams,
+    _bracketed_newton,
+    _polish_peaks,
     jacobi_eval,
     jacobi_zeros,
     log_gamma,
@@ -146,6 +149,38 @@ def test_jacobi_zeros_validity_grid():
                 v, d = jacobi_eval(p, n, z)
                 assert np.max(np.abs(v)) <= 1e-10
                 assert np.min(np.abs(d)) > 0.0  # simple zeros
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 100, 200])
+def test_jacobi_zeros_match_scipy(n):
+    exponents = (-0.99, -0.5, 0.0, 1.0, 5.0)
+    for a in exponents:
+        for b in exponents:
+            z = np.array(jacobi_zeros(JacobiParams(a, b), n))
+            assert np.max(np.abs(z - roots_jacobi(n, a, b)[0])) <= 1e-13, (a, b)
+
+
+def test_bracketed_newton_keeps_an_exact_zero():
+    # Newton from -0.25 lands on 0.0 exactly, where f vanishes
+    x = _bracketed_newton(
+        lambda x: (x, np.ones_like(x)), np.array([-1.0]), np.array([0.5]), -1.0, 1e-15, 100
+    )
+    assert x[0] == 0.0
+
+
+def test_polish_peaks_finds_maxima_between_grid_points():
+    # cos(4(t - c)) peaks at c and c + pi/2 in [0, pi], neither a grid point
+    c = 0.4321
+
+    def f(t):
+        return np.cos(4.0 * (t - c))
+
+    grid = np.linspace(0.0, np.pi, 40)
+    y = f(grid)
+    idx = np.nonzero((y[1:-1] >= y[:-2]) & (y[1:-1] >= y[2:]))[0] + 1
+    assert idx.size == 2 and np.all(y[idx] < 1.0 - 1e-4)
+    top = _polish_peaks(f, grid[idx], y[idx], grid[1], 30, 0.5)
+    assert np.all(top > 1.0 - 1e-14)
 
 
 def test_jacobi_zeros_rejects_degree_zero():
