@@ -1,15 +1,17 @@
 """Unit-circle counterpart of the interval minimax problem.
 
-From an interval solution with roots cos(theta_k), the circle minimizer for
-the weight |z-1|^{2 rho_a - 1} |z+1|^{2 rho_b - 1} (rho_a, rho_b >= 1/2) is
+For the weight |z-1|^{2 rho_a - 1} |z+1|^{2 rho_b - 1} (rho_a, rho_b >= 1/2),
+the circle minimizer lifted from an interval solution P of degree n is
 
     Q(z) = [ 2 rho_a (z+1) R(z) + 2 rho_b (z-1) R(z) + (z^2-1) R'(z) ]
            / (2 rho_a + 2 rho_b + 2n),
 
-with R(z) = prod (z^2 - 2 cos(theta_k) z + 1), and the two extremal values
-are tied by C_n = 2^{n + rho_a + rho_b - 1} I_n.  The module also carries an
-Erdos-Lax-type derivative-norm identity and the Polya-Szego combination whose
-roots all sit on the unit circle.
+with R(z) = prod (z^2 - 2 x_k z + 1) over the zeros x_k of P, and the two
+extremal values are tied by C_n = 2^{n + rho_a + rho_b - 1} I_n.  On the
+circle R(e^{i phi}) = 2^n e^{i n phi} P(cos phi), so Q is sampled at roots of
+unity from the Chebyshev series of P and recovered by one FFT.  The module
+also carries an Erdos-Lax-type derivative-norm identity and the Polya-Szego
+combination whose roots all sit on the unit circle.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from widomlab.bounds import weight_sup_bound
-from widomlab.minimax import ChebyshevSolution, MonicPolynomial, solve
+from widomlab.minimax import ChebyshevSolution, MonicPolynomial, _cheb_eval_012, solve
 from widomlab.special import WeightParams, _polish_peaks
 
 __all__ = [
     "RealPolynomial",
     "CircleFunction",
-    "angles_to_real_poly",
     "circle_minimizer_from_interval",
     "circle_sup",
     "verify_cn_relation",
@@ -86,56 +87,42 @@ class CircleFunction:
         return float(m) if np.ndim(phi) == 0 else m
 
 
-def angles_to_real_poly(angles) -> RealPolynomial:
-    """R(z) = prod (z^2 - 2 cos(theta_k) z + 1); the empty product is 1."""
-    out = np.array([1.0])
-    for theta in angles:
-        out = npp.polymul(out, np.array([1.0, -2.0 * math.cos(theta), 1.0]))
-    return RealPolynomial(tuple(out))
-
-
 def circle_minimizer_from_interval(w: WeightParams, sol: ChebyshevSolution) -> CircleFunction:
     """Lift an interval solution to the monic degree 2n+1 circle minimizer."""
     if w.rho_a < 0.5 or w.rho_b < 0.5:
         raise ValueError("circle correspondence requires rho_a, rho_b >= 1/2")
-    if sol.poly.roots is None:
-        raise ValueError("interval solution must carry its roots")
     n = sol.poly.degree
     ra, rb = w.rho_a, w.rho_b
-    R = np.asarray(angles_to_real_poly(np.arccos(np.asarray(sol.poly.roots))).coeffs)
-    dR = npp.polyder(R) if len(R) > 1 else np.array([0.0])
-    num = npp.polyadd(
-        npp.polyadd(
-            2.0 * ra * npp.polymul(np.array([1.0, 1.0]), R),
-            2.0 * rb * npp.polymul(np.array([-1.0, 1.0]), R),
-        ),
-        npp.polymul(np.array([-1.0, 0.0, 1.0]), dR),
-    )
-    Q = num / (2.0 * ra + 2.0 * rb + 2.0 * n)
-    if len(Q) != 2 * n + 2:
-        raise AssertionError("construction must produce degree 2n+1")
-    return CircleFunction(2.0 * ra - 1.0, 2.0 * rb - 1.0, RealPolynomial(tuple(Q)))
+    # Q at the 2n+2 roots of unity, from R = 2^n z^n P(cos phi) and
+    # (z^2-1) R' = 2^n z^n (2i n sin(phi) P - 2 sin(phi)^2 P') on the circle
+    size = 2 * n + 2
+    phi = 2.0 * np.pi * np.arange(size) / size
+    z = np.exp(1j * phi)
+    s = np.sin(phi)
+    p, dp, _ = _cheb_eval_012(sol.poly.full_cheb_coeffs(), np.cos(phi))
+    num = p * (2.0 * ra * (z + 1.0) + 2.0 * rb * (z - 1.0) + 2j * n * s) - 2.0 * s * s * dp
+    q = 2.0**n * z**n * num / (2.0 * ra + 2.0 * rb + 2.0 * n)
+    coeffs = np.fft.fft(q).real / size
+    coeffs[-1] = 1.0  # Q is monic by construction
+    return CircleFunction(2.0 * ra - 1.0, 2.0 * rb - 1.0, RealPolynomial(tuple(coeffs)))
 
 
-def circle_sup(f: CircleFunction, grid: int = 4096) -> float:
-    """Max modulus over the unit circle: doubling grid plus parabolic polish."""
-    floor = math.ceil(10 * (f.poly.degree + f.exp_plus + f.exp_minus + 4))
-    if grid < floor:
-        raise ValueError(f"grid must be at least {floor}")
-    G = grid
-    prev = None
-    while True:
-        phi = np.linspace(0.0, 2.0 * np.pi, G, endpoint=False)
-        m = f.modulus_at_angle(phi)
-        cur = float(np.max(m))
-        if prev is not None and abs(cur - prev) <= 1e-10 * max(cur, 1.0):
-            k = np.argmax(m, keepdims=True)
-            top = _polish_peaks(f.modulus_at_angle, phi[k], m[k], 2.0 * np.pi / G, 40, 0.5)
-            return float(top[0])
-        prev = cur
-        G *= 2
-        if G > 2**21:
-            return cur
+def _circle_max(f, phi: np.ndarray, y: np.ndarray) -> float:
+    """Max of the periodic ``f`` from its samples ``y`` on a uniform grid ``phi`` of one period.
+
+    Every local maximum of ``y``, with neighbours taken cyclically, is
+    polished by iterated parabolic steps.
+    """
+    idx = np.nonzero((y >= np.roll(y, 1)) & (y >= np.roll(y, -1)))[0]
+    top = _polish_peaks(f, phi[idx], y[idx], 2.0 * np.pi / len(phi), 30, 0.5)
+    return float(np.max(top))
+
+
+def circle_sup(f: CircleFunction) -> float:
+    """Max modulus over the unit circle: every grid peak, polished."""
+    size = max(4096, math.ceil(10 * (f.poly.degree + f.exp_plus + f.exp_minus + 4)))
+    phi = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
+    return _circle_max(f.modulus_at_angle, phi, f.modulus_at_angle(phi))
 
 
 def _degree_zero_solution(w: WeightParams) -> ChebyshevSolution:
@@ -166,7 +153,10 @@ def verify_cn_relation(w: WeightParams, n: int) -> tuple[float, float, float]:
     return c_n, i_n, abs(c_n - expected) / c_n
 
 
-def erdos_lax_check(angles, exponents, grid: int = 16384) -> tuple[float, float]:
+_ERDOS_LAX_GRID = 16384
+
+
+def erdos_lax_check(angles, exponents) -> tuple[float, float]:
     """(max |F'| on the circle, (sum s_j)/2 * max |F|) for F = prod (z-zeta_j)^{s_j}.
 
     The derivative modulus uses the logarithmic-derivative form away from the
@@ -177,8 +167,7 @@ def erdos_lax_check(angles, exponents, grid: int = 16384) -> tuple[float, float]
         raise ValueError("all exponents must be at least 1")
     zk = np.exp(1j * np.asarray(angles, dtype=float))
     # offset grid so no sample collides with a zero of F
-    phi = (np.arange(grid) + 0.31) * 2.0 * np.pi / grid
-    h = 2.0 * np.pi / grid
+    phi = (np.arange(_ERDOS_LAX_GRID) + 0.31) * 2.0 * np.pi / _ERDOS_LAX_GRID
 
     def moduli(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = np.exp(1j * p)
@@ -194,13 +183,11 @@ def erdos_lax_check(angles, exponents, grid: int = 16384) -> tuple[float, float]
             absd[near] = np.abs(np.sum(terms, axis=1))
         return absd, absf
 
-    def peak(which: int, values: np.ndarray) -> float:
-        k = np.argmax(values, keepdims=True)
-        top = _polish_peaks(lambda p: moduli(p)[which], phi[k], values[k], h, 30, 0.5)
-        return float(top[0])
-
     absd, absf = moduli(phi)
-    return peak(0, absd), 0.5 * float(np.sum(s)) * peak(1, absf)
+    return (
+        _circle_max(lambda p: moduli(p)[0], phi, absd),
+        0.5 * float(np.sum(s)) * _circle_max(lambda p: moduli(p)[1], phi, absf),
+    )
 
 
 def polya_szego_combine(points) -> np.ndarray:
@@ -221,7 +208,7 @@ def polya_szego_combine(points) -> np.ndarray:
     return out
 
 
-def aberth_roots(coeffs, tol: float = 1e-12, max_sweeps: int = 200) -> np.ndarray:
+def aberth_roots(coeffs) -> np.ndarray:
     """All roots of a polynomial by Aberth-Ehrlich simultaneous iteration."""
     c = np.asarray(coeffs, dtype=complex)
     if len(c) < 2:
@@ -231,7 +218,7 @@ def aberth_roots(coeffs, tol: float = 1e-12, max_sweeps: int = 200) -> np.ndarra
     dc = npp.polyder(c)
     k = np.arange(m)
     z = 0.9 * np.exp(2j * np.pi * (k + 0.25) / m + 0.4j)
-    for _ in range(max_sweeps):
+    for _ in range(200):
         p = npp.polyval(z, c)
         dp = npp.polyval(z, dc)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -242,7 +229,7 @@ def aberth_roots(coeffs, tol: float = 1e-12, max_sweeps: int = 200) -> np.ndarra
         step = ratio / denom
         step = np.where(np.isfinite(step), step, ratio)
         z = z - step
-        if np.max(np.abs(step)) < tol:
+        if np.max(np.abs(step)) < 1e-12:
             break
     return z
 

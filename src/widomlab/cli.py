@@ -26,8 +26,8 @@ from widomlab.bounds import (
 from widomlab.circle import erdos_lax_check, verify_cn_relation
 from widomlab.minimax import ConvergenceError, DegeneracyError, ExchangeError, solve
 from widomlab.special import WeightParams, weight_to_param, weighted_monic_jacobi_sup
+from widomlab.widom import _DISC_CENTER, _INNER_R2, widom_sequence
 from widomlab.widom import scan as grid_scan
-from widomlab.widom import widom_sequence
 
 __all__ = ["main", "build_parser"]
 
@@ -189,9 +189,9 @@ def _svg_document(result) -> str:
                 f'<rect x="{x:.3f}" y="{y:.3f}" width="{step:.3f}" '
                 f'height="{step:.3f}" fill="{fill}"{failed}/>'
             )
-    cx = margin + (0.25 - lo) * scale
-    cy = margin + plot - (0.25 - lo) * scale
-    r_inner = math.sqrt(1.0 / 8.0) * scale
+    cx = margin + (_DISC_CENTER - lo) * scale
+    cy = margin + plot - (_DISC_CENTER - lo) * scale
+    r_inner = math.sqrt(_INNER_R2) * scale
     r_outer = math.sqrt(1.1836088889 / 8.0) * scale
     parts.append(
         f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{r_inner:.3f}" '
@@ -278,6 +278,8 @@ def _verify_coeffs(args) -> list[dict]:
 
 
 def _verify_circle(args) -> list[dict]:
+    if args.n_max < 0:
+        raise ValueError("--n-max must be at least 0")
     worst = 0.0
     for ra, rb in _CN_VERIFY_PARAMS:
         for n in range(args.n_max + 1):
@@ -297,6 +299,8 @@ def _verify_circle(args) -> list[dict]:
 
 
 def _verify_jacobi(args) -> list[dict]:
+    if args.n_max < 1 or args.samples < 1:
+        raise ValueError("--n-max and --samples must be at least 1")
     worst = 0.0
     rhos = np.linspace(0.0, 0.5, args.samples)
     for rb in rhos:
@@ -321,6 +325,9 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         sys.stderr.write(f"invalid arguments: {exc}\n")
         return 1
+    except _SOLVER_ERRORS as exc:
+        sys.stderr.write(f"solver failure: {exc}\n")
+        return 2
     except PropertyViolation as exc:
         if args.format == "json":
             doc = {"check": args.check, "passed": False, "detail": str(exc)}

@@ -389,11 +389,10 @@ def solve(
     *,
     tolerance: float = 1e-12,
     max_iter: int = 60,
-    grid_factor: int = 30,
 ) -> ChebyshevSolution:
     """Compute the weighted minimax monic polynomial of degree n.
 
-    Remez exchange on a theta-grid of ``grid_factor * n + 200`` points.  Each
+    Remez exchange on a theta-grid of ``30 * n + 200`` points.  Each
     iteration solves the levelled system on the reference, samples the error
     on the grid and takes one extremum step, in one of two phases.  The cheap
     phase refines grid maxima by one parabolic step and the boundary hump by
@@ -405,10 +404,10 @@ def solve(
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
-    if tolerance <= 0.0 or max_iter < 1 or grid_factor < 1:
-        raise ValueError("tolerance, max_iter, and grid_factor must be positive")
+    if tolerance <= 0.0 or max_iter < 1:
+        raise ValueError("tolerance and max_iter must be positive")
     ra, rb = w.rho_a, w.rho_b
-    tgrid, wgrid = _theta_grid(ra, rb, grid_factor * n + 200)
+    tgrid, wgrid = _theta_grid(ra, rb, 30 * n + 200)
     K = np.cos(np.outer(tgrid, np.arange(n + 1)))
     lead = _implied_leading(n)
 

@@ -41,6 +41,9 @@ _DISC_CENTER = 0.25
 _INNER_R2 = 1.0 / 8.0
 _OUTER_R2 = 1.184 / 8.0
 
+# relative tolerance below which a step of a Widom sequence counts as flat
+_CLASSIFY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class WidomSequence:
@@ -111,18 +114,19 @@ class ScanResult:
         return self.cells[i_b * resolution + i_a]
 
 
-def classify(values, tol: float = 1e-9) -> str:
-    """Label a finite sequence by its monotonicity at relative tolerance ``tol``.
+def classify(values) -> str:
+    """Label a finite sequence by its monotonicity at relative tolerance 1e-9.
 
     A sequence whose total spread is below tolerance is ``Constant``.
-    Otherwise it is ``Increasing`` when no step drops below ``-tol`` and some
-    step exceeds ``tol`` (``Decreasing`` symmetrically), else ``NonMonotone``.
+    Otherwise it is ``Increasing`` when no step drops below minus the
+    tolerance and some step exceeds it (``Decreasing`` symmetrically), else
+    ``NonMonotone``.
     """
     vals = [float(v) for v in values]
     if len(vals) < 2:
         raise ValueError("classification needs at least two values")
     scale = max(abs(v) for v in vals)
-    gate = tol * scale if scale > 0.0 else tol
+    gate = _CLASSIFY_TOL * scale if scale > 0.0 else _CLASSIFY_TOL
     if max(vals) - min(vals) <= gate:
         return "Constant"
     steps = [b - a for a, b in zip(vals, vals[1:])]
@@ -141,10 +145,10 @@ def widom_factor(w: WeightParams, n: int) -> float:
     """
     if n < 1:
         raise ValueError("widom_factor requires n >= 1; degree 0 is weight_sup_bound")
-    return (2.0 ** n) * solve(w, n).norm
+    return solve(w, n).widom
 
 
-def widom_sequence(w: WeightParams, n_max: int, tol: float = 1e-9) -> WidomSequence:
+def widom_sequence(w: WeightParams, n_max: int) -> WidomSequence:
     """Compute ``W_1 .. W_{n_max}`` and classify the resulting sequence."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -154,15 +158,15 @@ def widom_sequence(w: WeightParams, n_max: int, tol: float = 1e-9) -> WidomSeque
         n_start=1,
         values=values,
         asymptote=asymptote(w),
-        classification=classify(values, tol),
+        classification=classify(values),
     )
 
 
-def _scan_cell(task: tuple[float, float, int, float]) -> ScanCell:
-    rho_a, rho_b, n_max, tol = task
+def _scan_cell(task: tuple[float, float, int]) -> ScanCell:
+    rho_a, rho_b, n_max = task
     w = WeightParams(rho_a, rho_b)
     try:
-        seq = widom_sequence(w, n_max, tol)
+        seq = widom_sequence(w, n_max)
     except Exception as exc:  # record per-cell failure, keep scanning
         return ScanCell(
             weight=w,
@@ -178,7 +182,6 @@ def scan(
     resolution: int = 40,
     n_max: int = 10,
     *,
-    tol: float = 1e-9,
     workers: int = 1,
 ) -> ScanResult:
     """Classify every cell of a ``resolution**2`` grid over ``rho_range`` squared.
@@ -195,7 +198,7 @@ def scan(
         raise ValueError("resolution must be at least 2")
     points = np.linspace(lo, hi, resolution)
     tasks = [
-        (float(ra), float(rb), n_max, tol)
+        (float(ra), float(rb), n_max)
         for rb in points
         for ra in points
     ]

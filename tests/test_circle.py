@@ -1,6 +1,7 @@
 """Tests for the circle correspondence, Erdos-Lax identity, and Polya-Szego roots."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from widomlab.circle import (
     CircleFunction,
     RealPolynomial,
     aberth_roots,
-    angles_to_real_poly,
     circle_minimizer_from_interval,
     circle_sup,
     erdos_lax_check,
@@ -17,7 +17,7 @@ from widomlab.circle import (
     polya_szego_roots,
     verify_cn_relation,
 )
-from widomlab.minimax import solve
+from widomlab.minimax import MonicPolynomial, solve
 from widomlab.special import WeightParams
 
 
@@ -35,14 +35,6 @@ def test_circle_function_validation():
         CircleFunction(-0.5, 0.0, RealPolynomial((1.0,)))
 
 
-def test_angles_to_real_poly():
-    assert angles_to_real_poly([]).coeffs == (1.0,)
-    q = angles_to_real_poly([math.pi / 2.0])
-    assert np.allclose(q.coeffs, [1.0, 0.0, 1.0], atol=1e-15)
-    q = angles_to_real_poly([math.pi / 3.0, 2.0 * math.pi / 3.0])
-    assert np.allclose(q.coeffs, [1.0, 0.0, 1.0, 0.0, 1.0], atol=1e-14)
-
-
 def test_circle_minimizer_degree_zero():
     c, i, defect = verify_cn_relation(WeightParams(0.5, 0.5), 0)
     assert abs(c - 1.0) < 1e-12 and abs(i - 1.0) < 1e-12 and defect < 1e-12
@@ -52,12 +44,15 @@ def test_circle_minimizer_degree_zero():
 
 def test_circle_minimizer_degree_and_exponents():
     w = WeightParams(0.75, 1.25)
-    for n in (1, 2, 4):
+    for n in (1, 2, 4, 30):
         sol = solve(w, n)
         f = circle_minimizer_from_interval(w, sol)
         assert f.poly.degree == 2 * n + 1
         assert f.exp_plus == 0.5 and f.exp_minus == 1.5
-        assert abs(f.poly.coeffs[-1] - 1.0) < 1e-15
+        assert f.poly.coeffs[-1] == 1.0
+        # the lift reads only the Chebyshev series, not the roots
+        bare = replace(sol, poly=MonicPolynomial(n, sol.poly.cheb_coeffs))
+        assert circle_minimizer_from_interval(w, bare) == f
     with pytest.raises(ValueError):
         circle_minimizer_from_interval(WeightParams(0.4, 1.0), solve(WeightParams(0.4, 1.0), 1))
 
@@ -67,8 +62,6 @@ def test_circle_sup_closed_forms():
     assert abs(circle_sup(f) - 2.0) < 1e-9
     f = CircleFunction(0.0, 0.0, RealPolynomial((-0.3, 1.0)))
     assert abs(circle_sup(f) - 1.3) < 1e-9
-    with pytest.raises(ValueError):
-        circle_sup(f, grid=10)
 
 
 def test_circle_sup_matches_interval_value():
@@ -85,6 +78,13 @@ def test_cn_relation_parameter_sweep():
             assert defect <= 1e-6
     with pytest.raises(ValueError):
         verify_cn_relation(WeightParams(0.3, 0.7), 1)
+
+
+@pytest.mark.parametrize("n", [20, 30])
+@pytest.mark.parametrize("ra, rb", [(0.5, 0.5), (0.75, 0.75), (1.0, 1.0), (0.75, 1.25)])
+def test_cn_relation_high_degree(ra, rb, n):
+    _, _, defect = verify_cn_relation(WeightParams(ra, rb), n)
+    assert defect <= 1e-12
 
 
 def test_circle_minimizer_roots_conjugate_closed():

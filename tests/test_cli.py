@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from widomlab.cli import main
-from widomlab.minimax import solve
+from widomlab.minimax import ExchangeError, solve
 from widomlab.special import WeightParams
 
 
@@ -162,6 +162,30 @@ def test_verify_violation_exit_code(capsys):
     assert code == 3
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_verify_solver_failure_exit_code(monkeypatch, capsys):
+    def stalled(w, n):
+        raise ExchangeError("found 3 alternations, need 4")
+
+    monkeypatch.setattr("widomlab.cli.verify_cn_relation", stalled)
+    assert main(["verify", "circle"]) == 2
+    assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "circle", "--n-max", "-1"],
+        ["verify", "jacobi", "--n-max", "0"],
+        ["verify", "jacobi", "--samples", "0"],
+    ],
+)
+def test_verify_rejects_empty_sweeps(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "invalid arguments" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_module_entry_point_runs():
