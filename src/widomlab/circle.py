@@ -35,7 +35,6 @@ __all__ = [
     "erdos_lax_check",
     "polya_szego_combine",
     "polya_szego_roots",
-    "aberth_roots",
 ]
 
 
@@ -132,10 +131,9 @@ def _degree_zero_solution(w: WeightParams) -> ChebyshevSolution:
     norm = weight_sup_bound(w)
     return ChebyshevSolution(
         weight=w,
-        poly=MonicPolynomial(0, (), roots=()),
+        poly=MonicPolynomial(0, ()),
         reference=(xstar,),
         norm=norm,
-        widom=norm,
         iterations=0,
         levelling_defect=0.0,
     )
@@ -208,32 +206,6 @@ def polya_szego_combine(points) -> np.ndarray:
     return out
 
 
-def aberth_roots(coeffs) -> np.ndarray:
-    """All roots of a polynomial by Aberth-Ehrlich simultaneous iteration."""
-    c = np.asarray(coeffs, dtype=complex)
-    if len(c) < 2:
-        raise ValueError("polynomial must have positive degree")
-    c = c / c[-1]
-    m = len(c) - 1
-    dc = npp.polyder(c)
-    k = np.arange(m)
-    z = 0.9 * np.exp(2j * np.pi * (k + 0.25) / m + 0.4j)
-    for _ in range(200):
-        p = npp.polyval(z, c)
-        dp = npp.polyval(z, dc)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = p / dp
-            pair = 1.0 / (z[:, None] - z[None, :])
-        np.fill_diagonal(pair, 0.0)
-        denom = 1.0 - ratio * np.sum(pair, axis=1)
-        step = ratio / denom
-        step = np.where(np.isfinite(step), step, ratio)
-        z = z - step
-        if np.max(np.abs(step)) < 1e-12:
-            break
-    return z
-
-
 def polya_szego_roots(points) -> np.ndarray:
     """Roots of the combined polynomial; all lie on the unit circle."""
-    return aberth_roots(polya_szego_combine(points))
+    return npp.polyroots(polya_szego_combine(points))

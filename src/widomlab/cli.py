@@ -104,7 +104,7 @@ def cmd_solve(args) -> int:
         "rho_b": w.rho_b,
         "degree": args.degree,
         "coefficients": [float(c) for c in sol.poly.power_coeffs()],
-        "roots": [float(r) for r in (sol.poly.roots or ())],
+        "roots": list(sol.roots()),
         "reference": [float(x) for x in sol.reference],
         "norm": sol.norm,
         "widom": sol.widom,

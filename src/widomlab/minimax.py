@@ -65,11 +65,12 @@ class MonicPolynomial:
 
     ``cheb_coeffs`` holds the free coefficients of T_0 .. T_{n-1}; the T_n
     coefficient is implied by monic normalization (2^{1-n} for n >= 1).
+    The roots of a minimax solution come from :meth:`ChebyshevSolution.roots`,
+    which brackets them by the reference.
     """
 
     degree: int
     cheb_coeffs: tuple[float, ...]
-    roots: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.degree < 0:
@@ -77,12 +78,6 @@ class MonicPolynomial:
         object.__setattr__(self, "cheb_coeffs", tuple(float(c) for c in self.cheb_coeffs))
         if len(self.cheb_coeffs) != self.degree:
             raise ValueError("cheb_coeffs must list exactly degree free coefficients")
-        if self.roots is not None:
-            object.__setattr__(self, "roots", tuple(float(r) for r in self.roots))
-            if len(self.roots) != self.degree:
-                raise ValueError("roots, when present, must number exactly degree")
-            if any(abs(r) > 1.0 for r in self.roots):
-                raise ValueError("roots must lie in [-1, 1]")
 
     def full_cheb_coeffs(self) -> np.ndarray:
         """All Chebyshev coefficients T_0 .. T_n, including the implied leader."""
@@ -99,13 +94,16 @@ class MonicPolynomial:
 
 @dataclass(frozen=True)
 class ChebyshevSolution:
-    """Converged minimax solution with its equioscillation certificate."""
+    """Converged minimax solution with its equioscillation certificate.
+
+    The Widom factor is derived from the norm, and the roots are computed
+    only on request by :meth:`roots`.
+    """
 
     weight: WeightParams
     poly: MonicPolynomial
     reference: tuple[float, ...]
     norm: float
-    widom: float
     iterations: int
     levelling_defect: float
 
@@ -117,6 +115,24 @@ class ChebyshevSolution:
             raise ValueError("reference must be strictly increasing")
         if not self.norm > 0.0:
             raise ValueError("norm must be positive")
+
+    @property
+    def widom(self) -> float:
+        """The Widom factor 2^n * norm."""
+        return float(2.0**self.poly.degree * self.norm)
+
+    def roots(self) -> tuple[float, ...]:
+        """Roots of the polynomial, one in each reference gap, by bracketed Newton."""
+        if self.poly.degree == 0:
+            return ()
+        coef = self.poly.full_cheb_coeffs()
+        xref = np.asarray(self.reference)
+        lo, hi = xref[:-1], xref[1:]
+        sign_lo = np.sign(_cheb_eval_012(coef, lo)[0])
+        roots = _bracketed_newton(
+            lambda x: _cheb_eval_012(coef, x)[:2], lo, hi, sign_lo, 1e-16, 100
+        )
+        return tuple(float(r) for r in roots)
 
 
 def weight_eval(w: WeightParams, x):
@@ -365,13 +381,6 @@ def exchange(reference, extrema) -> list[float]:
     return [float(x) for x in xs[s0 : s0 + count]]
 
 
-def _polish_roots(coef: np.ndarray, xref: np.ndarray) -> np.ndarray:
-    """Roots of the Chebyshev series, one in each reference gap, by bracketed Newton."""
-    lo, hi = xref[:-1], xref[1:]
-    sign_lo = np.sign(_cheb_eval_012(coef, lo)[0])
-    return _bracketed_newton(lambda x: _cheb_eval_012(coef, x)[:2], lo, hi, sign_lo, 1e-16, 100)
-
-
 @dataclass(frozen=True)
 class _Iterate:
     """A levelled iterate: coefficients, theta-reference, max error E and levelling defect."""
@@ -473,13 +482,11 @@ def _package(w: WeightParams, n: int, state: _Iterate) -> ChebyshevSolution:
     lo = np.nextafter(-1.0, 0.0) if w.rho_b > 0.0 else -1.0
     hi = np.nextafter(1.0, 0.0) if w.rho_a > 0.0 else 1.0
     xref = np.clip(np.cos(state.tref)[::-1], lo, hi)
-    roots = _polish_roots(state.coef, xref)
     return ChebyshevSolution(
         weight=w,
-        poly=MonicPolynomial(n, tuple(state.coef[:n]), tuple(roots)),
+        poly=MonicPolynomial(n, tuple(state.coef[:n])),
         reference=tuple(xref),
         norm=state.E,
-        widom=float(2.0**n * state.E),
         iterations=state.it,
         levelling_defect=state.defect,
     )

@@ -9,7 +9,6 @@ import pytest
 from widomlab.circle import (
     CircleFunction,
     RealPolynomial,
-    aberth_roots,
     circle_minimizer_from_interval,
     circle_sup,
     erdos_lax_check,
@@ -91,7 +90,7 @@ def test_circle_minimizer_roots_conjugate_closed():
     w = WeightParams(0.8, 1.1)
     for n in (1, 3):
         f = circle_minimizer_from_interval(w, solve(w, n))
-        roots = aberth_roots(f.poly.coeffs)
+        roots = np.polynomial.polynomial.polyroots(f.poly.coeffs)
         for r in roots:
             assert np.min(np.abs(roots - np.conj(r))) <= 1e-9
         assert np.all(np.abs(roots) < 1.0 + 1e-9)
@@ -155,10 +154,3 @@ def test_polya_szego_conjugation_closed_endpoint_zeros():
         at_minus = complex(np.polynomial.polynomial.polyval(-1.0, p))
         assert abs(at_one) <= 1e-12
         assert abs(at_minus) <= 1e-12
-
-
-def test_aberth_roots_simple_polynomial():
-    roots = sorted(aberth_roots([-1.0, 0.0, 1.0]), key=lambda z: z.real)
-    assert np.allclose(roots, [-1.0, 1.0], atol=1e-12)
-    with pytest.raises(ValueError):
-        aberth_roots([1.0])

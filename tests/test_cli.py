@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -189,11 +190,13 @@ def test_verify_rejects_empty_sweeps(argv, capsys):
 
 
 def test_module_entry_point_runs():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
         [sys.executable, "-m", "widomlab.cli", "solve", "--rho-a", "0", "--rho-b", "0",
          "--degree", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

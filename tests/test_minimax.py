@@ -1,12 +1,14 @@
 """Tests for the weighted Remez solver and its equioscillation certificate."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from widomlab.circle import _degree_zero_solution
 from widomlab.minimax import (
     ChebyshevSolution,
     ConvergenceError,
@@ -54,10 +56,6 @@ def test_monic_polynomial_invariants():
     assert abs(p(0.5) - (0.25 - 0.5)) < 1e-15
     with pytest.raises(ValueError):
         MonicPolynomial(2, (0.0,))
-    with pytest.raises(ValueError):
-        MonicPolynomial(1, (0.0,), roots=(0.0, 0.5))
-    with pytest.raises(ValueError):
-        MonicPolynomial(1, (0.0,), roots=(1.5,))
 
 
 def test_monic_leading_coefficient_is_exactly_one():
@@ -105,6 +103,33 @@ def test_solve_classical_kinds_constant_widom():
             assert abs(sol.widom - expected) <= 1e-9 * expected
 
 
+def test_roots_match_classical_kinds():
+    # zeros of the first-, second-, fourth- and third-kind polynomials, as angles
+    cases = {
+        (0.0, 0.0): lambda k, n: (2 * k - 1) * np.pi / (2 * n),
+        (0.5, 0.5): lambda k, n: k * np.pi / (n + 1),
+        (0.5, 0.0): lambda k, n: 2 * k * np.pi / (2 * n + 1),
+        (0.0, 0.5): lambda k, n: (2 * k - 1) * np.pi / (2 * n + 1),
+    }
+    for (ra, rb), angle in cases.items():
+        for n in range(1, 21):
+            want = np.sort(np.cos(angle(np.arange(1, n + 1), n)))
+            got = np.array(solve(WeightParams(ra, rb), n).roots())
+            assert np.max(np.abs(got - want)) <= 1e-12, (ra, rb, n)
+
+
+def test_degree_zero_solution_has_no_roots():
+    assert _degree_zero_solution(WeightParams(0.5, 0.5)).roots() == ()
+
+
+def test_widom_is_derived_from_the_norm():
+    for n in (1, 4, 9):
+        sol = solve(WeightParams(0.3, 0.7), n)
+        assert sol.widom == 2.0**n * sol.norm
+        moved = replace(sol, norm=1.5 * sol.norm)
+        assert moved.widom == 2.0**n * moved.norm
+
+
 def test_solve_validates_arguments():
     with pytest.raises(ValueError):
         solve(WeightParams(0.0, 0.0), 0)
@@ -136,10 +161,11 @@ def test_alternation_certificate_random_weights():
         ae = np.abs(e)
         assert np.max(ae) <= sol.norm * (1.0 + 1e-13)
         assert np.min(ae) >= sol.norm * (1.0 - 1e-11)
-        assert sol.poly.roots is not None and len(sol.poly.roots) == n
-        assert all(-1.0 <= r <= 1.0 for r in sol.poly.roots)
+        roots = sol.roots()
+        assert len(roots) == n
+        assert all(-1.0 <= r <= 1.0 for r in roots)
         # roots interlace the reference
-        assert all(x[i] < sol.poly.roots[i] < x[i + 1] for i in range(n))
+        assert all(x[i] < roots[i] < x[i + 1] for i in range(n))
         # certified norm dominates a dense-grid sample of the true sup
         dense = dense_weighted_max(w, sol.poly, 50001)
         assert dense <= sol.norm * (1.0 + 1e-10)
@@ -181,7 +207,7 @@ def test_solution_norm_is_minimal_among_perturbations():
     # moving any root of the solution can only increase the weighted sup
     w = WeightParams(0.8, 0.3)
     sol = solve(w, 3)
-    roots = np.array(sol.poly.roots)
+    roots = np.array(sol.roots())
     rng = np.random.default_rng(3)
     theta = np.linspace(0.0, np.pi, 40001)
     x = np.cos(theta)
