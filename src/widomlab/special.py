@@ -184,8 +184,10 @@ def _bracketed_newton(f, lo, hi, sign_lo, tol: float, max_steps: int) -> np.ndar
     """Safeguarded Newton on f = 0 inside brackets [lo, hi], where f has sign ``sign_lo`` at lo.
 
     ``f`` maps points to (value, derivative); a step that leaves the shrinking
-    bracket becomes a bisection, and a point where f is exactly 0 stays put.
-    Stops once no point moves by ``tol``.
+    bracket becomes a bisection, a step that lands on a bracket end is kept,
+    and a point where f is exactly 0 stays put.  Stops once every point moved
+    by at most ``max(tol, 2 ulp)``: a ``tol`` below the float spacing near a
+    point could otherwise be met only by collapsing its bracket.
     """
     x = 0.5 * (lo + hi)
     for _ in range(max_steps):
@@ -195,9 +197,9 @@ def _bracketed_newton(f, lo, hi, sign_lo, tol: float, max_steps: int) -> np.ndar
         hi = np.where(same, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = x - v / dv
-        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
+        bad = ~np.isfinite(xn) | (xn < lo) | (xn > hi)
         xn = np.where(v == 0.0, x, np.where(bad, 0.5 * (lo + hi), xn))
-        if np.max(np.abs(xn - x)) < tol:
+        if np.all(np.abs(xn - x) <= np.maximum(tol, 2.0 * np.spacing(np.abs(x)))):
             return xn
         x = xn
     return x

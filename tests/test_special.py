@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
+from widomlab import minimax, special
 from widomlab.special import (
     JacobiParams,
     WeightParams,
@@ -166,6 +167,50 @@ def test_bracketed_newton_keeps_an_exact_zero():
         lambda x: (x, np.ones_like(x)), np.array([-1.0]), np.array([0.5]), -1.0, 1e-15, 100
     )
     assert x[0] == 0.0
+
+
+def test_bracketed_newton_accepts_the_bracket_end():
+    # Newton from -0.5 lands exactly on hi = 0.0, the root: no bisection after it
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        return x, np.ones_like(x)
+
+    x = _bracketed_newton(f, np.array([-1.0]), np.array([0.0]), -1.0, 1e-15, 100)
+    assert x[0] == 0.0
+    assert len(calls) <= 3
+
+
+def test_bracketed_newton_stops_once_converged(monkeypatch):
+    # evaluations of f per call, through a counting wrapper around each f
+    counts = []
+
+    def counting(f, *args):
+        calls = []
+
+        def g(x):
+            calls.append(1)
+            return f(x)
+
+        out = _bracketed_newton(g, *args)
+        counts.append(len(calls))
+        return out
+
+    monkeypatch.setattr(special, "_bracketed_newton", counting)
+    monkeypatch.setattr(minimax, "_bracketed_newton", counting)
+
+    p = JacobiParams(0.3, -0.2)
+    z = np.array(jacobi_zeros(p, 200))
+    assert len(counts) == 1 and counts[0] <= 8
+    assert np.max(np.abs(z - roots_jacobi(200, p.alpha, p.beta)[0])) <= 1e-15
+
+    # one certified extremum step: a single _refine_newton call, no hump search
+    w = WeightParams(0.3, 0.4)
+    sol = minimax.solve(w, 8)
+    counts.clear()
+    minimax.error_extrema(w, sol.poly, 500)
+    assert len(counts) == 1 and counts[0] <= 8
 
 
 def test_polish_peaks_finds_maxima_between_grid_points():
