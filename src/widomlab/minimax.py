@@ -356,7 +356,9 @@ def error_extrema(w: WeightParams, poly: MonicPolynomial, grid: int) -> list[tup
     ra, rb = w.rho_a, w.rho_b
     coef = poly.full_cheb_coeffs()
     theta, wgrid = _theta_grid(ra, rb, grid)
-    e = wgrid * (np.cos(np.outer(theta, np.arange(poly.degree + 1))) @ coef)
+    K = np.outer(theta, np.arange(poly.degree + 1))
+    np.cos(K, out=K)
+    e = wgrid * (K @ coef)
     kt, ke = _extremum_step(ra, rb, coef, theta, e, True, 1e-15 * float(np.max(np.abs(e))))
     if len(kt) < poly.degree + 1:
         raise ExchangeError(
@@ -417,7 +419,8 @@ def solve(
         raise ValueError("tolerance and max_iter must be positive")
     ra, rb = w.rho_a, w.rho_b
     tgrid, wgrid = _theta_grid(ra, rb, 30 * n + 200)
-    K = np.cos(np.outer(tgrid, np.arange(n + 1)))
+    K = np.outer(tgrid, np.arange(n + 1))
+    np.cos(K, out=K)  # in place: at n = 400 each copy is 39 MB
     lead = _implied_leading(n)
 
     tref = np.pi * np.arange(n + 1) / n

@@ -3,9 +3,10 @@
 The Widom factor of a weight at degree ``n`` is ``2**n`` times the weighted
 minimax norm of the monic minimizer.  This module computes those factors,
 classifies finite sequences of them as increasing / decreasing / constant /
-non-monotone, scans rectangular parameter grids cell by cell, labels
-parameters relative to the conjectured monotonicity disc, and probes the
-continuity of ``W_n`` in the weight exponents.
+non-monotone, scans square parameter grids (solving one triangle and
+mirroring the other), labels parameters relative to the conjectured
+monotonicity disc, and probes the continuity of ``W_n`` in the weight
+exponents.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ class ScanCell:
     """One grid cell of a parameter scan.
 
     ``classification`` is one of the sequence labels, or ``"Failed"`` when the
-    solver raised for this cell; ``error`` then carries the message.
+    solver raised for this cell; ``error`` then carries the message.  A cell
+    a scan mirrored from its solved twin carries the twin's message with a
+    note naming the twin.
     """
 
     weight: WeightParams
@@ -177,6 +180,20 @@ def _scan_cell(task: tuple[float, float, int]) -> ScanCell:
     return ScanCell(weight=w, values=seq.values, classification=seq.classification)
 
 
+def _mirror_cell(twin: ScanCell) -> ScanCell:
+    """The cell at the reflected weight: ``W_n(a, b) = W_n(b, a)`` under x -> -x."""
+    w = twin.weight
+    error = twin.error
+    if error is not None:
+        error = f"{error} (mirror of ({w.rho_a}, {w.rho_b}))"
+    return ScanCell(
+        weight=WeightParams(w.rho_b, w.rho_a),
+        values=twin.values,
+        classification=twin.classification,
+        error=error,
+    )
+
+
 def scan(
     rho_range: tuple[float, float] = (0.0, 0.8),
     resolution: int = 40,
@@ -186,28 +203,36 @@ def scan(
 ) -> ScanResult:
     """Classify every cell of a ``resolution**2`` grid over ``rho_range`` squared.
 
-    Cells are independent work items; with ``workers > 1`` they run in a
-    process pool.  Results are gathered by grid index, so the classification
-    matrix is deterministic regardless of execution order.  A solver failure
-    is recorded in its cell and the scan continues.
+    The reflection x -> -x swaps the exponents of the weight and maps the
+    monic minimizer ``p(x)`` to ``(-1)**n p(-x)``, so ``W_n(a, b) = W_n(b, a)``.
+    Only the ``resolution * (resolution + 1) / 2`` cells with
+    ``rho_a <= rho_b`` are solved, as independent work items; with
+    ``workers > 1`` they run in a process pool.  Every cell with
+    ``rho_a > rho_b`` copies the values, label and error of its twin.
+    Results are gathered by grid index, so the classification matrix is
+    deterministic regardless of execution order.  A solver failure is
+    recorded in its cell (and its twin) and the scan continues.
     """
     lo, hi = float(rho_range[0]), float(rho_range[1])
     if not (0.0 <= lo < hi):
         raise ValueError("rho_range must satisfy 0 <= lo < hi")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    points = np.linspace(lo, hi, resolution)
-    tasks = [
-        (float(ra), float(rb), n_max)
-        for rb in points
-        for ra in points
-    ]
+    points = [float(v) for v in np.linspace(lo, hi, resolution)]
+    # the grid ascends, so i_a <= i_b is rho_a <= rho_b
+    triangle = [(i_a, i_b) for i_b in range(resolution) for i_a in range(i_b + 1)]
+    tasks = [(points[i_a], points[i_b], n_max) for i_a, i_b in triangle]
     start = time.perf_counter()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = tuple(pool.map(_scan_cell, tasks, chunksize=8))
+            solved = dict(zip(triangle, pool.map(_scan_cell, tasks, chunksize=8)))
     else:
-        cells = tuple(_scan_cell(task) for task in tasks)
+        solved = dict(zip(triangle, map(_scan_cell, tasks)))
+    cells = tuple(
+        solved[i_a, i_b] if i_a <= i_b else _mirror_cell(solved[i_b, i_a])
+        for i_b in range(resolution)
+        for i_a in range(resolution)
+    )
     runtime = time.perf_counter() - start
     return ScanResult(
         grid_spec=((lo, hi), resolution),

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from widomlab import widom
 from widomlab.bounds import asymptote, m_bound, weight_sup_bound
+from widomlab.minimax import ConvergenceError
 from widomlab.special import WeightParams, weight_to_param, weighted_monic_jacobi_sup
 from widomlab.widom import (
     ScanCell,
@@ -121,12 +123,60 @@ def test_scan_is_deterministic():
 
 
 def test_scan_workers_match_serial():
-    serial = scan(rho_range=(0.2, 0.6), resolution=2, n_max=4)
-    pooled = scan(rho_range=(0.2, 0.6), resolution=2, n_max=4, workers=2)
+    serial = scan(rho_range=(0.2, 0.6), resolution=3, n_max=4)
+    pooled = scan(rho_range=(0.2, 0.6), resolution=3, n_max=4, workers=2)
+    assert [c.weight for c in serial.cells] == [c.weight for c in pooled.cells]
     assert [c.classification for c in serial.cells] == [
         c.classification for c in pooled.cells
     ]
     assert [c.values for c in serial.cells] == [c.values for c in pooled.cells]
+
+
+def test_scan_solves_one_triangle(monkeypatch):
+    solved = []
+    real_sequence = widom.widom_sequence
+
+    def counting_sequence(w, n_max):
+        solved.append(w)
+        return real_sequence(w, n_max)
+
+    monkeypatch.setattr(widom, "widom_sequence", counting_sequence)
+    resolution, n_max = 4, 5
+    result = scan(rho_range=(0.1, 0.7), resolution=resolution, n_max=n_max)
+    grid = result.grid_values()
+    assert len(solved) == resolution * (resolution + 1) // 2
+    assert all(w.rho_a <= w.rho_b for w in solved)
+    for i_b in range(resolution):
+        for i_a in range(resolution):
+            cell, twin = result.cell(i_a, i_b), result.cell(i_b, i_a)
+            assert cell.weight == WeightParams(grid[i_a], grid[i_b])
+            assert cell.values == twin.values
+            assert cell.classification == twin.classification
+            if i_a <= i_b:
+                assert cell.values == real_sequence(cell.weight, n_max).values
+
+
+def test_scan_mirrors_a_failed_cell(monkeypatch):
+    solved = []
+    real_solve = widom.solve
+
+    def failing_solve(w, n):
+        solved.append(w)
+        if w == WeightParams(0.2, 0.4):
+            raise ConvergenceError("forced failure", None, 1.0)
+        return real_solve(w, n)
+
+    monkeypatch.setattr(widom, "solve", failing_solve)
+    result = scan(rho_range=(0.0, 0.4), resolution=3, n_max=3)
+    solved_cell, mirrored = result.cell(1, 2), result.cell(2, 1)
+    assert solved_cell.classification == mirrored.classification == "Failed"
+    assert solved_cell.error == "ConvergenceError: forced failure"
+    assert mirrored.error == "ConvergenceError: forced failure (mirror of (0.2, 0.4))"
+    assert mirrored.weight == WeightParams(0.4, 0.2)
+    assert solved.count(WeightParams(0.2, 0.4)) == 1
+    assert WeightParams(0.4, 0.2) not in solved
+    others = [c for c in result.cells if c not in (solved_cell, mirrored)]
+    assert all(c.error is None and len(c.values) == 3 for c in others)
 
 
 def test_scan_argument_validation():
