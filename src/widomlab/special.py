@@ -185,11 +185,14 @@ def _bracketed_newton(f, lo, hi, sign_lo, tol: float, max_steps: int) -> np.ndar
 
     ``f`` maps points to (value, derivative); a step that leaves the shrinking
     bracket becomes a bisection, a step that lands on a bracket end is kept,
-    and a point where f is exactly 0 stays put.  Stops once every point moved
-    by at most ``max(tol, 2 ulp)``: a ``tol`` below the float spacing near a
-    point could otherwise be met only by collapsing its bracket.
+    and a point where f is exactly 0 stays put.  A point is done once it moved
+    by at most ``max(tol, 2 ulp)``, since a ``tol`` below the float spacing near
+    it could otherwise be met only by collapsing its bracket, or once it
+    returned to its iterate of two steps before: rounding noise in f can hold
+    Newton in a 2-cycle a few ulp wide.  Stops once every point is done.
     """
     x = 0.5 * (lo + hi)
+    prev = np.full_like(x, np.nan)
     for _ in range(max_steps):
         v, dv = f(x)
         same = np.sign(v) == sign_lo
@@ -199,9 +202,10 @@ def _bracketed_newton(f, lo, hi, sign_lo, tol: float, max_steps: int) -> np.ndar
             xn = x - v / dv
         bad = ~np.isfinite(xn) | (xn < lo) | (xn > hi)
         xn = np.where(v == 0.0, x, np.where(bad, 0.5 * (lo + hi), xn))
-        if np.all(np.abs(xn - x) <= np.maximum(tol, 2.0 * np.spacing(np.abs(x)))):
+        settled = np.abs(xn - x) <= np.maximum(tol, 2.0 * np.spacing(np.abs(x)))
+        if np.all(settled | (xn == prev)):
             return xn
-        x = xn
+        prev, x = x, xn
     return x
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from widomlab import circle
 from widomlab.circle import (
     CircleFunction,
     RealPolynomial,
@@ -61,6 +62,26 @@ def test_circle_sup_closed_forms():
     assert abs(circle_sup(f) - 2.0) < 1e-9
     f = CircleFunction(0.0, 0.0, RealPolynomial((-0.3, 1.0)))
     assert abs(circle_sup(f) - 1.3) < 1e-9
+
+
+def test_circle_sup_polishes_only_peaks_that_can_win(monkeypatch):
+    # |Q| = 1 on the circle for the (1/2, 1/2) lift, so rounding noise makes
+    # 1,761 grid peaks at n = 3, all of which used to be polished; the (1, 1)
+    # lift equioscillates, so each of its 8 peaks can win and is polished
+    polished = []
+    polish = circle._polish_peaks
+
+    def counting(f, t, *args):
+        polished.append(len(t))
+        return polish(f, t, *args)
+
+    monkeypatch.setattr(circle, "_polish_peaks", counting)
+    w = WeightParams(0.5, 0.5)
+    assert abs(circle_sup(circle_minimizer_from_interval(w, solve(w, 3))) - 1.0) < 1e-14
+    assert polished[-1] <= 300
+    w = WeightParams(1.0, 1.0)
+    circle_sup(circle_minimizer_from_interval(w, solve(w, 3)))
+    assert polished[-1] == 8
 
 
 def test_circle_sup_matches_interval_value():

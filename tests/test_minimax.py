@@ -15,6 +15,8 @@ from widomlab.minimax import (
     DegeneracyError,
     ExchangeError,
     MonicPolynomial,
+    _cheb_eval_012,
+    _theta_eval,
     error_extrema,
     exchange,
     leveled_system,
@@ -230,6 +232,68 @@ def test_parity_symmetry_for_equal_exponents():
         assert np.max(np.abs(wrong)) <= 1e-12
         ref = np.array(sol.reference)
         assert np.max(np.abs(ref + ref[::-1])) <= 1e-10
+
+
+# theta = 1e-18 rounds x = cos(theta) onto 1; pi - 1e-6 is near the other end
+_THETAS = np.array([1e-18, 1e-6, 1.234, np.pi - 1e-6])
+
+
+@pytest.mark.parametrize("n", [1, 10, 100, 400])
+def test_theta_eval_matches_clenshaw_by_the_chain_rule(n):
+    # p_theta = -sin(t) p'(x) and p_thetatheta = sin(t)^2 p''(x) - cos(t) p'(x),
+    # each within 1e-12 of a bound on its terms (measured: 8.6e-14 at n = 400,
+    # from the rounding of x = cos(t) that the x-space side carries)
+    coef = np.random.default_rng(n).standard_normal(n + 1)
+    k = np.arange(n + 1)
+    p, pt, ptt = _theta_eval(coef, _THETAS)
+    x, s = np.cos(_THETAS), np.sin(_THETAS)
+    q, dq, ddq = _cheb_eval_012(coef, x)
+    a1, a2, a4 = (np.sum(k**j * np.abs(coef)) for j in (0, 2, 4))
+    assert np.all(np.abs(p - q) <= 1e-12 * a1)
+    assert np.all(np.abs(pt + s * dq) <= 1e-12 * s * a2)
+    assert np.all(np.abs(ptt - (s * s * ddq - x * dq)) <= 1e-12 * (s * s * a4 + np.abs(x) * a2))
+
+
+def test_theta_eval_against_mpmath():
+    # n = 400 against 50-digit sums, error relative to sum k^j |c_k| for the
+    # j-th derivative.  Measured: compensated 3.3e-17, 2.1e-17, 2.1e-17;
+    # plain cos(k * theta) 1.4e-15, 3.8e-15, 4.0e-15.  Gate: twice measured.
+    mpmath = pytest.importorskip("mpmath")
+    n = 400
+    coef = np.random.default_rng(0).standard_normal(n + 1)
+    k = np.arange(n + 1)
+    theta = np.array([1e-18, 1e-6, 0.3, 1.234, 2.5, 3.1, np.pi - 1e-6])
+    exact = np.empty((3, theta.size))
+    with mpmath.workdps(50):
+        c = [mpmath.mpf(float(v)) for v in coef]
+        for i, t in enumerate(theta):
+            co = [mpmath.cos(j * mpmath.mpf(float(t))) for j in range(n + 1)]
+            si = [mpmath.sin(j * mpmath.mpf(float(t))) for j in range(n + 1)]
+            exact[:, i] = [
+                float(mpmath.fsum(c[j] * co[j] for j in range(n + 1))),
+                float(-mpmath.fsum(j * c[j] * si[j] for j in range(n + 1))),
+                float(-mpmath.fsum(j * j * c[j] * co[j] for j in range(n + 1))),
+            ]
+    scale = np.array([np.sum(k**j * np.abs(coef)) for j in (0, 1, 2)])[:, None]
+    err = np.max(np.abs(np.array(_theta_eval(coef, theta)) - exact) / scale, axis=1)
+    cos_k, sin_k = np.cos(np.outer(theta, k)), np.sin(np.outer(theta, k))
+    plain = np.array([cos_k @ coef, -(sin_k @ (k * coef)), -(cos_k @ (k * k * coef))])
+    plain_err = np.max(np.abs(plain - exact) / scale, axis=1)
+    assert np.all(err <= [6.7e-17, 4.3e-17, 4.2e-17])
+    assert np.all(10.0 * err < plain_err)
+
+
+def test_solve_certifies_at_degree_400():
+    # stalled at defect 2.9e-12 with the x-space Clenshaw evaluator; the
+    # reference passes an x-space re-check independent of the theta evaluator
+    w = WeightParams(0.3, 0.3)
+    sol = solve(w, 400)
+    assert sol.levelling_defect <= 1e-12
+    x = np.array(sol.reference)
+    e = weight_eval(w, x) * sol.poly(x)
+    assert np.all(np.sign(e[:-1]) * np.sign(e[1:]) < 0.0)
+    assert (sol.norm - np.min(np.abs(e))) / sol.norm <= 1e-12
+    assert (np.max(np.abs(e)) - sol.norm) / sol.norm <= 1e-12
 
 
 def test_leveled_system_classical_references():

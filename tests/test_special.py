@@ -213,6 +213,23 @@ def test_bracketed_newton_stops_once_converged(monkeypatch):
     assert len(counts) == 1 and counts[0] <= 8
 
 
+def test_bracketed_newton_stops_on_a_two_cycle():
+    # Newton hops between a and b, 8 ulp apart, forever: f's value jumps
+    # across the root between them.  The point is done once it returns to
+    # its iterate of two steps before.
+    a = 0.75
+    b = a + 8 * np.spacing(a)
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        return np.where(x <= a, x - b, x - a), np.ones_like(x)
+
+    x = _bracketed_newton(f, np.array([a - 1e-3]), np.array([a + 1e-3]), -1.0, 1e-16, 50)
+    assert x[0] in (a, b)
+    assert len(calls) <= 4
+
+
 def test_polish_peaks_finds_maxima_between_grid_points():
     # cos(4(t - c)) peaks at c and c + pi/2 in [0, pi], neither a grid point
     c = 0.4321

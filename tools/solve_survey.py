@@ -1,0 +1,184 @@
+"""Survey of ``minimax.solve`` outcomes, bit for bit, for comparing two versions of the solver.
+
+    python tools/solve_survey.py SRC OUT [--against OTHER]
+
+SRC is the root of a checkout; its ``src/widomlab`` is the package surveyed.
+The points come from this checkout's ``bench/workloads.py`` (read, never
+written) plus a fixed set of weights:
+
+- ``scan``: both bench scan grids at n = 1..SCAN_N_MAX;
+- ``pool``: the CERTIFIED and FAILED ``high_degree`` pool points and SLOW_SOLVE;
+- ``weights``: the weights in WEIGHTS at n = 1..100.
+
+Every record holds the outcome (``solved`` or the solver error's type and
+message) and, as ``float.hex`` strings, the norm, Widom factor and levelling
+defect; the ``scan`` and ``pool`` records also hold the coefficients, the
+reference and the roots.  Each returned solution (and each error's best
+iterate) is re-checked in x by the bench's ``checks.recertify``: ``certified``
+means a returned solution whose re-checked defect is at most 1e-12, and
+``wrong`` lists the returned solutions whose re-check tripped (signs that
+do not alternate, an overshoot above 1e-12 or a defect above 1e-9), and
+``wrong_best`` the solver errors whose best iterate tripped it.  OUT gets the records and a
+summary as JSON.  With ``--against`` the summary also compares with a second
+dump: the certificates lost and gained, and the relative drift of the Widom
+factors and roots where both dumps solved.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402  (after the BLAS thread pin)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+WEIGHTS = ((1.0, 1.0), (0.5, 0.5), (0.25, 0.75), (0.0, 1.0), (0.75, 0.25), (1.5, 0.5), (0.1, 0.1))
+WEIGHTS_N_MAX = 100
+
+
+def _points(workloads) -> list[tuple[str, float, float, int]]:
+    points = []
+    for (lo, hi), res in workloads.SCAN_GRIDS:
+        grid = [float(v) for v in np.linspace(lo, hi, res)]  # as widom.scan
+        degrees = range(1, workloads.SCAN_N_MAX + 1)
+        points += [("scan", ra, rb, n) for rb in grid for ra in grid for n in degrees]
+    for pool in (workloads.CERTIFIED, workloads.FAILED):
+        points += [("pool", ra, rb, n) for n, pts in sorted(pool.items()) for ra, rb in pts]
+    points.append(("pool", *workloads.SLOW_SOLVE))
+    points += [("weights", ra, rb, n) for ra, rb in WEIGHTS for n in range(1, WEIGHTS_N_MAX + 1)]
+    return points
+
+
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _recheck(checks, sol, what: str) -> dict:
+    try:
+        check = checks.recertify(sol, what)
+    except checks.WrongAnswer as exc:
+        return {"wrong": str(exc)}
+    return {"defect": check.defect, "overshoot": check.overshoot, "certified": check.certified}
+
+
+def _survey_one(wl, checks, group: str, ra: float, rb: float, n: int) -> dict:
+    rec = {"group": group, "rho_a": ra.hex(), "rho_b": rb.hex(), "n": n}
+    what = f"solve({ra}, {rb}, {n})"
+    errors = (wl.minimax.ConvergenceError, wl.minimax.ExchangeError, wl.minimax.DegeneracyError)
+    try:
+        sol = wl.minimax.solve(wl.special.WeightParams(ra, rb), n)
+    except errors as exc:
+        rec["outcome"] = type(exc).__name__
+        rec["message"] = str(exc)
+        best = getattr(exc, "best", None)
+        if best is not None:
+            rec["best_norm"] = best.norm.hex()
+            rec["best_defect"] = best.levelling_defect.hex()
+            rec["best_recheck"] = _recheck(checks, best, what)
+        rec["certified"] = False
+        return rec
+    rec["outcome"] = "solved"
+    rec["norm"] = sol.norm.hex()
+    rec["widom"] = sol.widom.hex()
+    rec["iterations"] = sol.iterations
+    rec["defect"] = sol.levelling_defect.hex()
+    rec["recheck"] = _recheck(checks, sol, what)
+    rec["certified"] = bool(rec["recheck"].get("certified", False))
+    if group != "weights":
+        rec["coef"] = _hexes(sol.poly.cheb_coeffs)
+        rec["reference"] = _hexes(sol.reference)
+        rec["roots"] = _hexes(sol.roots())
+    return rec
+
+
+def _key(rec: dict) -> tuple:
+    return rec["group"], rec["rho_a"], rec["rho_b"], rec["n"]
+
+
+def _label(key: tuple) -> str:
+    group, ra, rb, n = key
+    return f"{group}({float.fromhex(ra):g}, {float.fromhex(rb):g}, {n})"
+
+
+def _max_rel(one: list[str], two: list[str], scale: float = 0.0) -> float:
+    worst = 0.0
+    for a, b in zip(one, two):
+        a, b = float.fromhex(a), float.fromhex(b)
+        worst = max(worst, abs(a - b) / max(abs(a), abs(b), scale, 1e-300))
+    return worst
+
+
+def summarize(records: list[dict]) -> dict:
+    out = {}
+    for group in ("scan", "pool", "weights"):
+        recs = [r for r in records if r["group"] == group]
+        out[group] = {
+            "solves": len(recs),
+            "certified": sum(r["certified"] for r in recs),
+            "returned": sum(r["outcome"] == "solved" for r in recs),
+            "wrong": [_label(_key(r)) for r in recs if "wrong" in r.get("recheck", {})],
+            "wrong_best": [_label(_key(r)) for r in recs if "wrong" in r.get("best_recheck", {})],
+        }
+    return out
+
+
+def compare(records: list[dict], other: list[dict]) -> dict:
+    """Certificates lost and gained against ``other``, and drift where both solved."""
+    theirs = {_key(r): r for r in other}
+    lost, gained = [], []
+    drift = {
+        "scan": {"widom": 0.0, "roots": 0.0, "identical": 0},
+        "pool": {"widom": 0.0, "roots": 0.0},
+    }
+    for rec in records:
+        old = theirs.get(_key(rec))
+        if old is None:
+            continue
+        if old["certified"] and not rec["certified"]:
+            lost.append(_label(_key(rec)))
+        if rec["certified"] and not old["certified"]:
+            gained.append(_label(_key(rec)))
+        group = rec["group"]
+        if group in drift and rec["outcome"] == old["outcome"] == "solved":
+            if group == "pool" and not (rec["certified"] and old["certified"]):
+                continue
+            d = drift[group]
+            d["widom"] = max(d["widom"], _max_rel([rec["widom"]], [old["widom"]]))
+            d["roots"] = max(d["roots"], _max_rel(rec["roots"], old["roots"], 1.0))
+            if group == "scan":
+                d["identical"] += rec["widom"] == old["widom"]
+    return {"lost": lost, "gained": gained, "drift": drift}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", type=Path, help="checkout root whose src/widomlab is surveyed")
+    parser.add_argument("out", type=Path, help="JSON file to write")
+    parser.add_argument("--against", type=Path, help="an earlier dump to compare with")
+    args = parser.parse_args(argv)
+    if not (args.src / "src" / "widomlab").is_dir():
+        parser.error(f"{args.src} has no src/widomlab")
+    sys.path[:0] = [str(args.src.resolve() / "src"), str(BENCH)]
+    import checks
+    import widomlab
+    import workloads
+
+    records = []
+    for group, ra, rb, n in _points(workloads):
+        records.append(_survey_one(widomlab, checks, group, float(ra), float(rb), int(n)))
+    result = {"src": str(args.src), "summary": summarize(records)}
+    if args.against:
+        other = json.loads(args.against.read_text())["records"]
+        result["comparison"] = compare(records, other)
+    args.out.write_text(json.dumps({**result, "records": records}, indent=1) + "\n")
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
