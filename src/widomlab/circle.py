@@ -176,15 +176,25 @@ def erdos_lax_check(angles, exponents) -> tuple[float, float]:
 
     def moduli(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = np.exp(1j * p)
-        d = z[:, None] - zk[None, :]
-        logd = np.log(d)
-        logf = np.sum(s * logd, axis=1)
+        # one zero at a time: only the rows near a zero need the (grid, m) matrices
+        logf = np.zeros_like(z)
+        dlogf = np.zeros_like(z)
+        logdist = np.full(z.shape, np.inf)
+        for sj, zj in zip(s, zk):
+            d = z - zj
+            logd = np.log(d)
+            np.minimum(logdist, logd.real, out=logdist)
+            logd *= sj
+            logf += logd
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dlogf += sj / d
         absf = np.exp(np.real(logf))
-        near = np.min(np.abs(d), axis=1) < 1e-3
-        with np.errstate(divide="ignore", invalid="ignore"):
-            absd = absf * np.abs(np.sum(s / d, axis=1))
+        with np.errstate(invalid="ignore"):
+            absd = absf * np.abs(dlogf)
+        near = logdist < np.log(1e-3)
         if np.any(near):
-            terms = s * np.exp(logf[near, None] - logd[near, :])
+            logd = np.log(z[near, None] - zk[None, :])
+            terms = s * np.exp(logf[near, None] - logd)
             absd[near] = np.abs(np.sum(terms, axis=1))
         return absd, absf
 

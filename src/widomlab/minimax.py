@@ -243,6 +243,11 @@ def _hump_argmax_cheap(ra, rb, coef, side: int, gap: float) -> float:
 
 
 def _hump_argmax_newton(ra, rb, coef, side: int, gap: float) -> float:
+    # |e| still rising at the window's inner edge: the bisection below would end there
+    edge = gap if side > 0 else np.pi - gap
+    g, _ = _log_error_slope(ra, rb, coef, np.asarray([edge]))
+    if g[0] * side > 0:
+        return float(edge)
     # bisect ln-distance-to-endpoint on the sign of the slope, then polish
     slo, shi = np.log(1e-18), np.log(gap)
     for _ in range(20):

@@ -139,6 +139,47 @@ def test_erdos_lax_random_configurations():
         assert abs(lhs - rhs) <= 1e-6 * rhs
 
 
+def _erdos_lax_by_matrices(angles, exponents):
+    # the (grid, m) matrix form that erdos_lax_check replaced, as a reference
+    s = np.asarray(exponents, dtype=float)
+    zk = np.exp(1j * np.asarray(angles, dtype=float))
+    grid = circle._ERDOS_LAX_GRID
+    phi = (np.arange(grid) + 0.31) * 2.0 * np.pi / grid
+
+    def moduli(p):
+        z = np.exp(1j * p)
+        d = z[:, None] - zk[None, :]
+        logd = np.log(d)
+        logf = np.sum(s * logd, axis=1)
+        absf = np.exp(np.real(logf))
+        near = np.min(np.abs(d), axis=1) < 1e-3
+        with np.errstate(divide="ignore", invalid="ignore"):
+            absd = absf * np.abs(np.sum(s / d, axis=1))
+        if np.any(near):
+            terms = s * np.exp(logf[near, None] - logd[near, :])
+            absd[near] = np.abs(np.sum(terms, axis=1))
+        return absd, absf
+
+    absd, absf = moduli(phi)
+    return (
+        circle._circle_max(lambda p: moduli(p)[0], phi, absd),
+        0.5 * float(np.sum(s)) * circle._circle_max(lambda p: moduli(p)[1], phi, absf),
+    )
+
+
+def test_erdos_lax_matches_the_matrix_form():
+    rng = np.random.default_rng(43)
+    configs = [([1.0, 1.0 + 5e-4], [1.0, 2.5])]  # two zeros closer than 1e-3
+    for _ in range(20):
+        m = int(rng.integers(1, 6))
+        configs.append((rng.uniform(0.0, 2.0 * np.pi, m), rng.uniform(1.0, 3.0, m)))
+    for angles, exps in configs:
+        # the grid step is 3.8e-4, so some sample lies within 1e-3 of each zero
+        got = erdos_lax_check(angles, exps)
+        want = _erdos_lax_by_matrices(angles, exps)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 def test_polya_szego_explicit_cases():
     assert np.allclose(polya_szego_combine([0.0]), [-1.0, 0.0, 1.0], atol=1e-15)
     assert np.allclose(polya_szego_combine([0.5]), [-1.0, 0.0, 1.0], atol=1e-15)

@@ -16,6 +16,8 @@ from widomlab.minimax import (
     ExchangeError,
     MonicPolynomial,
     _cheb_eval_012,
+    _hump_argmax_newton,
+    _signed_error_theta,
     _theta_eval,
     error_extrema,
     exchange,
@@ -252,6 +254,20 @@ def test_theta_eval_matches_clenshaw_by_the_chain_rule(n):
     assert np.all(np.abs(p - q) <= 1e-12 * a1)
     assert np.all(np.abs(pt + s * dq) <= 1e-12 * s * a2)
     assert np.all(np.abs(ptt - (s * s * ddq - x * dq)) <= 1e-12 * (s * s * a4 + np.abs(x) * a2))
+
+
+def test_hump_search_returns_the_window_edge_where_the_error_still_rises():
+    # at (0, 0.004, 10) the slope of ln|e| has one sign across the whole log
+    # window next to x = -1, so the largest |e| there is at its inner edge
+    n, rb = 10, 0.004
+    coef = solve(WeightParams(0.0, rb), n).poly.full_cheb_coeffs()
+    gap = np.pi / (30 * n + 200 - 1)  # the solver's grid step
+    th = _hump_argmax_newton(0.0, rb, coef, -1, gap)
+    assert th == np.pi - gap
+    u = np.exp(np.linspace(np.log(1e-18), np.log(gap), 200001))
+    dense = float(np.max(np.abs(_signed_error_theta(0.0, rb, coef, np.pi - u))))
+    found = abs(float(_signed_error_theta(0.0, rb, coef, np.asarray([th]))[0]))
+    assert abs(found - dense) <= 1e-15 * dense
 
 
 def test_theta_eval_against_mpmath():

@@ -1,4 +1,4 @@
-"""Tests for the brute-force minimax oracle."""
+"""Tests for the brute-force minimax oracle (the discrete minimax LP)."""
 
 import math
 import os
@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from widomlab.bounds import weight_sup_bound
 from widomlab.minimax import solve
-from widomlab.oracle import brute_minimax
-from widomlab.special import WeightParams
+from widomlab.oracle import _GRID, brute_minimax
+from widomlab.special import WeightParams, _theta_grid
 
 
 def test_brute_unweighted_degree_one():
@@ -59,9 +60,39 @@ def test_brute_agrees_with_remez():
         ra, rb = rng.uniform(0.0, 1.5, size=2)
         n = int(rng.integers(1, 4))
         w = WeightParams(float(ra), float(rb))
-        _, brute_norm = brute_minimax(w, n, restarts=16)
+        _, brute_norm = brute_minimax(w, n)
         sol = solve(w, n)
         assert abs(brute_norm - sol.norm) <= 1e-4 * sol.norm
         # never below the de la Vallee-Poussin lower bound of the Remez run
         lower = sol.norm * (1.0 - sol.levelling_defect)
         assert brute_norm >= lower * (1.0 - 1e-6)
+
+
+def test_brute_value_brackets_the_remez_norm():
+    # the oracle is the optimum over its own grid, so it cannot beat the
+    # Remez polynomial sampled there, and it cannot fall below the de la
+    # Vallee-Poussin lower bound of the Remez run
+    rng = np.random.default_rng(17)
+    for i in range(24):
+        ra, rb = rng.uniform(0.0, 1.5, size=2)
+        if i % 3 == 0:
+            ra = rng.uniform(0.0, 0.01)
+        w = WeightParams(float(ra), float(rb))
+        n = i % 4
+        nodes, value = brute_minimax(w, n)
+        assert len(nodes) == n and nodes == sorted(nodes)
+        theta, wgrid = _theta_grid(w.rho_a, w.rho_b, _GRID)
+        if n == 0:
+            assert value == float(np.max(wgrid))
+            assert value <= weight_sup_bound(w) * (1.0 + 1e-12)
+            assert value >= weight_sup_bound(w) * (1.0 - 1e-6)
+            continue
+        sol = solve(w, n)
+        assert value <= float(np.max(np.abs(wgrid * sol.poly(np.cos(theta))))) * (1.0 + 1e-12)
+        assert value >= sol.norm * (1.0 - sol.levelling_defect) * (1.0 - 1e-6)
+
+
+def test_brute_nodes_are_the_minimizer_roots():
+    w = WeightParams(0.3, 0.7)
+    nodes, _ = brute_minimax(w, 3)
+    assert np.allclose(nodes, solve(w, 3).roots(), atol=1e-6)
