@@ -7,9 +7,10 @@ the circle minimizer lifted from an interval solution P of degree n is
            / (2 rho_a + 2 rho_b + 2n),
 
 with R(z) = prod (z^2 - 2 x_k z + 1) over the zeros x_k of P, and the two
-extremal values are tied by C_n = 2^{n + rho_a + rho_b - 1} I_n.  On the
-circle R(e^{i phi}) = 2^n e^{i n phi} P(cos phi), so Q is sampled at roots of
-unity from the Chebyshev series of P and recovered by one FFT.  The module
+extremal values are tied by C_n = 2^{n + rho_a + rho_b - 1} I_n.  R(z) equals
+2^n z^n P((z + 1/z) / 2), and T_k((z + 1/z) / 2) = (z^k + z^-k) / 2, so R's
+coefficients are the Chebyshev coefficients of P, scaled and mirrored about
+z^n, and Q follows by polynomial products in coefficient space.  The module
 also carries an Erdos-Lax-type derivative-norm identity and the Polya-Szego
 combination whose roots all sit on the unit circle.
 """
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from widomlab.bounds import weight_sup_bound
-from widomlab.minimax import ChebyshevSolution, MonicPolynomial, _cheb_eval_012, solve
+from widomlab.minimax import ChebyshevSolution, MonicPolynomial, solve
 from widomlab.special import WeightParams, _polish_peaks
 
 __all__ = [
@@ -92,16 +93,17 @@ def circle_minimizer_from_interval(w: WeightParams, sol: ChebyshevSolution) -> C
         raise ValueError("circle correspondence requires rho_a, rho_b >= 1/2")
     n = sol.poly.degree
     ra, rb = w.rho_a, w.rho_b
-    # Q at the 2n+2 roots of unity, from R = 2^n z^n P(cos phi) and
-    # (z^2-1) R' = 2^n z^n (2i n sin(phi) P - 2 sin(phi)^2 P') on the circle
-    size = 2 * n + 2
-    phi = 2.0 * np.pi * np.arange(size) / size
-    z = np.exp(1j * phi)
-    s = np.sin(phi)
-    p, dp, _ = _cheb_eval_012(sol.poly.full_cheb_coeffs(), np.cos(phi))
-    num = p * (2.0 * ra * (z + 1.0) + 2.0 * rb * (z - 1.0) + 2j * n * s) - 2.0 * s * s * dp
-    q = 2.0**n * z**n * num / (2.0 * ra + 2.0 * rb + 2.0 * n)
-    coeffs = np.fft.fft(q).real / size
+    # T_k((z + 1/z) / 2) = (z^k + z^-k) / 2, so R = 2^n z^n P carries
+    # 2^{n-1} c_k at both z^{n+k} and z^{n-k}
+    half = 2.0 ** (n - 1) * sol.poly.full_cheb_coeffs()
+    r = np.zeros(2 * n + 1)
+    r[n:] += half
+    r[n::-1] += half
+    num = npp.polyadd(
+        npp.polymul([2.0 * ra - 2.0 * rb, 2.0 * ra + 2.0 * rb], r),
+        npp.polymul([-1.0, 0.0, 1.0], npp.polyder(r)),
+    )
+    coeffs = num / (2.0 * ra + 2.0 * rb + 2.0 * n)
     coeffs[-1] = 1.0  # Q is monic by construction
     return CircleFunction(2.0 * ra - 1.0, 2.0 * rb - 1.0, RealPolynomial(tuple(coeffs)))
 

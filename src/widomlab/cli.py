@@ -90,15 +90,8 @@ def _weight_from_args(args) -> WeightParams:
 
 
 def cmd_solve(args) -> int:
-    try:
-        w = _weight_from_args(args)
-        sol = solve(w, args.degree, tolerance=args.tol, max_iter=args.max_iter)
-    except ValueError as exc:
-        sys.stderr.write(f"invalid arguments: {exc}\n")
-        return 1
-    except _SOLVER_ERRORS as exc:
-        sys.stderr.write(f"solver failure: {exc}\n")
-        return 2
+    w = _weight_from_args(args)
+    sol = solve(w, args.degree, tolerance=args.tol, max_iter=args.max_iter)
     doc = {
         "rho_a": w.rho_a,
         "rho_b": w.rho_b,
@@ -115,15 +108,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_widom(args) -> int:
-    try:
-        w = _weight_from_args(args)
-        seq = widom_sequence(w, args.n_max)
-    except ValueError as exc:
-        sys.stderr.write(f"invalid arguments: {exc}\n")
-        return 1
-    except _SOLVER_ERRORS as exc:
-        sys.stderr.write(f"solver failure: {exc}\n")
-        return 2
+    w = _weight_from_args(args)
+    seq = widom_sequence(w, args.n_max)
     doc = {
         "rho_a": w.rho_a,
         "rho_b": w.rho_b,
@@ -227,17 +213,13 @@ def _svg_document(result) -> str:
 
 
 def cmd_scan(args) -> int:
-    try:
-        lo, hi = _parse_range(args.range)
-        result = grid_scan(
-            rho_range=(lo, hi),
-            resolution=args.resolution,
-            n_max=args.n_max,
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        sys.stderr.write(f"invalid arguments: {exc}\n")
-        return 1
+    lo, hi = _parse_range(args.range)
+    result = grid_scan(
+        rho_range=(lo, hi),
+        resolution=args.resolution,
+        n_max=args.n_max,
+        workers=args.workers,
+    )
     code = _emit(_scan_csv(result), args.out)
     if code != 0:
         return code
@@ -322,12 +304,6 @@ def cmd_verify(args) -> int:
     }
     try:
         checks = runners[args.check](args)
-    except ValueError as exc:
-        sys.stderr.write(f"invalid arguments: {exc}\n")
-        return 1
-    except _SOLVER_ERRORS as exc:
-        sys.stderr.write(f"solver failure: {exc}\n")
-        return 2
     except PropertyViolation as exc:
         if args.format == "json":
             doc = {"check": args.check, "passed": False, "detail": str(exc)}
@@ -416,7 +392,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        sys.stderr.write(f"invalid arguments: {exc}\n")
+        return 1
+    except _SOLVER_ERRORS as exc:
+        sys.stderr.write(f"solver failure: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -234,39 +234,6 @@ def _refine_newton(ra, rb, coef, lo, hi) -> np.ndarray:
     return _bracketed_newton(partial(_log_error_slope, ra, rb, coef), lo, hi, 1.0, 3e-16, 50)
 
 
-def _hump_argmax_cheap(ra, rb, coef, side: int, gap: float) -> float:
-    # log-spaced scan toward the endpoint where the weight vanishes
-    u = np.exp(np.linspace(np.log(1e-18), np.log(gap), 64))
-    th = u if side > 0 else np.pi - u
-    ae = np.abs(_signed_error_theta(ra, rb, coef, th))
-    return float(th[int(np.argmax(ae))])
-
-
-def _hump_argmax_newton(ra, rb, coef, side: int, gap: float) -> float:
-    # |e| still rising at the window's inner edge: the bisection below would end there
-    edge = gap if side > 0 else np.pi - gap
-    g, _ = _log_error_slope(ra, rb, coef, np.asarray([edge]))
-    if g[0] * side > 0:
-        return float(edge)
-    # bisect ln-distance-to-endpoint on the sign of the slope, then polish
-    slo, shi = np.log(1e-18), np.log(gap)
-    for _ in range(20):
-        sm = 0.5 * (slo + shi)
-        u = np.exp(sm)
-        th = np.asarray([u if side > 0 else np.pi - u])
-        g, _ = _log_error_slope(ra, rb, coef, th)
-        if g[0] * side > 0:
-            slo = sm
-        else:
-            shi = sm
-    ulo, uhi = np.exp(slo), np.exp(shi)
-    if side > 0:
-        blo, bhi = np.asarray([ulo]), np.asarray([uhi])
-    else:
-        blo, bhi = np.asarray([np.pi - uhi]), np.asarray([np.pi - ulo])
-    return float(_refine_newton(ra, rb, coef, blo, bhi)[0])
-
-
 def _alternating_prune(cand_t, cand_e, floor: float):
     """Sort by theta, drop near-zero errors, keep max-|e| point of each sign run."""
     order = np.argsort(cand_t)
@@ -319,52 +286,65 @@ def _solve_leveled_theta(ra, rb, n, tref, signs, lead):
     return coef, float(sol[n])
 
 
-def _extremum_step(ra, rb, coef, theta, e, certify: bool, floor: float):
-    """Alternating extrema of the error w p from its samples ``e`` on the uniform ``theta``.
+# the geometric tail of the Remez grid reaches about this close to an endpoint
+_TAIL_END = 1e-18
 
-    Grid local maxima of |e| are refined by one parabolic step (cheap) or by
-    bracketed Newton on the log-derivative (certified); a point keeps its grid
-    value where refinement lowered |e|.  An endpoint is a candidate where the
-    weight does not vanish.  Where it vanishes and |e| still rises into the
-    endpoint, the boundary hump is narrower than the grid and is searched
-    explicitly.  Returns (theta, e) of the max-|e| point of each sign run,
-    ignoring errors below ``floor``.
+
+def _remez_grid(ra: float, rb: float, size: int, degree: int):
+    """Sampling grid of the Remez loop: (theta, weight, cos(k theta) for k <= degree, step).
+
+    The uniform theta-grid of ``size`` points, with step ``pi / (size - 1)``,
+    plus a geometric tail ``step * 2^-k``, from ``step / 2`` down to about
+    ``_TAIL_END``, at each endpoint where the weight vanishes.  There the
+    error can peak in a boundary hump narrower than one step; the tail makes
+    that hump an ordinary grid local maximum, bracketed by its neighbours.
+    Toward pi the tail stops at ulp(pi): below it ``pi - u`` rounds onto pi
+    or onto its neighbour, and tied points would each count as a maximum.
+    """
+    theta, wgrid = _theta_grid(ra, rb, size)
+    step = np.pi / (size - 1)
+    u = step * 0.5 ** np.arange(1, 64)
+    lo = u[u >= _TAIL_END][::-1] if ra > 0.0 else u[:0]
+    hi = np.pi - u[u >= np.spacing(np.pi)] if rb > 0.0 else u[:0]
+    theta = np.concatenate((theta[:1], lo, theta[1:-1], hi, theta[-1:]))
+    wgrid = np.concatenate(
+        (wgrid[:1], _weight_theta(ra, rb, lo), wgrid[1:-1], _weight_theta(ra, rb, hi), wgrid[-1:])
+    )
+    cos_k = np.outer(theta, np.arange(degree + 1))
+    np.cos(cos_k, out=cos_k)  # in place: at n = 400 each copy is 39 MB
+    return theta, wgrid, cos_k, step
+
+
+def _extremum_step(ra, rb, coef, theta, step, e, certify: bool, floor: float):
+    """Alternating extrema of the error w p from its samples ``e`` on the grid ``theta``.
+
+    ``theta`` is a grid of :func:`_remez_grid` with uniform step ``step``.
+    Grid local maxima of |e|, tail points included, are refined by bracketed
+    Newton on the log-derivative (certified) or by one parabolic step
+    (cheap); the parabola needs a full step on either side, so a point next
+    to a tail point keeps its grid value in the cheap phase.  A point keeps
+    its grid value where refinement lowered |e|.  An endpoint is a candidate
+    where the weight does not vanish.  Returns (theta, e) of the max-|e|
+    point of each sign run, ignoring errors below ``floor``.
     """
     ae = np.abs(e)
-    step = theta[1]
     idx = np.nonzero((ae[1:-1] >= ae[:-2]) & (ae[1:-1] >= ae[2:]))[0] + 1
-    tr = er = np.empty(0)
-    if idx.size:
-        if certify:
-            tr = _refine_newton(ra, rb, coef, theta[idx - 1], theta[idx + 1])
-        else:
-            d = _parabolic_shift(ae[idx - 1], ae[idx], ae[idx + 1], step)
-            tr = np.clip(theta[idx] + d, 0.0, np.pi)
-        er = _signed_error_theta(ra, rb, coef, tr)
-        worse = np.abs(er) < ae[idx]
-        tr = np.where(worse, theta[idx], tr)
-        er = np.where(worse, e[idx], er)
-
-    cand_t = list(tr)
-    cand_e = list(er)
-    hump = _hump_argmax_newton if certify else _hump_argmax_cheap
-    if ra == 0.0:
-        if ae[0] >= ae[1]:
-            cand_t.insert(0, 0.0)
-            cand_e.insert(0, float(e[0]))
-    elif ae[1] >= ae[2]:
-        th = hump(ra, rb, coef, +1, step)
-        cand_t.insert(0, th)
-        cand_e.insert(0, float(_signed_error_theta(ra, rb, coef, np.asarray([th]))[0]))
-    if rb == 0.0:
-        if ae[-1] >= ae[-2]:
-            cand_t.append(np.pi)
-            cand_e.append(float(e[-1]))
-    elif ae[-2] >= ae[-3]:
-        th = hump(ra, rb, coef, -1, step)
-        cand_t.append(th)
-        cand_e.append(float(_signed_error_theta(ra, rb, coef, np.asarray([th]))[0]))
-    return _alternating_prune(np.asarray(cand_t), np.asarray(cand_e), floor)
+    left, right = theta[idx - 1], theta[idx + 1]
+    if certify:
+        tr = _refine_newton(ra, rb, coef, left, right)
+    else:
+        d = _parabolic_shift(ae[idx - 1], ae[idx], ae[idx + 1], step)
+        # a tail point, or a uniform point next to one, has a neighbour nearer than step
+        tr = np.clip(theta[idx] + np.where(right - left > 1.75 * step, d, 0.0), 0.0, np.pi)
+    er = _signed_error_theta(ra, rb, coef, tr)
+    worse = np.abs(er) < ae[idx]
+    cand_t = np.where(worse, theta[idx], tr)
+    cand_e = np.where(worse, e[idx], er)
+    if ra == 0.0 and ae[0] >= ae[1]:
+        cand_t, cand_e = np.append(0.0, cand_t), np.append(e[0], cand_e)
+    if rb == 0.0 and ae[-1] >= ae[-2]:
+        cand_t, cand_e = np.append(cand_t, np.pi), np.append(cand_e, e[-1])
+    return _alternating_prune(cand_t, cand_e, floor)
 
 
 def leveled_system(w: WeightParams, n: int, reference) -> tuple[MonicPolynomial, float]:
@@ -393,21 +373,19 @@ def error_extrema(w: WeightParams, poly: MonicPolynomial, grid: int) -> list[tup
     """Local extrema of the weighted error w p on [-1,1], sorted by x with alternating signs.
 
     This is the certified extremum step of :func:`solve` on a uniform
-    theta-grid of ``grid`` points: grid local maxima of |w p| refined by
-    bracketed Newton, the endpoints where the weight does not vanish, and a
-    log-scale search for the boundary hump where the weight vanishes and the
-    error still rises into the endpoint.  Of each run of one sign only the
+    theta-grid of ``grid`` points, with a geometric tail toward each endpoint
+    where the weight vanishes: grid local maxima of |w p| refined by bracketed
+    Newton, a boundary hump inside the first cell included, and the endpoints
+    where the weight does not vanish.  Of each run of one sign only the
     largest |w p| is kept.
     """
     if grid < 10 * max(poly.degree, 1):
         raise ValueError("grid must be at least 10 times the degree")
     ra, rb = w.rho_a, w.rho_b
     coef = poly.full_cheb_coeffs()
-    theta, wgrid = _theta_grid(ra, rb, grid)
-    K = np.outer(theta, np.arange(poly.degree + 1))
-    np.cos(K, out=K)
-    e = wgrid * (K @ coef)
-    kt, ke = _extremum_step(ra, rb, coef, theta, e, True, 1e-15 * float(np.max(np.abs(e))))
+    theta, wgrid, cos_k, step = _remez_grid(ra, rb, grid, poly.degree)
+    e = wgrid * (cos_k @ coef)
+    kt, ke = _extremum_step(ra, rb, coef, theta, step, e, True, 1e-15 * float(np.max(np.abs(e))))
     if len(kt) < poly.degree + 1:
         raise ExchangeError(
             f"found {len(kt)} alternations, need {poly.degree + 1}; grid too coarse"
@@ -451,24 +429,23 @@ def solve(
 ) -> ChebyshevSolution:
     """Compute the weighted minimax monic polynomial of degree n.
 
-    Remez exchange on a theta-grid of ``30 * n + 200`` points.  Each
-    iteration solves the levelled system on the reference, samples the error
-    on the grid and takes one extremum step, in one of two phases.  The cheap
-    phase refines grid maxima by one parabolic step and the boundary hump by
-    a log-spaced scan.  Once its levelling defect is below
-    max(1e-8, 10 * tolerance), or the reference stops moving, the iteration
-    redoes the same reference in the certified phase, the step of
-    :func:`error_extrema`, which every later iteration keeps.  A certified
-    defect within ``tolerance`` returns the solution.
+    Remez exchange on a uniform theta-grid of ``30 * n + 200`` points, with a
+    geometric tail toward each endpoint where the weight vanishes (see
+    :func:`_remez_grid`).  Each iteration solves the levelled system on the
+    reference, samples the error on the grid and takes one extremum step, in
+    one of two phases.  The cheap phase refines grid maxima by one parabolic
+    step and keeps a tail maximum at its grid point.  Once its levelling
+    defect is below max(1e-8, 10 * tolerance), or the reference stops
+    moving, the iteration redoes the same reference in the certified phase,
+    the step of :func:`error_extrema`, which every later iteration keeps.  A
+    certified defect within ``tolerance`` returns the solution.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
     if tolerance <= 0.0 or max_iter < 1:
         raise ValueError("tolerance and max_iter must be positive")
     ra, rb = w.rho_a, w.rho_b
-    tgrid, wgrid = _theta_grid(ra, rb, 30 * n + 200)
-    K = np.outer(tgrid, np.arange(n + 1))
-    np.cos(K, out=K)  # in place: at n = 400 each copy is 39 MB
+    tgrid, wgrid, cos_k, step = _remez_grid(ra, rb, 30 * n + 200, n)
     lead = _implied_leading(n)
 
     tref = np.pi * np.arange(n + 1) / n
@@ -485,9 +462,9 @@ def solve(
             raise DegeneracyError(f"reference collapse at iteration {it}")
         coef, h = _solve_leveled_theta(ra, rb, n, tref, signs, lead)
         h = abs(h)
-        e = wgrid * (K @ coef)
+        e = wgrid * (cos_k @ coef)
         while True:
-            kt, ke = _extremum_step(ra, rb, coef, tgrid, e, certify, 1e-15 * h)
+            kt, ke = _extremum_step(ra, rb, coef, tgrid, step, e, certify, 1e-15 * h)
             if len(kt) < n + 1:
                 raise ExchangeError(
                     f"found {len(kt)} alternations, need {n + 1} "

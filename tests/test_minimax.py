@@ -16,7 +16,7 @@ from widomlab.minimax import (
     ExchangeError,
     MonicPolynomial,
     _cheb_eval_012,
-    _hump_argmax_newton,
+    _remez_grid,
     _signed_error_theta,
     _theta_eval,
     error_extrema,
@@ -25,7 +25,7 @@ from widomlab.minimax import (
     solve,
     weight_eval,
 )
-from widomlab.special import WeightParams
+from widomlab.special import WeightParams, _theta_grid
 
 
 def dense_weighted_max(w: WeightParams, poly: MonicPolynomial, samples: int = 200001) -> float:
@@ -256,18 +256,72 @@ def test_theta_eval_matches_clenshaw_by_the_chain_rule(n):
     assert np.all(np.abs(ptt - (s * s * ddq - x * dq)) <= 1e-12 * (s * s * a4 + np.abs(x) * a2))
 
 
-def test_hump_search_returns_the_window_edge_where_the_error_still_rises():
-    # at (0, 0.004, 10) the slope of ln|e| has one sign across the whole log
-    # window next to x = -1, so the largest |e| there is at its inner edge
-    n, rb = 10, 0.004
-    coef = solve(WeightParams(0.0, rb), n).poly.full_cheb_coeffs()
-    gap = np.pi / (30 * n + 200 - 1)  # the solver's grid step
-    th = _hump_argmax_newton(0.0, rb, coef, -1, gap)
-    assert th == np.pi - gap
-    u = np.exp(np.linspace(np.log(1e-18), np.log(gap), 200001))
-    dense = float(np.max(np.abs(_signed_error_theta(0.0, rb, coef, np.pi - u))))
-    found = abs(float(_signed_error_theta(0.0, rb, coef, np.asarray([th]))[0]))
-    assert abs(found - dense) <= 1e-15 * dense
+def _endpoint_scan(w: WeightParams, poly: MonicPolynomial, side: int, width: float) -> float:
+    """Max |w p| on 200,001 log-spaced points 1e-18 to ``width`` from theta = 0 (+1) or pi (-1)."""
+    u = np.exp(np.linspace(np.log(1e-18), np.log(width), 200001))
+    theta = u if side > 0 else np.pi - u
+    coef = poly.full_cheb_coeffs()
+    return float(np.max(np.abs(_signed_error_theta(w.rho_a, w.rho_b, coef, theta))))
+
+
+def _endpoint_extremum(w: WeightParams, poly: MonicPolynomial, side: int) -> tuple[float, float]:
+    """(theta-distance to the endpoint, |e|) of the error_extrema point nearest it, on the solver's grid."""
+    ext = error_extrema(w, poly, 30 * poly.degree + 200)
+    x, e = ext[-1] if side > 0 else ext[0]
+    t = float(np.arccos(x))
+    return (t if side > 0 else np.pi - t), abs(e)
+
+
+def test_endpoint_extremum_beyond_the_first_cell():
+    # at (0, 0.004, 10) |e| still rises across the whole first cell next to
+    # x = -1, so the extremum nearest that end is an ordinary interior one,
+    # beyond the cell, and it tops every point of the cell
+    n, w = 10, WeightParams(0.0, 0.004)
+    poly = solve(w, n).poly
+    step = np.pi / (30 * n + 199)
+    dist, found = _endpoint_extremum(w, poly, -1)
+    assert dist > step
+    assert found >= (1.0 - 1e-15) * _endpoint_scan(w, poly, -1, step)
+
+
+@pytest.mark.parametrize("ra, rb, n", [(0.0, 1e-6, 10), (1e-6, 0.0, 3), (0.0, 1e-9, 20)])
+def test_endpoint_hump_inside_the_first_cell_is_found(ra, rb, n):
+    # a tiny exponent puts the boundary hump 2e-6 to 5e-4 from its endpoint,
+    # inside the first cell of the uniform grid: a local maximum of the
+    # error on the grid's geometric tail, refined like any other
+    w = WeightParams(ra, rb)
+    poly = solve(w, n).poly
+    side = -1 if rb > 0.0 else 1
+    theta, wgrid, cos_k, step = _remez_grid(ra, rb, 30 * n + 200, n)
+    ae = np.abs(wgrid * (cos_k @ poly.full_cheb_coeffs()))
+    peak = theta[np.nonzero((ae[1:-1] >= ae[:-2]) & (ae[1:-1] >= ae[2:]))[0] + 1]
+    assert np.any(np.minimum(peak, np.pi - peak) < 0.75 * step)
+    dist, found = _endpoint_extremum(w, poly, side)
+    assert dist < step
+    assert found >= (1.0 - 1e-15) * _endpoint_scan(w, poly, side, step)
+
+
+@pytest.mark.parametrize("ra, rb", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.3), (0.5, 1e-300)])
+@pytest.mark.parametrize("size", [230, 501, 12200])
+def test_remez_grid_is_the_uniform_grid_plus_endpoint_tails(ra, rb, size):
+    theta, wgrid, _, step = _remez_grid(ra, rb, size, 3)
+    assert np.all(np.diff(theta) > 0.0)
+    assert theta[-1] == np.pi
+    uniform, wuniform = _theta_grid(ra, rb, size)
+    assert step == uniform[1]
+    # the uniform points and their weights, bit for bit, between the tails
+    at = np.searchsorted(theta, uniform)
+    assert np.array_equal(theta[at], uniform) and np.array_equal(wgrid[at], wuniform)
+    lo_tail = theta[(theta > 0.0) & (theta < step)]
+    hi_tail = theta[(theta > uniform[-2]) & (theta < np.pi)]
+    if ra == 0.0:
+        assert lo_tail.size == 0
+    else:
+        assert lo_tail[0] <= 2e-18 and lo_tail[-1] == step / 2
+    if rb == 0.0:
+        assert hi_tail.size == 0
+    else:
+        assert np.pi - hi_tail[-1] <= 1e-15 and hi_tail[0] == np.pi - step / 2
 
 
 def test_theta_eval_against_mpmath():

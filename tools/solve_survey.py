@@ -4,11 +4,14 @@
 
 SRC is the root of a checkout; its ``src/widomlab`` is the package surveyed.
 The points come from this checkout's ``bench/workloads.py`` (read, never
-written) plus a fixed set of weights:
+written) plus two fixed sets of weights:
 
 - ``scan``: both bench scan grids at n = 1..SCAN_N_MAX;
 - ``pool``: the CERTIFIED and FAILED ``high_degree`` pool points and SLOW_SOLVE;
-- ``weights``: the weights in WEIGHTS at n = 1..100.
+- ``weights``: the weights in WEIGHTS at n = 1..100;
+- ``tiny``: the weights in TINY at n = 1..100, each with an exponent below
+  0.01, where the error can peak in a boundary hump inside the first cell of
+  the solver's grid.
 
 Every record holds the outcome (``solved`` or the solver error's type and
 message) and, as ``float.hex`` strings, the norm, Widom factor and levelling
@@ -38,6 +41,7 @@ import numpy as np  # noqa: E402  (after the BLAS thread pin)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 WEIGHTS = ((1.0, 1.0), (0.5, 0.5), (0.25, 0.75), (0.0, 1.0), (0.75, 0.25), (1.5, 0.5), (0.1, 0.1))
+TINY = ((0.0, 0.004), (0.001, 0.3), (1e-6, 1e-6))
 WEIGHTS_N_MAX = 100
 
 
@@ -50,7 +54,8 @@ def _points(workloads) -> list[tuple[str, float, float, int]]:
     for pool in (workloads.CERTIFIED, workloads.FAILED):
         points += [("pool", ra, rb, n) for n, pts in sorted(pool.items()) for ra, rb in pts]
     points.append(("pool", *workloads.SLOW_SOLVE))
-    points += [("weights", ra, rb, n) for ra, rb in WEIGHTS for n in range(1, WEIGHTS_N_MAX + 1)]
+    for group, weights in (("weights", WEIGHTS), ("tiny", TINY)):
+        points += [(group, ra, rb, n) for ra, rb in weights for n in range(1, WEIGHTS_N_MAX + 1)]
     return points
 
 
@@ -89,7 +94,7 @@ def _survey_one(wl, checks, group: str, ra: float, rb: float, n: int) -> dict:
     rec["defect"] = sol.levelling_defect.hex()
     rec["recheck"] = _recheck(checks, sol, what)
     rec["certified"] = bool(rec["recheck"].get("certified", False))
-    if group != "weights":
+    if group in ("scan", "pool"):
         rec["coef"] = _hexes(sol.poly.cheb_coeffs)
         rec["reference"] = _hexes(sol.reference)
         rec["roots"] = _hexes(sol.roots())
@@ -115,7 +120,7 @@ def _max_rel(one: list[str], two: list[str], scale: float = 0.0) -> float:
 
 def summarize(records: list[dict]) -> dict:
     out = {}
-    for group in ("scan", "pool", "weights"):
+    for group in ("scan", "pool", "weights", "tiny"):
         recs = [r for r in records if r["group"] == group]
         out[group] = {
             "solves": len(recs),
