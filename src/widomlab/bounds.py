@@ -70,21 +70,41 @@ def _check_square(p: JacobiParams) -> None:
         )
 
 
-def m_bound(p: JacobiParams, n: int) -> float:
-    """The dominating quantity M_n(alpha, beta), via log-space Gamma arithmetic."""
-    _check_square(p)
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    a, b = p.alpha, p.beta
-    q, s = p.q, a + b
-    return math.exp(
-        0.5 * (1.0 - s) * math.log(2.0)
-        + log_gamma(n + q + 1.0)
-        + log_gamma(n + s + 1.0)
-        - (q + 0.5) * math.log(n + 0.5 * (s + 1.0))
-        - log_gamma(n + 0.5 * (s + 1.0))
-        - log_gamma(n + 0.5 * s + 1.0)
+_LN2 = math.log(2.0)
+
+
+def _m_bound_at(n, q, s, c, qh, sh, sh1, lgamma=math.lgamma, log=math.log, exp=math.exp):
+    """M_n from the constants :func:`m_bound` hoists; the math functions are bound once, as defaults."""
+    # the Gamma arguments are positive for n >= 1 on the square
+    return exp(
+        c
+        + lgamma(n + q + 1.0)
+        + lgamma(n + s + 1.0)
+        - qh * log(n + sh1)
+        - lgamma(n + sh1)
+        - lgamma(n + sh + 1.0)
     )
+
+
+def m_bound(p: JacobiParams, n):
+    """The dominating quantity M_n(alpha, beta), via log-space Gamma arithmetic.
+
+    ``n`` is a degree, or a sequence of degrees for an array of M_n; each
+    entry equals the value of its scalar call.
+    """
+    _check_square(p)
+    q, s = p.q, p.alpha + p.beta
+    c = 0.5 * (1.0 - s) * _LN2
+    if not hasattr(n, "__len__"):
+        if n < 1:
+            raise ValueError("degree must be at least 1")
+        return _m_bound_at(n, q, s, c, q + 0.5, 0.5 * s, 0.5 * (s + 1.0))
+    ns = np.asarray(n)
+    if ns.size and ns.min() < 1:
+        raise ValueError("degree must be at least 1")
+    qh, sh, sh1 = q + 0.5, 0.5 * s, 0.5 * (s + 1.0)
+    out = [_m_bound_at(k, q, s, c, qh, sh, sh1) for k in ns.ravel().tolist()]
+    return np.reshape(out, ns.shape)
 
 
 def m_bound_raw(p: JacobiParams, n: int) -> float:
@@ -134,7 +154,11 @@ def c_coeffs(p: JacobiParams) -> tuple[float, float, float]:
     the triangle -1/2 <= beta <= alpha <= 1/2, vanishing only at the vertices
     with |alpha| = |beta| = 1/2.
     """
-    a, b = p.alpha, p.beta
+    return _c_coeffs(p.alpha, p.beta)
+
+
+def _c_coeffs(a, b):
+    """(c0, c1, c2) of :func:`c_coeffs` at alpha = a, beta = b, numbers or arrays."""
     c2 = 0.5 * a * a + 0.5 * b * b - 0.25
     c1 = (
         0.75 * a**3
@@ -194,27 +218,31 @@ def verify_coeff_lemma(samples: int, tol: float = 1e-12) -> BoundReport:
     if samples < 2:
         raise ValueError("need at least 2 samples per axis")
     grid = np.linspace(-0.5, 0.5, samples)
+    alpha, beta = np.meshgrid(grid, grid, indexing="ij")
+    tri = beta <= alpha
+    a, b = alpha[tri], beta[tri]
+    cs = np.array(_c_coeffs(a, b))
+    near_vertex = np.zeros(a.shape, dtype=bool)
+    for va, vb in _TRIANGLE_VERTICES:
+        near_vertex |= (np.abs(a - va) <= tol) & (np.abs(b - vb) <= tol)
+    positive = cs > tol
+    off_vertex_zero = (np.abs(cs) <= tol) & ~near_vertex
     offenders: list[tuple[float, float, str, float]] = []
-    maxima = [-math.inf, -math.inf, -math.inf]
-    for a in grid:
-        for b in grid[grid <= a]:
-            cs = c_coeffs(JacobiParams(float(a), float(b)))
-            near_vertex = any(
-                abs(a - va) <= tol and abs(b - vb) <= tol for va, vb in _TRIANGLE_VERTICES
-            )
-            for k, val in enumerate(cs):
-                maxima[k] = max(maxima[k], val)
-                if val > tol:
-                    offenders.append((float(a), float(b), f"c{k} > 0", val))
-                elif abs(val) <= tol and not near_vertex:
-                    offenders.append((float(a), float(b), f"c{k} = 0 off-vertex", val))
+    # point by point, c0 before c1 before c2 at each
+    for i, k in zip(*np.nonzero((positive | off_vertex_zero).T)):
+        why = f"c{k} > 0" if positive[k, i] else f"c{k} = 0 off-vertex"
+        offenders.append((float(a[i]), float(b[i]), why, float(cs[k, i])))
+    maxima = [float(m) for m in cs.max(axis=1)]
 
+    t = np.linspace(0.0, 1.0, max(samples, 5))
     for name, (point, c0_fact, c1_fact) in _EDGE_FACTORIZATIONS.items():
-        for t in np.linspace(0.0, 1.0, max(samples, 5)):
-            a, b = point(float(t))
-            c0, c1, _ = c_coeffs(JacobiParams(a, b))
-            if abs(c0 - c0_fact(float(t))) > tol or abs(c1 - c1_fact(float(t))) > tol:
-                offenders.append((a, b, f"factorization mismatch on edge {name}", t))
+        a, b = np.broadcast_arrays(*point(t))
+        c0, c1, _ = _c_coeffs(a, b)
+        bad = (np.abs(c0 - c0_fact(t)) > tol) | (np.abs(c1 - c1_fact(t)) > tol)
+        for i in np.nonzero(bad)[0]:
+            offenders.append(
+                (float(a[i]), float(b[i]), f"factorization mismatch on edge {name}", float(t[i]))
+            )
 
     if offenders:
         shown = ", ".join(f"({a:.6g},{b:.6g}): {why}" for a, b, why, _ in offenders[:5])
@@ -259,18 +287,14 @@ def verify_m_monotone(
             p = JacobiParams(float(a), float(b))
             corner = abs(abs(p.alpha) - 0.5) < 1e-15 and abs(abs(p.beta) - 0.5) < 1e-15
             lim = 2.0 ** (0.5 * (1.0 - p.alpha - p.beta))
-            first = prev = m_bound(p, 1)
-            worst_step = 0.0
-            for n in range(2, n_max + 1):
-                cur = m_bound(p, n)
-                worst_step = max(worst_step, prev - cur)
-                prev = cur
-            dev = abs(prev - lim)
+            m = m_bound(p, range(1, n_max + 1))
+            worst_step = max(0.0, float(np.max(m[:-1] - m[1:])))
+            dev = abs(float(m[-1]) - lim)
             deviations.append(dev)
             worst_drop = max(worst_drop, worst_step)
             if worst_step > step_tol:
                 offenders.append(f"({a:.6g},{b:.6g}): M_n decreased by {worst_step:.3g}")
-            if not corner and prev - first <= 0.0:
+            if not corner and m[-1] - m[0] <= 0.0:
                 offenders.append(f"({a:.6g},{b:.6g}): no strict increase off-corner")
             if dev > limit_tol:
                 offenders.append(f"({a:.6g},{b:.6g}): |M_{n_max} - limit| = {dev:.3g}")

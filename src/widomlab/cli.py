@@ -285,13 +285,13 @@ def _verify_jacobi(args) -> list[dict]:
         raise ValueError("--n-max and --samples must be at least 1")
     worst = 0.0
     rhos = np.linspace(0.0, 0.5, args.samples)
+    ns = np.arange(1, args.n_max + 1)
     for rb in rhos:
         for ra in rhos:
             w = WeightParams(float(ra), float(rb))
-            p = weight_to_param(w)
-            for n in range(1, args.n_max + 1):
-                lhs = (2.0 ** n) * weighted_monic_jacobi_sup(w, n)
-                worst = max(worst, lhs / m_bound(p, n) - 1.0)
+            # scaling by 2^n is exact
+            lhs = np.ldexp(weighted_monic_jacobi_sup(w, ns), ns)
+            worst = max(worst, float(np.max(lhs / m_bound(weight_to_param(w), ns) - 1.0)))
     return [_check("chain inequality relative excess", worst, 1e-9)]
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from widomlab.special import WeightParams, _bracketed_newton, _parabolic_shift
-from widomlab.special import _theta_grid, _weight_theta
+from widomlab.special import _tail_grid, _weight_theta
 
 __all__ = [
     "MonicPolynomial",
@@ -286,30 +286,15 @@ def _solve_leveled_theta(ra, rb, n, tref, signs, lead):
     return coef, float(sol[n])
 
 
-# the geometric tail of the Remez grid reaches about this close to an endpoint
-_TAIL_END = 1e-18
-
-
 def _remez_grid(ra: float, rb: float, size: int, degree: int):
     """Sampling grid of the Remez loop: (theta, weight, cos(k theta) for k <= degree, step).
 
-    The uniform theta-grid of ``size`` points, with step ``pi / (size - 1)``,
-    plus a geometric tail ``step * 2^-k``, from ``step / 2`` down to about
-    ``_TAIL_END``, at each endpoint where the weight vanishes.  There the
-    error can peak in a boundary hump narrower than one step; the tail makes
-    that hump an ordinary grid local maximum, bracketed by its neighbours.
-    Toward pi the tail stops at ulp(pi): below it ``pi - u`` rounds onto pi
-    or onto its neighbour, and tied points would each count as a maximum.
+    The grid of :func:`special._tail_grid`: the uniform theta-grid of ``size``
+    points plus a geometric tail toward each endpoint where the weight
+    vanishes, which makes a boundary hump narrower than one step an ordinary
+    grid local maximum, bracketed by its neighbours.
     """
-    theta, wgrid = _theta_grid(ra, rb, size)
-    step = np.pi / (size - 1)
-    u = step * 0.5 ** np.arange(1, 64)
-    lo = u[u >= _TAIL_END][::-1] if ra > 0.0 else u[:0]
-    hi = np.pi - u[u >= np.spacing(np.pi)] if rb > 0.0 else u[:0]
-    theta = np.concatenate((theta[:1], lo, theta[1:-1], hi, theta[-1:]))
-    wgrid = np.concatenate(
-        (wgrid[:1], _weight_theta(ra, rb, lo), wgrid[1:-1], _weight_theta(ra, rb, hi), wgrid[-1:])
-    )
+    theta, wgrid, step = _tail_grid(ra, rb, size)
     cos_k = np.outer(theta, np.arange(degree + 1))
     np.cos(cos_k, out=cos_k)  # in place: at n = 400 each copy is 39 MB
     return theta, wgrid, cos_k, step

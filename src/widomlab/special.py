@@ -85,35 +85,57 @@ def _recurrence_terms(a: float, b: float, k: int) -> tuple[float, float, float, 
     return ak, bk, ck, dk
 
 
-def jacobi_eval(p: JacobiParams, n: int, x):
+def jacobi_eval(p: JacobiParams, n, x):
     """P_n^{(alpha,beta)}(x) and its derivative by forward three-term recurrence.
 
     Accepts scalar or array x; returns a matching (value, derivative) pair.
+    ``n`` is a degree, or an integer array of per-point degrees broadcast
+    against x: one recurrence then runs to max(n), and each point keeps its
+    value and derivative at its own degree.  The arithmetic of a point does
+    not depend on the degrees of the others.
     """
-    if n < 0:
+    deg = np.asarray(n)
+    if deg.dtype.kind not in "iu":
+        raise TypeError("degrees must be integers")
+    if np.any(deg < 0):
         raise ValueError("degree must be nonnegative")
     a, b = p.alpha, p.beta
     xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-
-    v0 = np.ones_like(xs)
-    d0 = np.zeros_like(xs)
-    if n == 0:
-        v, d = v0, d0
-    else:
-        v1 = 0.5 * ((a + b + 2.0) * xs + (a - b))
-        d1 = np.full_like(xs, 0.5 * (a + b + 2.0))
-        for k in range(2, n + 1):
+    scalar = xs.ndim == 0 and deg.ndim == 0
+    xs, deg = np.broadcast_arrays(np.atleast_1d(xs), deg)
+    shape = xs.shape
+    # points sorted by degree, so that step k runs on the suffix of degree >= k
+    order = np.argsort(deg, axis=None, kind="stable")
+    xs, deg = xs.ravel()[order], deg.ravel()[order]
+    top = int(deg[-1]) if deg.size else 0
+    cut = np.searchsorted(deg, np.arange(top + 2))
+    v = np.empty(xs.size)
+    d = np.empty(xs.size)
+    v[order[: cut[1]]] = 1.0
+    d[order[: cut[1]]] = 0.0
+    if top > 0:
+        x1 = xs[cut[1] :]
+        v0 = np.ones_like(x1)
+        d0 = np.zeros_like(x1)
+        v1 = 0.5 * ((a + b + 2.0) * x1 + (a - b))
+        d1 = np.full_like(x1, 0.5 * (a + b + 2.0))
+        for k in range(2, top + 1):
+            done = cut[k] - cut[k - 1]
+            if done:  # store the points of degree k - 1 and drop them
+                v[order[cut[k - 1] : cut[k]]] = v1[:done]
+                d[order[cut[k - 1] : cut[k]]] = d1[:done]
+                v0, v1, d0, d1 = v0[done:], v1[done:], d0[done:], d1[done:]
             ak, bk, ck, dk = _recurrence_terms(a, b, k)
-            v2 = ((bk + ck * xs) * v1 - dk * v0) / ak
-            d2 = (ck * v1 + (bk + ck * xs) * d1 - dk * d0) / ak
+            t = bk + ck * xs[cut[k] :]
+            v2 = (t * v1 - dk * v0) / ak
+            d2 = (ck * v1 + t * d1 - dk * d0) / ak
             v0, v1 = v1, v2
             d0, d1 = d1, d2
-        v, d = v1, d1
+        v[order[cut[top] :]] = v1
+        d[order[cut[top] :]] = d1
     if scalar:
         return float(v[0]), float(d[0])
-    return v, d
+    return v.reshape(shape), d.reshape(shape)
 
 
 def monic_scale(p: JacobiParams, n: int) -> float:
@@ -154,6 +176,50 @@ def _theta_grid(ra: float, rb: float, size: int) -> tuple[np.ndarray, np.ndarray
     return theta, wgrid
 
 
+# the geometric tail of a sampling grid reaches about this close to an endpoint
+_TAIL_END = 1e-18
+
+
+def _untied(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Mask of the tail points to keep, given their weights ``w`` and vanishing factors ``f``.
+
+    Both are ordered from the endpoint inward.  A point goes where the weight
+    and the factor both equal their values at the point before it: the tail
+    no longer resolves the weight there.  A tie of the weight alone can be a
+    rounding coincidence near the weight's maximum, and a factor that has
+    underflowed to 0 (exponents above about 9) leaves the grid as it was.
+    """
+    keep = np.ones(w.shape, dtype=bool)
+    keep[1:] = (w[1:] != w[:-1]) | (f[1:] != f[:-1]) | (f[1:] == 0.0)
+    return keep
+
+
+def _tail_grid(ra: float, rb: float, size: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Uniform theta-grid with geometric endpoint tails: (theta, weight, step).
+
+    The grid of :func:`_theta_grid`, with step ``pi / (size - 1)``, plus a
+    geometric tail ``step * 2^-k``, from ``step / 2`` down to about
+    ``_TAIL_END``, at each endpoint where the weight vanishes.  There a
+    weighted polynomial can peak in a boundary hump narrower than one step;
+    the tail samples that hump.  Toward pi the tail stops at ulp(pi): below
+    it ``pi - u`` rounds onto pi or onto its neighbour, and tied points
+    would each count as a maximum.  For the same reason :func:`_untied`
+    drops the tail points where the weight stops changing, as on most of
+    the tail for an exponent below about 1e-16.
+    """
+    theta, wgrid = _theta_grid(ra, rb, size)
+    step = np.pi / (size - 1)
+    u = step * 0.5 ** np.arange(1, 64)
+    lo = u[u >= _TAIL_END][::-1] if ra > 0.0 else u[:0]
+    hi = np.pi - u[u >= np.spacing(np.pi)] if rb > 0.0 else u[:0]
+    wlo, whi = _weight_theta(ra, rb, lo), _weight_theta(ra, rb, hi)
+    keep_lo = _untied(wlo, _weight_theta(ra, 0.0, lo))
+    keep_hi = _untied(whi[::-1], _weight_theta(0.0, rb, hi)[::-1])[::-1]
+    theta = np.concatenate((theta[:1], lo[keep_lo], theta[1:-1], hi[keep_hi], theta[-1:]))
+    wgrid = np.concatenate((wgrid[:1], wlo[keep_lo], wgrid[1:-1], whi[keep_hi], wgrid[-1:]))
+    return theta, wgrid, step
+
+
 def _parabolic_shift(yl, y, yh, step):
     """Vertex offset of the parabola through (-step, yl), (0, y), (step, yh), clipped to +-step."""
     den = yl - 2.0 * y + yh
@@ -162,13 +228,14 @@ def _parabolic_shift(yl, y, yh, step):
     return np.clip(shift, -step, step)
 
 
-def _polish_peaks(f, t, y, step: float, rounds: int, shrink: float):
+def _polish_peaks(f, t, y, step, rounds: int, shrink: float):
     """Iterated parabolic polish of the peaks of ``f`` at points ``t`` with values ``y``.
 
     Each round fits a parabola to f at t - step, t, t + step, moves each point
     to its vertex (at most ``step`` away) unless f is lower there, and scales
-    ``step`` by ``shrink``.  ``f`` must accept points up to ``step`` outside
-    the range ``t`` was sampled from.  Returns the polished values.
+    ``step`` by ``shrink``; ``step`` is a number or one per point.  ``f`` must
+    accept points up to ``step`` outside the range ``t`` was sampled from.
+    Returns the polished values.
     """
     for _ in range(rounds):
         t2 = t + _parabolic_shift(f(t - step), y, f(t + step), step)
@@ -176,7 +243,7 @@ def _polish_peaks(f, t, y, step: float, rounds: int, shrink: float):
         better = y2 >= y
         t = np.where(better, t2, t)
         y = np.where(better, y2, y)
-        step *= shrink
+        step = step * shrink
     return y
 
 
@@ -228,29 +295,51 @@ def jacobi_zeros(p: JacobiParams, n: int) -> list[float]:
     return [float(t) for t in x]
 
 
-def weighted_monic_jacobi_sup(w: WeightParams, n: int) -> float:
+def weighted_monic_jacobi_sup(w: WeightParams, n):
     """Sup over [-1,1] of the weight times |monic Jacobi polynomial| of degree n.
 
-    Samples a uniform theta-grid of 50n + 500 points, theta = arccos x, and
-    refines local maxima by iterated 3-point parabolic interpolation; relative
-    accuracy target 1e-9.
+    Samples the grid of :func:`_tail_grid`: a uniform theta-grid of 50n + 500
+    points, theta = arccos x, with a geometric tail toward each endpoint
+    where the weight vanishes, for a boundary hump inside the first cell.
+    Local maxima are refined by iterated 3-point parabolic interpolation, a
+    tail point with half its distance to the endpoint as the first step;
+    relative accuracy target 1e-9.  ``n`` may also be a sequence of degrees:
+    their grids are evaluated in one :func:`jacobi_eval` call and their
+    peaks polished together, and the sups come back as an array, each equal
+    to the sup at its degree alone.
     """
-    if n < 0:
+    degrees = np.asarray(n)
+    if np.any(degrees < 0):
         raise ValueError("degree must be nonnegative")
     p = weight_to_param(w)
-    scale = monic_scale(p, n)
-
-    def eval_mag(t: np.ndarray) -> np.ndarray:
-        # even about theta = 0 and pi, so the polish may step past either end
-        v, _ = jacobi_eval(p, n, np.cos(t))
-        return _weight_theta(w.rho_a, w.rho_b, t) * np.abs(scale * v)
-
-    theta, wt = _theta_grid(w.rho_a, w.rho_b, 50 * n + 500)
-    vals, _ = jacobi_eval(p, n, np.cos(theta))
-    mag = wt * np.abs(scale * vals)
-    best = max(mag[0], mag[-1])
-    idx = np.nonzero((mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]))[0] + 1
+    deg = np.atleast_1d(degrees).ravel()
+    scale = np.array([monic_scale(p, int(k)) for k in deg])
+    grids = [_tail_grid(w.rho_a, w.rho_b, 50 * int(k) + 500) for k in deg]
+    theta = np.concatenate([t for t, _, _ in grids])
+    sizes = np.array([t.size for t, _, _ in grids])
+    steps = np.array([step for _, _, step in grids])
+    # degree index of each grid point, and the first and last point of each grid
+    seg = np.repeat(np.arange(deg.size), sizes)
+    last = np.cumsum(sizes) - 1
+    first = last - sizes + 1
+    vals, _ = jacobi_eval(p, deg[seg], np.cos(theta))
+    mag = np.concatenate([wt for _, wt, _ in grids]) * np.abs(scale[seg] * vals)
+    best = np.maximum(mag[first], mag[last])
+    inner = np.ones(theta.size, dtype=bool)
+    inner[first] = inner[last] = False
+    idx = np.nonzero(inner[1:-1] & (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]))[0] + 1
     if idx.size:
-        y = _polish_peaks(eval_mag, theta[idx], mag[idx], theta[1], 3, 0.25)
-        best = max(best, float(np.max(y)))
-    return best
+        pk = seg[idx]
+
+        def eval_mag(t: np.ndarray) -> np.ndarray:
+            # even about theta = 0 and pi, so the polish may step past either end
+            v, _ = jacobi_eval(p, deg[pk], np.cos(t))
+            return _weight_theta(w.rho_a, w.rho_b, t) * np.abs(scale[pk] * v)
+
+        t = theta[idx]
+        # a tail point lies at most half a step from its endpoint
+        u = np.minimum(t, np.pi - t)
+        step = np.where(u < 0.75 * steps[pk], 0.5 * u, steps[pk])
+        y = _polish_peaks(eval_mag, t, mag[idx], step, 3, 0.25)
+        np.maximum.at(best, pk, y)
+    return float(best[0]) if degrees.ndim == 0 else best.reshape(degrees.shape)

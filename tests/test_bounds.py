@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from widomlab import bounds
 from widomlab.bounds import (
     BoundReport,
     PropertyViolation,
@@ -18,6 +21,7 @@ from widomlab.bounds import (
     verify_m_monotone,
     weight_sup_bound,
 )
+from widomlab.minimax import solve
 from widomlab.special import (
     JacobiParams,
     WeightParams,
@@ -52,6 +56,20 @@ def test_m_bound_domain_errors():
         m_bound(JacobiParams(0.0, -0.7), 3)
     with pytest.raises(ValueError):
         m_bound(JacobiParams(0.0, 0.0), 0)
+
+
+def test_m_bound_over_degrees_equals_scalar_calls():
+    for p in grid9():
+        ns = [1, 2, 3, 17, 5, 1000, 999]
+        got = m_bound(p, ns)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == [m_bound(p, n) for n in ns]
+        assert m_bound(p, np.arange(1, 7).reshape(2, 3)).shape == (2, 3)
+    p = JacobiParams(0.0, 0.0)
+    with pytest.raises(ValueError):
+        m_bound(p, [3, 0, 4])
+    with pytest.raises(ValueError):
+        m_bound(JacobiParams(0.6, 0.0), [3, 4])
 
 
 def test_m_bound_raw_form_agrees():
@@ -129,6 +147,19 @@ def test_coeff_lemma_report():
     assert all(v <= 1e-12 for v in report.values)
     with pytest.raises(ValueError):
         verify_coeff_lemma(1)
+
+
+def test_coeff_lemma_names_a_positive_interior_point(monkeypatch):
+    real = bounds._c_coeffs
+
+    def bumped(a, b):
+        c0, c1, c2 = real(a, b)
+        hit = (np.asarray(a) == 0.25) & (np.asarray(b) == -0.25)
+        return c0, np.where(hit, 1e-3, c1), c2
+
+    monkeypatch.setattr(bounds, "_c_coeffs", bumped)
+    with pytest.raises(PropertyViolation, match=r"at 1 points: \(0.25,-0.25\): c1 > 0"):
+        verify_coeff_lemma(9)
 
 
 def test_coeff_lemma_edge_factorization_spot_values():
@@ -212,3 +243,20 @@ def test_weighted_sup_below_m_bound_chain():
             for n in range(1, 21):
                 sup = weighted_monic_jacobi_sup(w, n)
                 assert sup <= m_bound(p, n) * (1.0 + 1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    ra=st.floats(0.0, 0.5, allow_nan=False),
+    rb=st.floats(0.0, 0.5, allow_nan=False),
+)
+def test_paper_chain_widom_below_jacobi_below_m_bound(ra, rb):
+    # W_n <= 2^n sup |w P_n^Jacobi| <= M_n: the monic Jacobi polynomial is one
+    # competitor of the minimax problem, and M_n bounds its weighted sup
+    w = WeightParams(ra, rb)
+    ns = np.arange(1, 13)
+    jac = np.ldexp(weighted_monic_jacobi_sup(w, ns), ns)
+    mn = m_bound(weight_to_param(w), ns)
+    assert np.all(jac <= mn * (1.0 + 1e-9))
+    for n, top in zip(ns, jac):
+        assert solve(w, int(n)).widom <= top * (1.0 + 1e-9)

@@ -189,6 +189,15 @@ def test_verify_rejects_empty_sweeps(argv, capsys):
     assert "PASS" not in captured.out
 
 
+def test_import_loads_no_scipy():
+    # scipy.optimize would dominate a cold `import widomlab`; only the oracle imports it, on call
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = "import sys, widomlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_point_runs():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from widomlab import minimax
 from widomlab.circle import _degree_zero_solution
 from widomlab.minimax import (
     ChebyshevSolution,
@@ -299,6 +300,25 @@ def test_endpoint_hump_inside_the_first_cell_is_found(ra, rb, n):
     dist, found = _endpoint_extremum(w, poly, side)
     assert dist < step
     assert found >= (1.0 - 1e-15) * _endpoint_scan(w, poly, side, step)
+
+
+@pytest.mark.parametrize(
+    "ra, rb, n", [(0.0, 6.89e-211, 1), (0.0, 1e-300, 5), (0.0, 1e-17, 5), (1e-17, 0.0, 5)]
+)
+def test_tied_tail_points_are_not_refined(monkeypatch, ra, rb, n):
+    # below about 1e-16 the weight reads the same on most tail points, and
+    # each tied point would count as a grid maximum and get a Newton refine
+    refine = minimax._refine_newton
+    refined = []
+
+    def counting(ra_, rb_, coef, lo, hi):
+        refined.append(lo.size)
+        return refine(ra_, rb_, coef, lo, hi)
+
+    monkeypatch.setattr(minimax, "_refine_newton", counting)
+    sol = solve(WeightParams(ra, rb), n)
+    assert sol.levelling_defect <= 1e-12
+    assert refined and max(refined) <= 6
 
 
 @pytest.mark.parametrize("ra, rb", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.3), (0.5, 1e-300)])

@@ -84,6 +84,24 @@ def test_jacobi_eval_array_input():
         assert v[i] == vi and d[i] == di
 
 
+def test_jacobi_eval_per_point_degrees_match_per_degree_calls():
+    p = JacobiParams(0.3, -0.45)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, (6, 7))
+    deg = rng.integers(0, 25, (6, 7))
+    v, d = jacobi_eval(p, deg, x)
+    assert v.shape == d.shape == x.shape
+    for k in np.unique(deg):
+        at = deg == k
+        vk, dk = jacobi_eval(p, int(k), x[at])
+        assert np.array_equal(v[at], vk) and np.array_equal(d[at], dk)
+    # degrees broadcast against a scalar point
+    v, d = jacobi_eval(p, np.array([4, 0, 2]), 0.25)
+    assert v.tolist() == [jacobi_eval(p, k, 0.25)[0] for k in (4, 0, 2)]
+    with pytest.raises(ValueError):
+        jacobi_eval(p, np.array([1, -1]), x[0, :2])
+
+
 def test_jacobi_eval_derivative_matches_finite_differences():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -243,6 +261,10 @@ def test_polish_peaks_finds_maxima_between_grid_points():
     assert idx.size == 2 and np.all(y[idx] < 1.0 - 1e-4)
     top = _polish_peaks(f, grid[idx], y[idx], grid[1], 30, 0.5)
     assert np.all(top > 1.0 - 1e-14)
+    # a step per point gives the same polish, and the caller's steps stay as passed
+    steps = np.full(idx.size, grid[1])
+    assert np.array_equal(_polish_peaks(f, grid[idx], y[idx], steps, 30, 0.5), top)
+    assert np.all(steps == grid[1])
 
 
 def test_jacobi_zeros_rejects_degree_zero():
@@ -267,3 +289,17 @@ def test_weighted_sup_degree_zero_is_weight_max():
     # n = 0: sup of the bare weight
     assert abs(weighted_monic_jacobi_sup(WeightParams(0.0, 0.0), 0) - 1.0) < 1e-12
     assert abs(weighted_monic_jacobi_sup(WeightParams(1.0, 0.0), 0) - 2.0) < 1e-9
+
+
+@pytest.mark.parametrize("ra", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("rb", [0.0, 0.25, 0.5])
+def test_weighted_sup_over_degrees_equals_per_degree_calls(ra, rb):
+    w = WeightParams(ra, rb)
+    single = [weighted_monic_jacobi_sup(w, n) for n in range(21)]
+    batch = weighted_monic_jacobi_sup(w, range(21))
+    assert isinstance(batch, np.ndarray) and batch.tolist() == single
+    unsorted = [7, 0, 20, 3, 3, 12, 1]
+    assert weighted_monic_jacobi_sup(w, unsorted).tolist() == [single[n] for n in unsorted]
+    assert isinstance(weighted_monic_jacobi_sup(w, 5), float)
+    with pytest.raises(ValueError):
+        weighted_monic_jacobi_sup(w, [2, -1])
