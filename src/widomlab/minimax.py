@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from widomlab.special import WeightParams, _bracketed_newton, _parabolic_shift
-from widomlab.special import _tail_grid, _weight_theta
+from widomlab.special import WeightParams, _bracketed_newton, _parabolic_shift, _tail_grid
 
 __all__ = [
     "MonicPolynomial",
@@ -29,6 +29,7 @@ __all__ = [
     "ExchangeError",
     "weight_eval",
     "solve",
+    "solve_many",
     "leveled_system",
     "error_extrema",
     "exchange",
@@ -196,42 +197,143 @@ def _cos_sin_k(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return cos_k, sin_k
 
 
-def _theta_eval(coef: np.ndarray, theta: np.ndarray):
+def _gemv_blocks(M: np.ndarray, counts, coefs: np.ndarray) -> np.ndarray:
+    """``M[rows] @ coefs[i]`` for the i-th block of ``counts[i]`` consecutive rows of M.
+
+    Each block is a gemv of its own rows, rounded as a product of those rows
+    alone would be; blocks of equal size go through one stacked matmul.  One
+    tall gemv over several blocks rounds some rows differently.
+    """
+    if len(counts) == 1:
+        return M @ coefs[0]
+    out = np.empty(M.shape[0])
+    sizes = [int(m) for m in counts]
+    b0 = row = 0
+    while b0 < len(sizes):
+        m, b1 = sizes[b0], b0 + 1
+        while b1 < len(sizes) and sizes[b1] == m:
+            b1 += 1
+        end = row + (b1 - b0) * m
+        block = M[row:end].reshape(b1 - b0, m, M.shape[1])
+        out[row:end] = np.matmul(block, coefs[b0:b1, :, None]).ravel()
+        b0, row = b1, end
+    return out
+
+
+def _theta_eval(coef: np.ndarray, theta: np.ndarray, counts=None):
     """p, dp/dtheta and d2p/dtheta2 of a Chebyshev series at x = cos(theta), as trig sums.
 
     p = sum c_k cos(k theta), p_theta = -sum k c_k sin(k theta) and
     p_thetatheta = -sum k^2 c_k cos(k theta): a fixed number of numpy calls at
-    any degree, where Clenshaw in x takes nine per degree.
+    any degree, where Clenshaw in x takes nine per degree.  With ``counts``,
+    ``coef`` holds one series per row and row i is evaluated at the i-th
+    block of ``counts[i]`` consecutive points.
     """
-    k = np.arange(len(coef))
-    cos_k, sin_k = _cos_sin_k(theta, len(coef) - 1)
-    return cos_k @ coef, -(sin_k @ (k * coef)), -(cos_k @ (k * k * coef))
+    if coef.ndim == 1:
+        coef, counts = coef[None], [theta.size]
+    k = np.arange(coef.shape[1])
+    cos_k, sin_k = _cos_sin_k(theta, coef.shape[1] - 1)
+    p = _gemv_blocks(cos_k, counts, coef)
+    return p, -_gemv_blocks(sin_k, counts, k * coef), -_gemv_blocks(cos_k, counts, k * k * coef)
 
 
-def _signed_error_theta(ra: float, rb: float, coef: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    cos_k, _ = _cos_sin_k(theta, len(coef) - 1)
-    return _weight_theta(ra, rb, theta) * (cos_k @ coef)
+class _Cells:
+    """A batch of weights solved side by side: their exponents, and their weight at any points.
+
+    Cell i is ``weights[i]``.  The methods take points in consecutive blocks,
+    ``sizes[j]`` points of the cell ``rows[j]``, and evaluate each point as
+    :func:`special._weight_theta` would evaluate it alone, bit for bit.
+    """
+
+    def __init__(self, weights):
+        self.weights = list(weights)
+        self.ra = np.array([w.rho_a for w in self.weights], dtype=float)
+        self.rb = np.array([w.rho_b for w in self.weights], dtype=float)
+        self._exponents = [
+            self._groups([w.rho_a for w in self.weights]),
+            self._groups([w.rho_b for w in self.weights]),
+        ]
+
+    @staticmethod
+    def _groups(rhos):
+        # (group of each cell, the exponent of each group as the caller gave it)
+        index: dict = {}
+        group = np.array([index.setdefault(r, len(index)) for r in rhos], dtype=int)
+        return group, list(index)
+
+    def exponent(self, side: int, rows, sizes):
+        """rho_a (side 0) or rho_b (side 1) at each point; one scalar if all cells share it."""
+        rhos = self._exponents[side][1]
+        if len(rhos) == 1:
+            return rhos[0]
+        return np.repeat((self.ra, self.rb)[side][rows], sizes)
+
+    def weight(self, theta: np.ndarray, rows, sizes) -> np.ndarray:
+        """(1-x)^rho_a (1+x)^rho_b at x = cos(theta), under each point's own exponents.
+
+        numpy's power takes a fast path for some scalar exponents (0.5, 2
+        and -1) that rounds differently from the path an array of exponents
+        takes, so each distinct exponent is applied as a scalar to its points.
+        """
+        out = np.ones_like(theta)
+        for (group, rhos), trig in zip(self._exponents, (np.sin, np.cos)):
+            if not any(r != 0.0 for r in rhos):
+                continue
+            base = 2.0 * trig(0.5 * theta) ** 2
+            if len(rhos) == 1:
+                factor = base ** rhos[0]
+            else:
+                factor = np.ones_like(theta)
+                of_point = np.repeat(group[rows], sizes)
+                order = np.argsort(of_point, kind="stable")
+                bounds = np.searchsorted(of_point[order], np.arange(len(rhos) + 1))
+                for g, rho in enumerate(rhos):
+                    at = order[bounds[g] : bounds[g + 1]]
+                    if rho != 0.0 and at.size:
+                        factor[at] = base[at] ** rho
+            out = out * factor
+        return out
 
 
-def _log_error_slope(ra, rb, coef, theta):
-    """g = d/dtheta ln|e| and g' for e(t) = w(cos t) p(cos t)."""
-    p, pt, ptt = _theta_eval(coef, theta)
+def _log_error_slope(cells: _Cells, blocks, counts, coefs, theta, live):
+    """g = d/dtheta ln|e| and g' for e(t) = w(cos t) p(cos t).
+
+    The points come in the blocks ``live`` of ``blocks``: block j holds
+    ``counts[j]`` points of the cell ``blocks[j]``, whose series is ``coefs[j]``.
+    """
+    if live.size < blocks.size:
+        blocks, counts, coefs = blocks[live], counts[live], coefs[live]
+    p, pt, ptt = _theta_eval(coefs, theta, counts)
+    ra, rb = cells.exponent(0, blocks, counts), cells.exponent(1, blocks, counts)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = pt / p
         gp = ptt / p - g * g
         half = 0.5 * theta
-        if ra != 0.0:
-            g = g + ra / np.tan(half)
-            gp = gp - 0.5 * ra / np.sin(half) ** 2
-        if rb != 0.0:
-            g = g - rb * np.tan(half)
-            gp = gp - 0.5 * rb / np.cos(half) ** 2
+        # each term only where its exponent is nonzero: at theta = 0 or pi it is 0/0
+        on = ra != 0.0
+        if isinstance(on, np.ndarray) or on:
+            g = _where(on, g + ra / np.tan(half), g)
+            gp = _where(on, gp - 0.5 * ra / np.sin(half) ** 2, gp)
+        on = rb != 0.0
+        if isinstance(on, np.ndarray) or on:
+            g = _where(on, g - rb * np.tan(half), g)
+            gp = _where(on, gp - 0.5 * rb / np.cos(half) ** 2, gp)
     return g, gp
 
 
-def _refine_newton(ra, rb, coef, lo, hi) -> np.ndarray:
-    """Maxima of |e| inside brackets [lo, hi], where g = d/dtheta ln|e| falls through 0."""
-    return _bracketed_newton(partial(_log_error_slope, ra, rb, coef), lo, hi, 1.0, 3e-16, 50)
+def _where(on, new, old):
+    """``new`` where ``on``, else ``old``; ``on`` is one flag or one per point."""
+    return np.where(on, new, old) if isinstance(on, np.ndarray) else new if on else old
+
+
+def _refine_newton(cells: _Cells, blocks, counts, coefs, lo, hi) -> np.ndarray:
+    """Maxima of |e| inside brackets [lo, hi], where g = d/dtheta ln|e| falls through 0.
+
+    The brackets come in consecutive blocks, ``counts[i]`` of them for the
+    cell ``blocks[i]``; each cell's Newton stops on its own step.
+    """
+    slope = partial(_log_error_slope, cells, blocks, counts, coefs[blocks])
+    return _bracketed_newton(slope, lo, hi, 1.0, 3e-16, 50, counts)
 
 
 def _alternating_prune(cand_t, cand_e, floor: float):
@@ -239,8 +341,7 @@ def _alternating_prune(cand_t, cand_e, floor: float):
     order = np.argsort(cand_t)
     keep_t: list[float] = []
     keep_e: list[float] = []
-    for o in order:
-        t_, e_ = float(cand_t[o]), float(cand_e[o])
+    for t_, e_ in zip(cand_t[order].tolist(), cand_e[order].tolist()):
         if abs(e_) < floor:
             continue
         if keep_e and (e_ > 0) == (keep_e[-1] > 0):
@@ -254,36 +355,63 @@ def _alternating_prune(cand_t, cand_e, floor: float):
 
 def _pick_window(ke: np.ndarray, count: int) -> int:
     """Start of the `count`-wide window containing argmax|e| with largest min|e|."""
-    star = int(np.argmax(np.abs(ke)))
+    ae = np.abs(ke)
+    star = int(np.argmax(ae))
     best_s0 = None
     best_min = -1.0
     for s0 in range(max(0, star - count + 1), min(star, len(ke) - count) + 1):
-        wmin = float(np.min(np.abs(ke[s0 : s0 + count])))
+        wmin = float(np.min(ae[s0 : s0 + count]))
         if wmin > best_min:
             best_min, best_s0 = wmin, s0
     return best_s0
 
 
-def _solve_leveled_theta(ra, rb, n, tref, signs, lead):
-    """Least free coefficients + levelled h on the reference, in theta variables.
+def _level(cells: _Cells, live, tref, signs, n: int, lead: float):
+    """Least free coefficients + levelled h on each cell's reference, in theta variables.
 
-    The matrix takes the compensated cosines of :func:`_cos_sin_k`, as the
-    extremum step does.  With plain ``cos(k * theta)`` here, 12 of 41 sample
-    problems at n = 100 to 400 stayed above the 1e-12 certificate; with
-    compensated ones all 41 certify.
+    Row i of ``tref`` and ``signs`` is the reference of cell ``live[i]``.
+    Returns the coefficients (one row per cell, the implied leader last), h,
+    and the :class:`DegeneracyError` of each row whose system is singular.
+    All systems go through one stacked solve, which rounds each as a solve
+    of its own would.  The matrix takes the compensated cosines of
+    :func:`_cos_sin_k`, as the extremum step does.  With plain
+    ``cos(k * theta)`` here, 12 of 41 sample problems at n = 100 to 400
+    stayed above the 1e-12 certificate; with compensated ones all 41 certify.
     """
-    wr = _weight_theta(ra, rb, tref)
-    Tn, _ = _cos_sin_k(tref, n)
-    A = np.empty((n + 1, n + 1))
-    A[:, :n] = wr[:, None] * Tn[:, :n]
-    A[:, n] = -signs
-    rhs = -wr * lead * Tn[:, n]
+    rows = len(live)
+    points = tref.ravel()
+    wr = cells.weight(points, live, n + 1).reshape(rows, n + 1)
+    Tn = _cos_sin_k(points, n)[0].reshape(rows, n + 1, n + 1)
+    A = np.empty((rows, n + 1, n + 1))
+    A[:, :, :n] = wr[:, :, None] * Tn[:, :, :n]
+    A[:, :, n] = -signs
+    rhs = -wr * lead * Tn[:, :, n]
+    errors = {}
     try:
-        sol = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError(f"leveled system is singular: {exc}") from exc
-    coef = np.concatenate((sol[:n], [lead]))
-    return coef, float(sol[n])
+        # one system alone takes numpy's cheaper vector form, which rounds alike
+        if rows == 1:
+            sol = np.linalg.solve(A[0], rhs[0])[None]
+        else:
+            sol = np.linalg.solve(A, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        sol = np.zeros((rows, n + 1))
+        for i in range(rows):
+            try:
+                sol[i] = np.linalg.solve(A[i], rhs[i])
+            except np.linalg.LinAlgError as exc:
+                errors[i] = DegeneracyError(f"leveled system is singular: {exc}")
+                errors[i].__cause__ = exc
+    coef = np.empty((rows, n + 1))
+    coef[:, :n] = sol[:, :n]
+    coef[:, n] = lead
+    return coef, sol[:, n], errors
+
+
+def _grid_cosines(theta: np.ndarray, degree: int) -> np.ndarray:
+    """cos(k theta) for k <= degree, one row per grid point."""
+    cos_k = np.outer(theta, np.arange(degree + 1))
+    np.cos(cos_k, out=cos_k)  # in place: at n = 400 each copy is 39 MB
+    return cos_k
 
 
 def _remez_grid(ra: float, rb: float, size: int, degree: int):
@@ -295,41 +423,139 @@ def _remez_grid(ra: float, rb: float, size: int, degree: int):
     grid local maximum, bracketed by its neighbours.
     """
     theta, wgrid, step = _tail_grid(ra, rb, size)
-    cos_k = np.outer(theta, np.arange(degree + 1))
-    np.cos(cos_k, out=cos_k)  # in place: at n = 400 each copy is 39 MB
-    return theta, wgrid, cos_k, step
+    return theta, wgrid, _grid_cosines(theta, degree), step
 
 
-def _extremum_step(ra, rb, coef, theta, step, e, certify: bool, floor: float):
-    """Alternating extrema of the error w p from its samples ``e`` on the grid ``theta``.
+class _Grids:
+    """The Remez grids of a batch of cells, with one cosine matrix per distinct grid.
 
-    ``theta`` is a grid of :func:`_remez_grid` with uniform step ``step``.
-    Grid local maxima of |e|, tail points included, are refined by bracketed
-    Newton on the log-derivative (certified) or by one parabolic step
-    (cheap); the parabola needs a full step on either side, so a point next
-    to a tail point keeps its grid value in the cheap phase.  A point keeps
-    its grid value where refinement lowered |e|.  An endpoint is a candidate
-    where the weight does not vanish.  Returns (theta, e) of the max-|e|
-    point of each sign run, ignoring errors below ``floor``.
+    :meth:`join` lays the grids of some of the cells end to end, grouped by
+    grid, for the elementwise steps, and evaluates their errors.
     """
-    ae = np.abs(e)
-    idx = np.nonzero((ae[1:-1] >= ae[:-2]) & (ae[1:-1] >= ae[2:]))[0] + 1
+
+    def __init__(self, cells: _Cells, size: int, degree: int):
+        self.theta, self.weight, self.cosines = [], [], []
+        self.kind = np.empty(len(cells.weights), dtype=int)
+        seen: dict[bytes, int] = {}
+        for i, w in enumerate(cells.weights):
+            theta, wgrid, self.step = _tail_grid(w.rho_a, w.rho_b, size)
+            key = theta.tobytes()
+            if key not in seen:
+                seen[key] = len(self.cosines)
+                self.cosines.append(_grid_cosines(theta, degree))
+            self.kind[i] = seen[key]
+            self.theta.append(theta)
+            self.weight.append(wgrid)
+
+    def join(self, live: np.ndarray) -> "_Joined":
+        cells = live[np.argsort(self.kind[live], kind="stable")]
+        sizes = np.array([self.theta[i].size for i in cells])
+        last = np.cumsum(sizes) - 1
+        first = np.full(len(self.theta), -1)
+        end = np.full(len(self.theta), -1)
+        first[cells], end[cells] = last - sizes + 1, last
+        inner = np.ones(last[-1] + 1, dtype=bool)
+        inner[first[cells]] = inner[end[cells]] = False
+        runs, r0 = [], 0
+        for kind, group in groupby(self.kind[cells].tolist()):
+            r1 = r0 + len(list(group))
+            runs.append((self.cosines[kind], cells[r0:r1]))
+            r0 = r1
+        return _Joined(
+            step=self.step,
+            cells=cells,
+            theta=np.concatenate([self.theta[i] for i in cells]),
+            weight=np.concatenate([self.weight[i] for i in cells]),
+            cell=np.repeat(cells, sizes),
+            first=first,
+            last=end,
+            inner=inner,
+            runs=runs,
+        )
+
+
+@dataclass(frozen=True)
+class _Joined:
+    """The grids of the cells ``cells`` end to end: ``first`` and ``last`` give each cell's ends.
+
+    ``runs`` pairs each cosine matrix with the cells whose grid it samples.
+    """
+
+    step: float
+    cells: np.ndarray
+    theta: np.ndarray
+    weight: np.ndarray
+    cell: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    inner: np.ndarray
+    runs: list
+
+    def errors(self, coefs: np.ndarray) -> np.ndarray:
+        """The weighted error w p of each cell on its grid: one gemv per cell, stacked per grid."""
+        parts = [np.matmul(cos_k, coefs[run, :, None]).ravel() for cos_k, run in self.runs]
+        return (parts[0] if len(parts) == 1 else np.concatenate(parts)) * self.weight
+
+    def peaks(self, ae: np.ndarray) -> np.ndarray:
+        """Grid local maxima of ``ae``, each compared with neighbours of its own grid."""
+        return np.nonzero(self.inner[1:-1] & (ae[1:-1] >= ae[:-2]) & (ae[1:-1] >= ae[2:]))[0] + 1
+
+
+def _extremum_step(cells: _Cells, joined: _Joined, coefs, e, ae, peaks, chosen, certify, floor):
+    """Alternating extrema of the error w p of each cell in ``chosen`` from its samples ``e``.
+
+    ``e`` holds the errors on the grids ``joined``, ``ae`` their moduli and
+    ``peaks`` their grid local maxima, tail points included.  A maximum is
+    refined by bracketed Newton on the log-derivative where its cell's
+    ``certify`` is set, or else by one parabolic step; the parabola needs a
+    full step on either side, so a point next to a tail point keeps its grid
+    value in the cheap phase.  A point keeps its grid value where refinement
+    lowered |e|.  An endpoint is a candidate where the weight does not
+    vanish.  Yields each cell with the (theta, e) of the max-|e| point of
+    each sign run of its candidates, ignoring errors below the cell's
+    ``floor``.
+    """
+    idx = peaks
+    if chosen.size < joined.cells.size:
+        mine = np.zeros(len(cells.weights), dtype=bool)
+        mine[chosen] = True
+        idx = idx[mine[joined.cell[idx]]]
+    if chosen.size == 1:
+        order, sizes = chosen, np.array([idx.size])
+    else:
+        count = np.bincount(joined.cell[idx], minlength=len(cells.weights))
+        # cells by their number of maxima, so that equal blocks meet in _gemv_blocks
+        order = chosen[np.argsort(count[chosen], kind="stable")]
+        rank = np.empty(len(cells.weights), dtype=int)
+        rank[order] = np.arange(order.size)
+        idx = idx[np.argsort(rank[joined.cell[idx]], kind="stable")]
+        sizes = count[order]
+    theta, step = joined.theta, joined.step
     left, right = theta[idx - 1], theta[idx + 1]
-    if certify:
-        tr = _refine_newton(ra, rb, coef, left, right)
+    newton = certify[order]
+    if newton.all():
+        tr = _refine_newton(cells, order, sizes, coefs, left, right)
     else:
         d = _parabolic_shift(ae[idx - 1], ae[idx], ae[idx + 1], step)
         # a tail point, or a uniform point next to one, has a neighbour nearer than step
         tr = np.clip(theta[idx] + np.where(right - left > 1.75 * step, d, 0.0), 0.0, np.pi)
-    er = _signed_error_theta(ra, rb, coef, tr)
+        if newton.any():
+            at = np.repeat(newton, sizes)
+            tr[at] = _refine_newton(cells, order[newton], sizes[newton], coefs, left[at], right[at])
+    cos_k, _ = _cos_sin_k(tr, coefs.shape[1] - 1)
+    er = cells.weight(tr, order, sizes) * _gemv_blocks(cos_k, sizes, coefs[order])
     worse = np.abs(er) < ae[idx]
     cand_t = np.where(worse, theta[idx], tr)
     cand_e = np.where(worse, e[idx], er)
-    if ra == 0.0 and ae[0] >= ae[1]:
-        cand_t, cand_e = np.append(0.0, cand_t), np.append(e[0], cand_e)
-    if rb == 0.0 and ae[-1] >= ae[-2]:
-        cand_t, cand_e = np.append(cand_t, np.pi), np.append(cand_e, e[-1])
-    return _alternating_prune(cand_t, cand_e, floor)
+    ends = np.cumsum(sizes).tolist()
+    for i, a, b in zip(order.tolist(), [0] + ends, ends):
+        ct, ce = cand_t[a:b], cand_e[a:b]
+        w, first, last = cells.weights[i], joined.first[i], joined.last[i]
+        if w.rho_a == 0.0 and ae[first] >= ae[first + 1]:
+            ct, ce = np.append(0.0, ct), np.append(e[first], ce)
+        if w.rho_b == 0.0 and ae[last] >= ae[last - 1]:
+            ct, ce = np.append(ct, np.pi), np.append(ce, e[last])
+        yield i, *_alternating_prune(ct, ce, floor[i])
 
 
 def leveled_system(w: WeightParams, n: int, reference) -> tuple[MonicPolynomial, float]:
@@ -350,8 +576,10 @@ def leveled_system(w: WeightParams, n: int, reference) -> tuple[MonicPolynomial,
     tref = np.arccos(xref)[::-1]
     signs = (-1.0) ** np.arange(n + 1)
     lead = _implied_leading(n)
-    coef, h = _solve_leveled_theta(w.rho_a, w.rho_b, n, tref, signs, lead)
-    return MonicPolynomial(n, tuple(coef[:n])), abs(h)
+    coef, h, errors = _level(_Cells([w]), np.array([0]), tref[None], signs[None], n, lead)
+    if errors:
+        raise errors[0]
+    return MonicPolynomial(n, tuple(coef[0, :n])), abs(float(h[0]))
 
 
 def error_extrema(w: WeightParams, poly: MonicPolynomial, grid: int) -> list[tuple[float, float]]:
@@ -366,11 +594,14 @@ def error_extrema(w: WeightParams, poly: MonicPolynomial, grid: int) -> list[tup
     """
     if grid < 10 * max(poly.degree, 1):
         raise ValueError("grid must be at least 10 times the degree")
-    ra, rb = w.rho_a, w.rho_b
-    coef = poly.full_cheb_coeffs()
-    theta, wgrid, cos_k, step = _remez_grid(ra, rb, grid, poly.degree)
-    e = wgrid * (cos_k @ coef)
-    kt, ke = _extremum_step(ra, rb, coef, theta, step, e, True, 1e-15 * float(np.max(np.abs(e))))
+    cells, one = _Cells([w]), np.array([0])
+    joined = _Grids(cells, grid, poly.degree).join(one)
+    coefs = poly.full_cheb_coeffs()[None]
+    e = joined.errors(coefs)
+    ae = np.abs(e)
+    floor = np.array([1e-15 * float(np.max(ae))])
+    peaks = joined.peaks(ae)
+    [(_, kt, ke)] = _extremum_step(cells, joined, coefs, e, ae, peaks, one, one == 0, floor)
     if len(kt) < poly.degree + 1:
         raise ExchangeError(
             f"found {len(kt)} alternations, need {poly.degree + 1}; grid too coarse"
@@ -423,69 +654,149 @@ def solve(
     defect is below max(1e-8, 10 * tolerance), or the reference stops
     moving, the iteration redoes the same reference in the certified phase,
     the step of :func:`error_extrema`, which every later iteration keeps.  A
-    certified defect within ``tolerance`` returns the solution.
+    certified defect within ``tolerance`` returns the solution.  This is
+    :func:`solve_many` on one weight.
     """
+    # the loop by its private name: a tracer of the public functions sees one span
+    (out,) = _lockstep([w], n, tolerance, max_iter)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def solve_many(
+    weights,
+    n: int,
+    *,
+    tolerance: float = 1e-12,
+    max_iter: int = 60,
+) -> list:
+    """:func:`solve` for each of ``weights`` at degree n, in one lockstep Remez loop.
+
+    Returns, in the order of ``weights``, what ``solve(w, n)`` returns for
+    each weight, or the :class:`ConvergenceError`, :class:`DegeneracyError` or
+    :class:`ExchangeError` it raises, bit for bit: the batch shares the
+    elementwise steps, but no weight's arithmetic depends on the others.
+    Each cell takes its own iterations, phases and Newton steps, and drops
+    out of the loop once it is solved or fails.
+    """
+    return _lockstep(weights, n, tolerance, max_iter)
+
+
+def _lockstep(weights, n: int, tolerance: float, max_iter: int) -> list:
     if n < 1:
         raise ValueError("degree must be at least 1")
     if tolerance <= 0.0 or max_iter < 1:
         raise ValueError("tolerance and max_iter must be positive")
-    ra, rb = w.rho_a, w.rho_b
-    tgrid, wgrid, cos_k, step = _remez_grid(ra, rb, 30 * n + 200, n)
+    cells = _Cells(weights)
+    count = len(cells.weights)
+    out: list = [None] * count
+    if not count:
+        return out
+    grids = _Grids(cells, 30 * n + 200, n)
     lead = _implied_leading(n)
+    alternate = (-1.0) ** np.arange(n + 1)
 
-    tref = np.pi * np.arange(n + 1) / n
-    if ra > 0.0:
-        tref[0] = np.pi / (2 * n + 2)
-    if rb > 0.0:
-        tref[-1] = np.pi - np.pi / (2 * n + 2)
-    signs = (-1.0) ** np.arange(n + 1)
+    tref = np.tile(np.pi * np.arange(n + 1) / n, (count, 1))
+    tref[cells.ra > 0.0, 0] = np.pi / (2 * n + 2)
+    tref[cells.rb > 0.0, -1] = np.pi - np.pi / (2 * n + 2)
+    signs = np.tile(alternate, (count, 1))
+    certify = np.zeros(count, dtype=bool)
+    best: list[_Iterate | None] = [None] * count
+    cur: list[_Iterate | None] = [None] * count
+    live = list(range(count))
+    joined = grids.join(np.arange(count))
 
-    best: _Iterate | None = None
-    certify = False
-    for it in range(1, max_iter + 1):
-        if np.any(np.diff(np.cos(tref)[::-1]) <= 1e-14):
-            raise DegeneracyError(f"reference collapse at iteration {it}")
-        coef, h = _solve_leveled_theta(ra, rb, n, tref, signs, lead)
-        h = abs(h)
-        e = wgrid * (cos_k @ coef)
-        while True:
-            kt, ke = _extremum_step(ra, rb, coef, tgrid, step, e, certify, 1e-15 * h)
+    def exchange_step(chosen):
+        # one extremum step of the cells ``chosen``, and its exchange
+        for i, kt, ke in _extremum_step(cells, joined, coefs, e, ae, peaks, chosen, certify, floor):
             if len(kt) < n + 1:
-                raise ExchangeError(
+                w = cells.weights[i]
+                out[i] = ExchangeError(
                     f"found {len(kt)} alternations, need {n + 1} "
-                    f"(rho_a={ra}, rho_b={rb}, n={n}, iteration {it})"
+                    f"(rho_a={w.rho_a}, rho_b={w.rho_b}, n={n}, iteration {it})"
                 )
+                continue
             E = float(np.max(np.abs(ke)))
-            cur = _Iterate(coef, tref, E, it, (E - h) / E)
-            if best is None or cur.defect < best.defect:
-                best = cur
+            cur[i] = _Iterate(coefs[i], tref[i], E, it, (E - float(h[i])) / E)
+            if best[i] is None or cur[i].defect < best[i].defect:
+                best[i] = cur[i]
             s0 = _pick_window(ke, n + 1)
-            new_tref = kt[s0 : s0 + n + 1]
-            stalled = np.max(np.abs(new_tref - tref)) <= 1e-14
-            if certify or not (stalled or cur.defect <= max(1e-8, 10.0 * tolerance)):
-                break
-            certify = True  # redo this reference with certified extrema
+            new_tref[i] = kt[s0 : s0 + n + 1]
+            up[i] = ke[s0] > 0
+            stalled[i] = bool(np.max(np.abs(new_tref[i] - tref[i])) <= 1e-14)
 
-        if certify and cur.defect <= tolerance:
-            return _package(w, n, cur)
-        if stalled:
-            # the certified reference has stopped moving above tolerance:
-            # further exchanges cannot improve the iterate
-            raise ConvergenceError(
-                f"reference stalled at defect {cur.defect:.3e} > {tolerance:.1e} "
-                f"(rho_a={ra}, rho_b={rb}, n={n}, iteration {it})",
-                _package(w, n, best),
-                best.defect,
-            )
+    for it in range(1, max_iter + 1):
+        rows = np.array(live)
+        # the reference in x, ascending, must not collapse
+        x = np.cos(tref[rows] if len(live) < count else tref)
+        collapsed = (x[:, :-1] - x[:, 1:] <= 1e-14).any(axis=1)
+        if collapsed.any():
+            for i in rows[collapsed]:
+                out[i] = DegeneracyError(f"reference collapse at iteration {it}")
+            live, rows = [i for i in live if out[i] is None], rows[~collapsed]
+        levelled, h_live, singular = _level(cells, live, tref[rows], signs[rows], n, lead)
+        for row, exc in singular.items():
+            out[live[row]] = exc
+        if len(live) == count:
+            coefs, h = levelled, np.abs(h_live)
+        else:
+            coefs, h = np.zeros((count, n + 1)), np.zeros(count)
+            coefs[live], h[live] = levelled, np.abs(h_live)
+        live = [i for i in live if out[i] is None]
+        if not live:
+            return out
+        if len(live) < joined.cells.size:
+            joined = grids.join(np.array(live))
+        e = joined.errors(coefs)
+        ae = np.abs(e)
+        peaks = joined.peaks(ae)
+        floor = 1e-15 * h
+        new_tref = tref.copy()
+        up, stalled = [False] * count, [False] * count
+        exchange_step(joined.cells)
+        # redo the reference with certified extrema once the cheap phase levels it
+        redo = [
+            i
+            for i in live
+            if out[i] is None
+            and not certify[i]
+            and (stalled[i] or cur[i].defect <= max(1e-8, 10.0 * tolerance))
+        ]
+        if redo:
+            certify[redo] = True
+            exchange_step(np.array(redo))
+
+        for i in live:
+            if out[i] is not None:
+                continue
+            w = cells.weights[i]
+            if certify[i] and cur[i].defect <= tolerance:
+                out[i] = _package(w, n, cur[i])
+            elif stalled[i]:
+                # the certified reference has stopped moving above tolerance:
+                # further exchanges cannot improve the iterate
+                out[i] = ConvergenceError(
+                    f"reference stalled at defect {cur[i].defect:.3e} > {tolerance:.1e} "
+                    f"(rho_a={w.rho_a}, rho_b={w.rho_b}, n={n}, iteration {it})",
+                    _package(w, n, best[i]),
+                    best[i].defect,
+                )
+        live = [i for i in live if out[i] is None]
+        if not live:
+            return out
         tref = new_tref
-        signs = (1.0 if ke[s0] > 0 else -1.0) * (-1.0) ** np.arange(n + 1)
+        signs = np.where(up, 1.0, -1.0)[:, None] * alternate
 
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations "
-        f"(rho_a={ra}, rho_b={rb}, n={n}, best defect {best.defect:.3e})",
-        _package(w, n, best),
-        best.defect,
-    )
+    for i, w in enumerate(cells.weights):
+        if out[i] is None:
+            out[i] = ConvergenceError(
+                f"no convergence after {max_iter} iterations "
+                f"(rho_a={w.rho_a}, rho_b={w.rho_b}, n={n}, best defect {best[i].defect:.3e})",
+                _package(w, n, best[i]),
+                best[i].defect,
+            )
+    return out
 
 
 def _package(w: WeightParams, n: int, state: _Iterate) -> ChebyshevSolution:

@@ -247,7 +247,7 @@ def _polish_peaks(f, t, y, step, rounds: int, shrink: float):
     return y
 
 
-def _bracketed_newton(f, lo, hi, sign_lo, tol: float, max_steps: int) -> np.ndarray:
+def _bracketed_newton(f, lo, hi, sign_lo, tol: float, max_steps: int, counts=None) -> np.ndarray:
     """Safeguarded Newton on f = 0 inside brackets [lo, hi], where f has sign ``sign_lo`` at lo.
 
     ``f`` maps points to (value, derivative); a step that leaves the shrinking
@@ -257,11 +257,26 @@ def _bracketed_newton(f, lo, hi, sign_lo, tol: float, max_steps: int) -> np.ndar
     it could otherwise be met only by collapsing its bracket, or once it
     returned to its iterate of two steps before: rounding noise in f can hold
     Newton in a 2-cycle a few ulp wide.  Stops once every point is done.
+
+    With ``counts`` the points form consecutive blocks of those sizes, each a
+    problem of its own: a block stops once its own points are done, with the
+    result it would have alone, and ``f`` is called as ``f(x, live)`` with the
+    points of the blocks ``live`` (indices into ``counts``) still running.
     """
     x = 0.5 * (lo + hi)
     prev = np.full_like(x, np.nan)
+    out = np.empty_like(x)
+    if counts is None:
+        counts, call = np.array([x.size]), lambda t, live: f(t)
+    else:
+        counts, call = np.asarray(counts), f
+    # a block without points is done at once
+    live = np.flatnonzero(counts)
+    starts = np.cumsum(counts[live]) - counts[live]
+    at = np.arange(x.size)  # where the running points go in the result
+    sign_lo = np.asarray(sign_lo, dtype=float)
     for _ in range(max_steps):
-        v, dv = f(x)
+        v, dv = call(x, live)
         same = np.sign(v) == sign_lo
         lo = np.where(same, x, lo)
         hi = np.where(same, hi, x)
@@ -270,10 +285,23 @@ def _bracketed_newton(f, lo, hi, sign_lo, tol: float, max_steps: int) -> np.ndar
         bad = ~np.isfinite(xn) | (xn < lo) | (xn > hi)
         xn = np.where(v == 0.0, x, np.where(bad, 0.5 * (lo + hi), xn))
         settled = np.abs(xn - x) <= np.maximum(tol, 2.0 * np.spacing(np.abs(x)))
-        if np.all(settled | (xn == prev)):
-            return xn
+        busy = ~(settled | (xn == prev))
+        if not busy.any():
+            out[at] = xn
+            return out
+        if live.size > 1:
+            running = np.logical_or.reduceat(busy, starts)
+            if not running.all():
+                keep = np.repeat(running, counts[live])
+                out[at[~keep]] = xn[~keep]
+                live, at, x, xn = live[running], at[keep], x[keep], xn[keep]
+                lo, hi = lo[keep], hi[keep]
+                if sign_lo.ndim:
+                    sign_lo = sign_lo[keep]
+                starts = np.cumsum(counts[live]) - counts[live]
         prev, x = x, xn
-    return x
+    out[at] = x
+    return out
 
 
 def jacobi_zeros(p: JacobiParams, n: int) -> list[float]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from widomlab.bounds import asymptote, weight_sup_bound
-from widomlab.minimax import solve
+from widomlab.minimax import solve, solve_many
 from widomlab.special import WeightParams
 
 __all__ = [
@@ -44,6 +44,10 @@ _OUTER_R2 = 1.184 / 8.0
 
 # relative tolerance below which a step of a Widom sequence counts as flat
 _CLASSIFY_TOL = 1e-9
+
+# triangle cells a scan solves in one lockstep batch; a fixed size keeps the
+# work items the same for any worker count and bounds the batch's arrays
+_SCAN_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -151,11 +155,12 @@ def widom_factor(w: WeightParams, n: int) -> float:
     return solve(w, n).widom
 
 
-def widom_sequence(w: WeightParams, n_max: int) -> WidomSequence:
-    """Compute ``W_1 .. W_{n_max}`` and classify the resulting sequence."""
+def _check_n_max(n_max: int) -> None:
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    values = tuple(widom_factor(w, n) for n in range(1, n_max + 1))
+
+
+def _sequence(w: WeightParams, values: tuple[float, ...]) -> WidomSequence:
     return WidomSequence(
         weight=w,
         n_start=1,
@@ -165,19 +170,47 @@ def widom_sequence(w: WeightParams, n_max: int) -> WidomSequence:
     )
 
 
-def _scan_cell(task: tuple[float, float, int]) -> ScanCell:
-    rho_a, rho_b, n_max = task
-    w = WeightParams(rho_a, rho_b)
+def widom_sequence(w: WeightParams, n_max: int) -> WidomSequence:
+    """Compute ``W_1 .. W_{n_max}`` and classify the resulting sequence."""
+    _check_n_max(n_max)
+    return _sequence(w, tuple(widom_factor(w, n) for n in range(1, n_max + 1)))
+
+
+def _failed_cell(w: WeightParams, exc: Exception) -> ScanCell:
+    error = f"{type(exc).__name__}: {exc}"
+    return ScanCell(weight=w, values=(), classification="Failed", error=error)
+
+
+def _scan_chunk(task: tuple[list[WeightParams], int]) -> list[ScanCell]:
+    """The cells of ``weights``, each equal to its ``widom_sequence`` bit for bit.
+
+    One :func:`solve_many` call per degree solves the cells still standing;
+    a cell drops out at its first failure and keeps that error.
+    """
+    weights, n_max = task
     try:
-        seq = widom_sequence(w, n_max)
-    except Exception as exc:  # record per-cell failure, keep scanning
-        return ScanCell(
-            weight=w,
-            values=(),
-            classification="Failed",
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    return ScanCell(weight=w, values=seq.values, classification=seq.classification)
+        _check_n_max(n_max)
+    except ValueError as exc:
+        return [_failed_cell(w, exc) for w in weights]
+    values: list[list[float]] = [[] for _ in weights]
+    errors: list[Exception | None] = [None] * len(weights)
+    standing = list(range(len(weights)))
+    for n in range(1, n_max + 1):
+        results = solve_many([weights[i] for i in standing], n)
+        for i, res in zip(standing, results):
+            if isinstance(res, Exception):
+                errors[i] = res
+            else:
+                values[i].append(res.widom)
+        standing = [i for i in standing if errors[i] is None]
+    cells = []
+    for w, vals, exc in zip(weights, values, errors):
+        if exc is None:
+            seq = _sequence(w, tuple(vals))
+            cells.append(ScanCell(weight=w, values=seq.values, classification=seq.classification))
+        else:
+            cells.append(_failed_cell(w, exc))
+    return cells
 
 
 def _mirror_cell(twin: ScanCell) -> ScanCell:
@@ -206,8 +239,12 @@ def scan(
     The reflection x -> -x swaps the exponents of the weight and maps the
     monic minimizer ``p(x)`` to ``(-1)**n p(-x)``, so ``W_n(a, b) = W_n(b, a)``.
     Only the ``resolution * (resolution + 1) / 2`` cells with
-    ``rho_a <= rho_b`` are solved, as independent work items; with
-    ``workers > 1`` they run in a process pool.  Every cell with
+    ``rho_a <= rho_b`` are solved, in fixed chunks of up to 256 cells; each
+    chunk advances all its cells at one degree together in one lockstep
+    Remez loop (:func:`widomlab.minimax.solve_many`), degree after degree, and
+    with ``workers > 1`` the chunks run in a process pool.  Each cell equals
+    its own ``widom_sequence`` bit for bit, whatever the chunking or the
+    worker count.  Every cell with
     ``rho_a > rho_b`` copies the values, label and error of its twin.
     Results are gathered by grid index, so the classification matrix is
     deterministic regardless of execution order.  A solver failure is
@@ -221,13 +258,15 @@ def scan(
     points = [float(v) for v in np.linspace(lo, hi, resolution)]
     # the grid ascends, so i_a <= i_b is rho_a <= rho_b
     triangle = [(i_a, i_b) for i_b in range(resolution) for i_a in range(i_b + 1)]
-    tasks = [(points[i_a], points[i_b], n_max) for i_a, i_b in triangle]
+    weights = [WeightParams(points[i_a], points[i_b]) for i_a, i_b in triangle]
+    tasks = [(weights[c : c + _SCAN_CHUNK], n_max) for c in range(0, len(weights), _SCAN_CHUNK)]
     start = time.perf_counter()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = dict(zip(triangle, pool.map(_scan_cell, tasks, chunksize=8)))
+            chunks = list(pool.map(_scan_chunk, tasks))
     else:
-        solved = dict(zip(triangle, map(_scan_cell, tasks)))
+        chunks = list(map(_scan_chunk, tasks))
+    solved = dict(zip(triangle, (cell for chunk in chunks for cell in chunk)))
     cells = tuple(
         solved[i_a, i_b] if i_a <= i_b else _mirror_cell(solved[i_b, i_a])
         for i_b in range(resolution)

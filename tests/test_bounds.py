@@ -120,6 +120,20 @@ def test_m_bound_deficit_shrinks_like_one_over_n():
         assert abs(d1 - lim * abs(c2) / 2000.0) < 0.05 * d1
 
 
+def test_m_bound_converges_at_the_c2_rate():
+    # M_n - limit = limit * c2 / (2n) + O(1/n^2), the rate that puts
+    # criterion 3's 1e-4 gate at n = 1000 out of reach; on the sweep's grid
+    # off its four corners, where c2 = 0 and M_n is flat (measured worst:
+    # 1.20e-3 at n = 1000, 1.24e-4 at n = 10^4)
+    for n, tol in ((1000, 2e-3), (10**4, 2e-4)):
+        for p in grid9():
+            if abs(p.alpha) == 0.5 and abs(p.beta) == 0.5:
+                continue
+            lim = asymptote(param_to_weight(p))
+            rate = (m_bound(p, n) - lim) * 2 * n / (lim * c_coeffs(p)[2])
+            assert abs(rate - 1.0) <= tol, (p, n, rate)
+
+
 def test_m_monotone_reports_worst_drop():
     report = verify_m_monotone(n_max=60, samples=3, limit_tol=0.1)
     drops = []

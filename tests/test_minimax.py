@@ -17,16 +17,17 @@ from widomlab.minimax import (
     ExchangeError,
     MonicPolynomial,
     _cheb_eval_012,
+    _cos_sin_k,
     _remez_grid,
-    _signed_error_theta,
     _theta_eval,
     error_extrema,
     exchange,
     leveled_system,
     solve,
+    solve_many,
     weight_eval,
 )
-from widomlab.special import WeightParams, _theta_grid
+from widomlab.special import WeightParams, _theta_grid, _weight_theta
 
 
 def dense_weighted_max(w: WeightParams, poly: MonicPolynomial, samples: int = 200001) -> float:
@@ -188,15 +189,72 @@ def test_alternation_certificate_random_weights():
 def test_certificate_routes_agree(ra, rb, n):
     # the norm is the solver's own certified step, so error_extrema on the
     # solver's grid reproduces it; the levelled system on the returned
-    # reference reproduces |h|; the mirrored weight x -> -x gives the same norm
+    # reference reproduces |h|, which de la Vallee-Poussin puts at most at
+    # the norm, and the error alternates in sign there; the mirrored weight
+    # x -> -x gives the same norm
     w = WeightParams(ra, rb)
     sol = solve(w, n)
     emax = max(abs(e) for _, e in error_extrema(w, sol.poly, 30 * n + 200))
     assert abs(emax - sol.norm) <= 1e-15 * sol.norm
     _, h = leveled_system(w, n, sol.reference)
     assert abs(h - sol.norm) <= 1e-12 * sol.norm
+    x = np.array(sol.reference)
+    signs = np.sign(weight_eval(w, x) * sol.poly(x))
+    assert np.all(signs[:-1] * signs[1:] == -1.0)
     mirrored = solve(WeightParams(rb, ra), n)
     assert abs(mirrored.norm - sol.norm) <= 2e-12 * sol.norm
+
+
+def _bits(out):
+    """Every field of a solve's result, floats as hex: a solution, or an error and its best iterate."""
+    if isinstance(out, Exception):
+        return type(out).__name__, str(out), _bits(getattr(out, "best", None) or ())
+    if out == ():
+        return ()
+    floats = (out.norm, out.levelling_defect, *out.poly.cheb_coeffs, *out.reference)
+    return out.weight, out.iterations, tuple(v.hex() for v in floats)
+
+
+# at n = 20: (0, 0) stops after 1 iteration, the rest after 5 to 7, except
+# (2, 2) and (20, 0), which find too few alternations at iteration 1
+_BATCH = ((0.0, 0.3), (0.2, 0.5), (2.0, 2.0), (0.0, 0.0), (1.3, 0.7), (20.0, 0.0), (0.0, 1e-9), (0.6, 0.1))
+
+
+@pytest.mark.parametrize(
+    "max_iter, outcomes",
+    [
+        (60, {"ChebyshevSolution", "ExchangeError"}),
+        (5, {"ChebyshevSolution", "ExchangeError", "ConvergenceError"}),
+    ],
+)
+def test_solve_many_is_each_single_solve(max_iter, outcomes):
+    # a weight's result does not depend on the batch around it, in any bit
+    weights = [WeightParams(ra, rb) for ra, rb in _BATCH]
+    alone = []
+    for w in weights:
+        try:
+            alone.append(solve(w, 20, max_iter=max_iter))
+        except (ConvergenceError, ExchangeError, DegeneracyError) as exc:
+            alone.append(exc)
+    batch = solve_many(weights, 20, max_iter=max_iter)
+    assert [_bits(out) for out in batch] == [_bits(out) for out in alone]
+    assert {type(out).__name__ for out in batch} == outcomes
+    backwards = solve_many(weights[::-1], 20, max_iter=max_iter)[::-1]
+    assert [_bits(out) for out in backwards] == [_bits(out) for out in alone]
+    assert solve_many([], 20) == []
+    with pytest.raises(ValueError):
+        solve_many(weights, 0)
+
+
+def test_batch_weight_is_each_weight_alone():
+    # numpy's power rounds the scalar exponents 0.5, 2 and -1 on a fast path
+    # of its own, so a batch applies each distinct exponent as a scalar
+    pairs = ((0.5, 2.0), (0.0, 0.5), (2.0, 0.3), (0.3, 0.0), (1.0, 1.0), (0.5, 0.5))
+    cells = minimax._Cells([WeightParams(ra, rb) for ra, rb in pairs])
+    theta = np.random.default_rng(11).uniform(0.0, np.pi, 600)
+    got = cells.weight(theta, np.arange(len(pairs)), 100)
+    for (ra, rb), block, at in zip(pairs, np.split(theta, len(pairs)), np.split(got, len(pairs))):
+        assert np.array_equal(at, _weight_theta(ra, rb, block))
 
 
 def test_certified_phase_does_not_use_an_iteration():
@@ -261,8 +319,9 @@ def _endpoint_scan(w: WeightParams, poly: MonicPolynomial, side: int, width: flo
     """Max |w p| on 200,001 log-spaced points 1e-18 to ``width`` from theta = 0 (+1) or pi (-1)."""
     u = np.exp(np.linspace(np.log(1e-18), np.log(width), 200001))
     theta = u if side > 0 else np.pi - u
-    coef = poly.full_cheb_coeffs()
-    return float(np.max(np.abs(_signed_error_theta(w.rho_a, w.rho_b, coef, theta))))
+    cos_k, _ = _cos_sin_k(theta, poly.degree)
+    e = _weight_theta(w.rho_a, w.rho_b, theta) * (cos_k @ poly.full_cheb_coeffs())
+    return float(np.max(np.abs(e)))
 
 
 def _endpoint_extremum(w: WeightParams, poly: MonicPolynomial, side: int) -> tuple[float, float]:
@@ -311,9 +370,9 @@ def test_tied_tail_points_are_not_refined(monkeypatch, ra, rb, n):
     refine = minimax._refine_newton
     refined = []
 
-    def counting(ra_, rb_, coef, lo, hi):
+    def counting(cells, blocks, counts, coefs, lo, hi):
         refined.append(lo.size)
-        return refine(ra_, rb_, coef, lo, hi)
+        return refine(cells, blocks, counts, coefs, lo, hi)
 
     monkeypatch.setattr(minimax, "_refine_newton", counting)
     sol = solve(WeightParams(ra, rb), n)

@@ -207,9 +207,9 @@ def test_bracketed_newton_stops_once_converged(monkeypatch):
     def counting(f, *args):
         calls = []
 
-        def g(x):
+        def g(x, *live):
             calls.append(1)
-            return f(x)
+            return f(x, *live)
 
         out = _bracketed_newton(g, *args)
         counts.append(len(calls))

@@ -133,14 +133,17 @@ def test_scan_workers_match_serial():
 
 
 def test_scan_solves_one_triangle(monkeypatch):
+    # the weights of each degree-1 batch: every cell a scan solves starts there
     solved = []
     real_sequence = widom.widom_sequence
+    real_solve_many = widom.solve_many
 
-    def counting_sequence(w, n_max):
-        solved.append(w)
-        return real_sequence(w, n_max)
+    def counting_solve_many(weights, n):
+        if n == 1:
+            solved.extend(weights)
+        return real_solve_many(weights, n)
 
-    monkeypatch.setattr(widom, "widom_sequence", counting_sequence)
+    monkeypatch.setattr(widom, "solve_many", counting_solve_many)
     resolution, n_max = 4, 5
     result = scan(rho_range=(0.1, 0.7), resolution=resolution, n_max=n_max)
     grid = result.grid_values()
@@ -158,15 +161,15 @@ def test_scan_solves_one_triangle(monkeypatch):
 
 def test_scan_mirrors_a_failed_cell(monkeypatch):
     solved = []
-    real_solve = widom.solve
+    real_solve_many = widom.solve_many
 
-    def failing_solve(w, n):
-        solved.append(w)
-        if w == WeightParams(0.2, 0.4):
-            raise ConvergenceError("forced failure", None, 1.0)
-        return real_solve(w, n)
+    def failing_solve_many(weights, n):
+        solved.extend(weights)
+        forced = ConvergenceError("forced failure", None, 1.0)
+        results = real_solve_many(weights, n)
+        return [forced if w == WeightParams(0.2, 0.4) else r for w, r in zip(weights, results)]
 
-    monkeypatch.setattr(widom, "solve", failing_solve)
+    monkeypatch.setattr(widom, "solve_many", failing_solve_many)
     result = scan(rho_range=(0.0, 0.4), resolution=3, n_max=3)
     solved_cell, mirrored = result.cell(1, 2), result.cell(2, 1)
     assert solved_cell.classification == mirrored.classification == "Failed"

@@ -14,17 +14,18 @@ written) plus two fixed sets of weights:
   the solver's grid.
 
 Every record holds the outcome (``solved`` or the solver error's type and
-message) and, as ``float.hex`` strings, the norm, Widom factor and levelling
-defect; the ``scan`` and ``pool`` records also hold the coefficients, the
-reference and the roots.  Each returned solution (and each error's best
+message) and, as ``float.hex`` strings, the norm, Widom factor, levelling
+defect, coefficients, reference and roots.  Each returned solution (and each error's best
 iterate) is re-checked in x by the bench's ``checks.recertify``: ``certified``
 means a returned solution whose re-checked defect is at most 1e-12, and
 ``wrong`` lists the returned solutions whose re-check tripped (signs that
 do not alternate, an overshoot above 1e-12 or a defect above 1e-9), and
 ``wrong_best`` the solver errors whose best iterate tripped it.  OUT gets the records and a
 summary as JSON.  With ``--against`` the summary also compares with a second
-dump: the certificates lost and gained, and the relative drift of the Widom
-factors and roots where both dumps solved.
+dump: the certificates lost and gained, the relative drift of the Widom
+factors and roots where both dumps solved, and per set the number of records
+that are bit-identical in every field.  Both dumps must come from the same
+version of this script, since it decides which fields a record holds.
 """
 
 from __future__ import annotations
@@ -94,10 +95,9 @@ def _survey_one(wl, checks, group: str, ra: float, rb: float, n: int) -> dict:
     rec["defect"] = sol.levelling_defect.hex()
     rec["recheck"] = _recheck(checks, sol, what)
     rec["certified"] = bool(rec["recheck"].get("certified", False))
-    if group in ("scan", "pool"):
-        rec["coef"] = _hexes(sol.poly.cheb_coeffs)
-        rec["reference"] = _hexes(sol.reference)
-        rec["roots"] = _hexes(sol.roots())
+    rec["coef"] = _hexes(sol.poly.cheb_coeffs)
+    rec["reference"] = _hexes(sol.reference)
+    rec["roots"] = _hexes(sol.roots())
     return rec
 
 
@@ -118,9 +118,12 @@ def _max_rel(one: list[str], two: list[str], scale: float = 0.0) -> float:
     return worst
 
 
+GROUPS = ("scan", "pool", "weights", "tiny")
+
+
 def summarize(records: list[dict]) -> dict:
     out = {}
-    for group in ("scan", "pool", "weights", "tiny"):
+    for group in GROUPS:
         recs = [r for r in records if r["group"] == group]
         out[group] = {
             "solves": len(recs),
@@ -133,17 +136,18 @@ def summarize(records: list[dict]) -> dict:
 
 
 def compare(records: list[dict], other: list[dict]) -> dict:
-    """Certificates lost and gained against ``other``, and drift where both solved."""
+    """Certificates lost and gained against ``other``, drift where both solved, and
+    per set the records equal to ``other``'s in every field, out of those both dumps hold."""
     theirs = {_key(r): r for r in other}
     lost, gained = [], []
-    drift = {
-        "scan": {"widom": 0.0, "roots": 0.0, "identical": 0},
-        "pool": {"widom": 0.0, "roots": 0.0},
-    }
+    drift = {"scan": {"widom": 0.0, "roots": 0.0}, "pool": {"widom": 0.0, "roots": 0.0}}
+    identical = {group: [0, 0] for group in GROUPS}
     for rec in records:
         old = theirs.get(_key(rec))
         if old is None:
             continue
+        identical[rec["group"]][0] += rec == old
+        identical[rec["group"]][1] += 1
         if old["certified"] and not rec["certified"]:
             lost.append(_label(_key(rec)))
         if rec["certified"] and not old["certified"]:
@@ -155,9 +159,8 @@ def compare(records: list[dict], other: list[dict]) -> dict:
             d = drift[group]
             d["widom"] = max(d["widom"], _max_rel([rec["widom"]], [old["widom"]]))
             d["roots"] = max(d["roots"], _max_rel(rec["roots"], old["roots"], 1.0))
-            if group == "scan":
-                d["identical"] += rec["widom"] == old["widom"]
-    return {"lost": lost, "gained": gained, "drift": drift}
+    identical = {group: f"{same} of {both}" for group, (same, both) in identical.items()}
+    return {"lost": lost, "gained": gained, "drift": drift, "identical": identical}
 
 
 def main(argv=None) -> int:
