@@ -108,11 +108,10 @@ def circle_minimizer_from_interval(w: WeightParams, sol: ChebyshevSolution) -> C
     return CircleFunction(2.0 * ra - 1.0, 2.0 * rb - 1.0, RealPolynomial(tuple(coeffs)))
 
 
-def _circle_max(f, phi: np.ndarray, y: np.ndarray) -> float:
-    """Max of the periodic ``f`` from its samples ``y`` on a uniform grid ``phi`` of one period.
+def _circle_peaks(y: np.ndarray) -> np.ndarray:
+    """The local maxima of the samples ``y`` of one period, neighbours taken cyclically,
+    that can still reach the highest sample.
 
-    The local maxima of ``y``, with neighbours taken cyclically, that can
-    still reach the highest sample are polished by iterated parabolic steps.
     The parabola through a peak's three samples rises at most a quarter of
     the curvature term ``2 y - y_left - y_right`` above the middle one; a peak
     more than half that term below the highest sample cannot win and is
@@ -121,7 +120,13 @@ def _circle_max(f, phi: np.ndarray, y: np.ndarray) -> float:
     """
     yl, yh = np.roll(y, 1), np.roll(y, -1)
     reach = y + 0.5 * (2.0 * y - yl - yh)
-    idx = np.nonzero((y >= yl) & (y >= yh) & (reach >= np.max(y)))[0]
+    return np.nonzero((y >= yl) & (y >= yh) & (reach >= np.max(y)))[0]
+
+
+def _circle_max(f, phi: np.ndarray, y: np.ndarray) -> float:
+    """Max of the periodic ``f`` from its samples ``y`` on a uniform grid ``phi`` of one period:
+    its :func:`_circle_peaks`, polished by iterated parabolic steps."""
+    idx = _circle_peaks(y)
     top = _polish_peaks(f, phi[idx], y[idx], 2.0 * np.pi / len(phi), 30, 0.5)
     return float(np.max(top))
 
@@ -201,10 +206,17 @@ def erdos_lax_check(angles, exponents) -> tuple[float, float]:
         return absd, absf
 
     absd, absf = moduli(phi)
-    return (
-        _circle_max(lambda p: moduli(p)[0], phi, absd),
-        0.5 * float(np.sum(s)) * _circle_max(lambda p: moduli(p)[1], phi, absf),
-    )
+    # the peaks of |F'| and then those of |F|, polished together: moduli is elementwise
+    at_d, at_f = _circle_peaks(absd), _circle_peaks(absf)
+    split = at_d.size
+
+    def both(p: np.ndarray) -> np.ndarray:
+        d, f = moduli(p)
+        return np.concatenate((d[:split], f[split:]))
+
+    t, y = np.concatenate((phi[at_d], phi[at_f])), np.concatenate((absd[at_d], absf[at_f]))
+    top = _polish_peaks(both, t, y, 2.0 * np.pi / len(phi), 30, 0.5)
+    return float(np.max(top[:split])), 0.5 * float(np.sum(s)) * float(np.max(top[split:]))
 
 
 def polya_szego_combine(points) -> np.ndarray:

@@ -197,62 +197,72 @@ def _cos_sin_k(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return cos_k, sin_k
 
 
-def _gemv_blocks(M: np.ndarray, counts, coefs: np.ndarray) -> np.ndarray:
-    """``M[rows] @ coefs[i]`` for the i-th block of ``counts[i]`` consecutive rows of M.
+def _gemv_blocks(M: np.ndarray, counts, coefs: np.ndarray, widths) -> np.ndarray:
+    """``M[rows, :widths[i]] @ coefs[i, :widths[i]]`` for the i-th block of ``counts[i]`` rows of M.
 
-    Each block is a gemv of its own rows, rounded as a product of those rows
-    alone would be; blocks of equal size go through one stacked matmul.  One
-    tall gemv over several blocks rounds some rows differently.
+    Each block is a gemv of its own rows and width, copied out of M and
+    rounded as a product of those alone would be; blocks of equal size and
+    width go through one stacked matmul.  One tall gemv over several blocks
+    rounds some rows differently, and so can a strided one.
     """
-    if len(counts) == 1:
-        return M @ coefs[0]
+    if len(counts) == 1 and widths[0] == M.shape[1]:
+        return M @ coefs[0, : M.shape[1]]
     out = np.empty(M.shape[0])
-    sizes = [int(m) for m in counts]
+    sizes, widths = [int(m) for m in counts], [int(k) for k in widths]
     b0 = row = 0
     while b0 < len(sizes):
-        m, b1 = sizes[b0], b0 + 1
-        while b1 < len(sizes) and sizes[b1] == m:
+        m, k, b1 = sizes[b0], widths[b0], b0 + 1
+        while b1 < len(sizes) and (sizes[b1], widths[b1]) == (m, k):
             b1 += 1
         end = row + (b1 - b0) * m
-        block = M[row:end].reshape(b1 - b0, m, M.shape[1])
-        out[row:end] = np.matmul(block, coefs[b0:b1, :, None]).ravel()
+        block = np.ascontiguousarray(M[row:end, :k]).reshape(b1 - b0, m, k)
+        out[row:end] = np.matmul(block, np.ascontiguousarray(coefs[b0:b1, :k])[..., None]).ravel()
         b0, row = b1, end
     return out
 
 
-def _theta_eval(coef: np.ndarray, theta: np.ndarray, counts=None):
+def _theta_eval(coef: np.ndarray, theta: np.ndarray, counts=None, widths=None):
     """p, dp/dtheta and d2p/dtheta2 of a Chebyshev series at x = cos(theta), as trig sums.
 
     p = sum c_k cos(k theta), p_theta = -sum k c_k sin(k theta) and
     p_thetatheta = -sum k^2 c_k cos(k theta): a fixed number of numpy calls at
     any degree, where Clenshaw in x takes nine per degree.  With ``counts``,
-    ``coef`` holds one series per row and row i is evaluated at the i-th
+    ``coef`` holds one series per row, the first ``widths[i]`` entries of row
+    i (all of them without ``widths``), and row i is evaluated at the i-th
     block of ``counts[i]`` consecutive points.
     """
     if coef.ndim == 1:
         coef, counts = coef[None], [theta.size]
+    if widths is None:
+        widths = np.full(len(counts), coef.shape[1])
+    coef = coef[:, : widths.max(initial=1)]
     k = np.arange(coef.shape[1])
     cos_k, sin_k = _cos_sin_k(theta, coef.shape[1] - 1)
-    p = _gemv_blocks(cos_k, counts, coef)
-    return p, -_gemv_blocks(sin_k, counts, k * coef), -_gemv_blocks(cos_k, counts, k * k * coef)
+    gemv = partial(_gemv_blocks, counts=counts, widths=widths)
+    return gemv(cos_k, coefs=coef), -gemv(sin_k, coefs=k * coef), -gemv(cos_k, coefs=k * k * coef)
 
 
 class _Cells:
-    """A batch of weights solved side by side: their exponents, and their weight at any points.
+    """A batch of problems solved side by side: the weight ``weights[i]`` at degree ``deg[i]``.
 
-    Cell i is ``weights[i]``.  The methods take points in consecutive blocks,
-    ``sizes[j]`` points of the cell ``rows[j]``, and evaluate each point as
+    The methods take points in consecutive blocks, ``sizes[j]`` points of
+    the problem ``rows[j]``, and evaluate each point as
     :func:`special._weight_theta` would evaluate it alone, bit for bit.
     """
 
-    def __init__(self, weights):
+    def __init__(self, weights, degrees):
         self.weights = list(weights)
+        self.deg = np.broadcast_to(np.asarray(degrees, dtype=int), (len(self.weights),))
         self.ra = np.array([w.rho_a for w in self.weights], dtype=float)
         self.rb = np.array([w.rho_b for w in self.weights], dtype=float)
         self._exponents = [
             self._groups([w.rho_a for w in self.weights]),
             self._groups([w.rho_b for w in self.weights]),
         ]
+
+    def about(self, i: int) -> str:
+        w = self.weights[i]
+        return f"rho_a={w.rho_a}, rho_b={w.rho_b}, n={self.deg[i]}"
 
     @staticmethod
     def _groups(rhos):
@@ -299,11 +309,11 @@ def _log_error_slope(cells: _Cells, blocks, counts, coefs, theta, live):
     """g = d/dtheta ln|e| and g' for e(t) = w(cos t) p(cos t).
 
     The points come in the blocks ``live`` of ``blocks``: block j holds
-    ``counts[j]`` points of the cell ``blocks[j]``, whose series is ``coefs[j]``.
+    ``counts[j]`` points of the problem ``blocks[j]``, whose series is ``coefs[j]``.
     """
     if live.size < blocks.size:
         blocks, counts, coefs = blocks[live], counts[live], coefs[live]
-    p, pt, ptt = _theta_eval(coefs, theta, counts)
+    p, pt, ptt = _theta_eval(coefs, theta, counts, cells.deg[blocks] + 1)
     ra, rb = cells.exponent(0, blocks, counts), cells.exponent(1, blocks, counts)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = pt / p
@@ -330,55 +340,62 @@ def _refine_newton(cells: _Cells, blocks, counts, coefs, lo, hi) -> np.ndarray:
     """Maxima of |e| inside brackets [lo, hi], where g = d/dtheta ln|e| falls through 0.
 
     The brackets come in consecutive blocks, ``counts[i]`` of them for the
-    cell ``blocks[i]``; each cell's Newton stops on its own step.
+    problem ``blocks[i]``; each problem's Newton stops on its own step.
     """
     slope = partial(_log_error_slope, cells, blocks, counts, coefs[blocks])
     return _bracketed_newton(slope, lo, hi, 1.0, 3e-16, 50, counts)
 
 
-def _alternating_prune(cand_t, cand_e, floor: float):
-    """Sort by theta, drop near-zero errors, keep max-|e| point of each sign run."""
-    order = np.argsort(cand_t)
-    keep_t: list[float] = []
-    keep_e: list[float] = []
-    for t_, e_ in zip(cand_t[order].tolist(), cand_e[order].tolist()):
-        if abs(e_) < floor:
-            continue
-        if keep_e and (e_ > 0) == (keep_e[-1] > 0):
-            if abs(e_) > abs(keep_e[-1]):
-                keep_t[-1], keep_e[-1] = t_, e_
-        else:
-            keep_t.append(t_)
-            keep_e.append(e_)
-    return np.asarray(keep_t), np.asarray(keep_e)
+def _alternating(seg, t, e, floor, count: int):
+    """The max-|e| point of each sign run of each segment's points by ascending theta ``t``,
+    ignoring |e| below the segment's ``floor``; ties keep their given order.
 
-
-def _pick_window(ke: np.ndarray, count: int) -> int:
-    """Start of the `count`-wide window containing argmax|e| with largest min|e|."""
-    ae = np.abs(ke)
-    star = int(np.argmax(ae))
-    best_s0 = None
-    best_min = -1.0
-    for s0 in range(max(0, star - count + 1), min(star, len(ke) - count) + 1):
-        wmin = float(np.min(ae[s0 : s0 + count]))
-        if wmin > best_min:
-            best_min, best_s0 = wmin, s0
-    return best_s0
-
-
-def _level(cells: _Cells, live, tref, signs, n: int, lead: float):
-    """Least free coefficients + levelled h on each cell's reference, in theta variables.
-
-    Row i of ``tref`` and ``signs`` is the reference of cell ``live[i]``.
-    Returns the coefficients (one row per cell, the implied leader last), h,
-    and the :class:`DegeneracyError` of each row whose system is singular.
-    All systems go through one stacked solve, which rounds each as a solve
-    of its own would.  The matrix takes the compensated cosines of
-    :func:`_cos_sin_k`, as the extremum step does.  With plain
-    ``cos(k * theta)`` here, 12 of 41 sample problems at n = 100 to 400
-    stayed above the 1e-12 certificate; with compensated ones all 41 certify.
+    Returns the (theta, e) kept, segment after segment, and their number per segment.
     """
-    rows = len(live)
+    order = np.lexsort((t, seg))
+    keep = order[~(np.abs(e[order]) < floor[seg[order]])]
+    seg, t, e = seg[keep], t[keep], e[keep]
+    pos = e > 0
+    run = np.empty(e.size, dtype=bool)
+    run[:1] = True
+    run[1:] = (seg[1:] != seg[:-1]) | (pos[1:] != pos[:-1])
+    if not run.all():
+        # a stable sort by run, then by |e| descending, puts each run's first max first
+        at = np.lexsort((-np.abs(e), run.cumsum()))[run.nonzero()[0]]
+        seg, t, e = seg[at], t[at], e[at]
+    return t, e, np.bincount(seg, minlength=count)
+
+
+def _windows(ae: np.ndarray, sizes: np.ndarray, width: np.ndarray):
+    """The first max of each segment j of ``ae``, its ``sizes[j] >= width[j]`` entries, and
+    the start of the first ``width[j]``-wide window that holds it with the largest min:
+    both as indices into ``ae``.
+    """
+    base = sizes.cumsum() - sizes
+    star = np.lexsort((-ae, np.arange(sizes.size).repeat(sizes)))[base]
+    if (sizes == width).all():
+        return star, base
+    lo = np.maximum(base, star - width + 1)
+    span = np.minimum(star, base + sizes - width) - lo
+    # one row of window starts per segment, its last start repeated past its end
+    s = lo[:, None] + np.minimum(np.arange(span.max() + 1), span[:, None])
+    ends = np.stack((s, s + width[:, None]), axis=-1).ravel()
+    wmin = np.minimum.reduceat(np.concatenate((ae, [np.inf])), ends)[::2].reshape(s.shape)
+    return star, s[np.arange(s.shape[0]), wmin.argmax(axis=1)]
+
+
+def _level(cells: _Cells, live, tref, signs, n: int):
+    """Least free coefficients + levelled h on each problem's reference, in theta variables.
+
+    Row i of ``tref`` and ``signs`` is the reference of the degree-n problem
+    ``live[i]``.  Returns the coefficients (one row per problem, the implied
+    leader last), h, and the :class:`DegeneracyError` of each singular row.
+    One stacked solve rounds each system as a solve of its own would.  The
+    matrix takes the compensated cosines of :func:`_cos_sin_k`: with plain
+    ``cos(k * theta)``, 12 of 41 sample problems at n = 100 to 400 missed
+    the 1e-12 certificate; with compensated ones all 41 certify.
+    """
+    rows, lead = len(live), _implied_leading(n)
     points = tref.ravel()
     wr = cells.weight(points, live, n + 1).reshape(rows, n + 1)
     Tn = _cos_sin_k(points, n)[0].reshape(rows, n + 1, n + 1)
@@ -427,110 +444,100 @@ def _remez_grid(ra: float, rb: float, size: int, degree: int):
 
 
 class _Grids:
-    """The Remez grids of a batch of cells, with one cosine matrix per distinct grid.
+    """The Remez grids of a batch of problems, ``sizes[i]`` uniform points for problem i,
+    end to end and grouped by cosine matrix, one per distinct grid and degree.
 
-    :meth:`join` lays the grids of some of the cells end to end, grouped by
-    grid, for the elementwise steps, and evaluates their errors.
+    :meth:`join` keeps those of the problems ``cells`` for the elementwise
+    steps: ``theta`` and ``weight`` at each point, the ``first`` and ``last``
+    point of each problem's grid, the ``end`` of each grid in that order, and
+    as ``ends`` the problems whose weight does not vanish at theta = 0 and at pi.
     """
 
-    def __init__(self, cells: _Cells, size: int, degree: int):
-        self.theta, self.weight, self.cosines = [], [], []
-        self.kind = np.empty(len(cells.weights), dtype=int)
-        seen: dict[bytes, int] = {}
-        for i, w in enumerate(cells.weights):
-            theta, wgrid, self.step = _tail_grid(w.rho_a, w.rho_b, size)
-            key = theta.tobytes()
+    def __init__(self, cells: _Cells, sizes):
+        grids, self.cosines, seen = [], [], {}
+        self.kind, self.step = np.empty(len(cells.weights), dtype=int), np.empty(len(cells.weights))
+        self.open = (cells.ra == 0.0, cells.rb == 0.0)
+        for i, (w, size, n) in enumerate(zip(cells.weights, sizes, cells.deg.tolist())):
+            theta, wgrid, self.step[i] = _tail_grid(w.rho_a, w.rho_b, int(size))
+            key = (n, theta.tobytes())
             if key not in seen:
                 seen[key] = len(self.cosines)
-                self.cosines.append(_grid_cosines(theta, degree))
+                self.cosines.append(_grid_cosines(theta, n))
             self.kind[i] = seen[key]
-            self.theta.append(theta)
-            self.weight.append(wgrid)
+            grids.append((theta, wgrid))
+        self.order = np.argsort(self.kind, kind="stable")
+        self.size = np.array([theta.size for theta, _ in grids])
+        self.all_theta = np.concatenate([grids[i][0] for i in self.order])
+        self.all_weight = np.concatenate([grids[i][1] for i in self.order])
 
-    def join(self, live: np.ndarray) -> "_Joined":
-        cells = live[np.argsort(self.kind[live], kind="stable")]
-        sizes = np.array([self.theta[i].size for i in cells])
-        last = np.cumsum(sizes) - 1
-        first = np.full(len(self.theta), -1)
-        end = np.full(len(self.theta), -1)
-        first[cells], end[cells] = last - sizes + 1, last
-        inner = np.ones(last[-1] + 1, dtype=bool)
-        inner[first[cells]] = inner[end[cells]] = False
-        runs, r0 = [], 0
+    def join(self, live: np.ndarray) -> "_Grids":
+        on = np.isin(self.order, live)
+        self.cells = cells = self.order[on]
+        if cells.size == self.kind.size:
+            self.theta, self.weight = self.all_theta, self.all_weight
+        else:
+            points = np.repeat(on, self.size[self.order])
+            self.theta, self.weight = self.all_theta[points], self.all_weight[points]
+        self.end = np.cumsum(self.size[cells]) - 1
+        self.first, self.last = np.full(self.kind.size, -1), np.full(self.kind.size, -1)
+        self.first[cells], self.last[cells] = self.end - self.size[cells] + 1, self.end
+        self.ends = (cells[self.open[0][cells]], cells[self.open[1][cells]])
+        self.inner = np.ones(self.end[-1] + 1, dtype=bool)
+        self.inner[self.first[cells]] = self.inner[self.end] = False
+        # each cosine matrix with the problems whose grid it samples
+        self.runs, r0 = [], 0
         for kind, group in groupby(self.kind[cells].tolist()):
             r1 = r0 + len(list(group))
-            runs.append((self.cosines[kind], cells[r0:r1]))
+            self.runs.append((self.cosines[kind], cells[r0:r1]))
             r0 = r1
-        return _Joined(
-            step=self.step,
-            cells=cells,
-            theta=np.concatenate([self.theta[i] for i in cells]),
-            weight=np.concatenate([self.weight[i] for i in cells]),
-            cell=np.repeat(cells, sizes),
-            first=first,
-            last=end,
-            inner=inner,
-            runs=runs,
-        )
-
-
-@dataclass(frozen=True)
-class _Joined:
-    """The grids of the cells ``cells`` end to end: ``first`` and ``last`` give each cell's ends.
-
-    ``runs`` pairs each cosine matrix with the cells whose grid it samples.
-    """
-
-    step: float
-    cells: np.ndarray
-    theta: np.ndarray
-    weight: np.ndarray
-    cell: np.ndarray
-    first: np.ndarray
-    last: np.ndarray
-    inner: np.ndarray
-    runs: list
+        return self
 
     def errors(self, coefs: np.ndarray) -> np.ndarray:
-        """The weighted error w p of each cell on its grid: one gemv per cell, stacked per grid."""
-        parts = [np.matmul(cos_k, coefs[run, :, None]).ravel() for cos_k, run in self.runs]
-        return (parts[0] if len(parts) == 1 else np.concatenate(parts)) * self.weight
+        """The weighted error w p of each problem on its grid: one gemv each, stacked per grid."""
+        out, at = np.empty(self.theta.size), 0
+        for cos_k, run in self.runs:
+            part = out[at : at + run.size * cos_k.shape[0]].reshape(run.size, -1, 1)
+            np.matmul(cos_k, np.ascontiguousarray(coefs[run, : cos_k.shape[1]])[..., None], out=part)
+            at += part.size
+        out *= self.weight
+        return out
 
     def peaks(self, ae: np.ndarray) -> np.ndarray:
         """Grid local maxima of ``ae``, each compared with neighbours of its own grid."""
         return np.nonzero(self.inner[1:-1] & (ae[1:-1] >= ae[:-2]) & (ae[1:-1] >= ae[2:]))[0] + 1
 
 
-def _extremum_step(cells: _Cells, joined: _Joined, coefs, e, ae, peaks, chosen, certify, floor):
-    """Alternating extrema of the error w p of each cell in ``chosen`` from its samples ``e``.
+def _extremum_step(cells: _Cells, grids: _Grids, coefs, e, ae, peaks, chosen, certify, floor):
+    """Alternating extrema of the error w p of each problem in ``chosen`` from its samples ``e``.
 
-    ``e`` holds the errors on the grids ``joined``, ``ae`` their moduli and
+    ``e`` holds the errors on the joined ``grids``, ``ae`` their moduli and
     ``peaks`` their grid local maxima, tail points included.  A maximum is
-    refined by bracketed Newton on the log-derivative where its cell's
+    refined by bracketed Newton on the log-derivative where its problem's
     ``certify`` is set, or else by one parabolic step; the parabola needs a
     full step on either side, so a point next to a tail point keeps its grid
     value in the cheap phase.  A point keeps its grid value where refinement
     lowered |e|.  An endpoint is a candidate where the weight does not
-    vanish.  Yields each cell with the (theta, e) of the max-|e| point of
-    each sign run of its candidates, ignoring errors below the cell's
-    ``floor``.
+    vanish.  Returns ``chosen`` in the order it took them, and
+    :func:`_alternating` of their candidates, ignoring errors below each
+    problem's ``floor``: the (theta, e) kept and their number per problem.
     """
-    idx = peaks
-    if chosen.size < joined.cells.size:
-        mine = np.zeros(len(cells.weights), dtype=bool)
-        mine[chosen] = True
-        idx = idx[mine[joined.cell[idx]]]
+    idx, count = peaks, len(cells.weights)
+    # the problem whose grid holds each maximum
+    own, (low, high) = grids.cells[np.searchsorted(grids.end, idx)], grids.ends
+    if chosen.size < grids.cells.size:
+        mine = np.bincount(chosen, minlength=count) > 0
+        idx, own, low, high = idx[mine[own]], own[mine[own]], low[mine[low]], high[mine[high]]
+    rank = np.zeros(count, dtype=int)
     if chosen.size == 1:
         order, sizes = chosen, np.array([idx.size])
     else:
-        count = np.bincount(joined.cell[idx], minlength=len(cells.weights))
-        # cells by their number of maxima, so that equal blocks meet in _gemv_blocks
-        order = chosen[np.argsort(count[chosen], kind="stable")]
-        rank = np.empty(len(cells.weights), dtype=int)
+        per = np.bincount(own, minlength=count)
+        # by degree and number of maxima, so that equal blocks meet in _gemv_blocks
+        order = chosen[np.lexsort((per[chosen], cells.deg[chosen]))]
         rank[order] = np.arange(order.size)
-        idx = idx[np.argsort(rank[joined.cell[idx]], kind="stable")]
-        sizes = count[order]
-    theta, step = joined.theta, joined.step
+        at = np.argsort(rank[own], kind="stable")
+        idx, own, sizes = idx[at], own[at], per[order]
+    theta, step = grids.theta, grids.step[own]
     left, right = theta[idx - 1], theta[idx + 1]
     newton = certify[order]
     if newton.all():
@@ -542,20 +549,19 @@ def _extremum_step(cells: _Cells, joined: _Joined, coefs, e, ae, peaks, chosen, 
         if newton.any():
             at = np.repeat(newton, sizes)
             tr[at] = _refine_newton(cells, order[newton], sizes[newton], coefs, left[at], right[at])
-    cos_k, _ = _cos_sin_k(tr, coefs.shape[1] - 1)
-    er = cells.weight(tr, order, sizes) * _gemv_blocks(cos_k, sizes, coefs[order])
+    widths = cells.deg[order] + 1
+    cos_k, _ = _cos_sin_k(tr, int(widths.max()) - 1)
+    er = cells.weight(tr, order, sizes) * _gemv_blocks(cos_k, sizes, coefs[order], widths)
     worse = np.abs(er) < ae[idx]
-    cand_t = np.where(worse, theta[idx], tr)
-    cand_e = np.where(worse, e[idx], er)
-    ends = np.cumsum(sizes).tolist()
-    for i, a, b in zip(order.tolist(), [0] + ends, ends):
-        ct, ce = cand_t[a:b], cand_e[a:b]
-        w, first, last = cells.weights[i], joined.first[i], joined.last[i]
-        if w.rho_a == 0.0 and ae[first] >= ae[first + 1]:
-            ct, ce = np.append(0.0, ct), np.append(e[first], ce)
-        if w.rho_b == 0.0 and ae[last] >= ae[last - 1]:
-            ct, ce = np.append(ct, np.pi), np.append(ce, e[last])
-        yield i, *_alternating_prune(ct, ce, floor[i])
+    # an open grid end is a candidate where |e| does not rise inward; the
+    # candidates at theta = 0 come first and those at pi last, to lead and close their ties
+    a, b = grids.first[low], grids.last[high]
+    lows, highs = ae[a] >= ae[a + 1], ae[b] >= ae[b - 1]
+    seg = rank[np.concatenate((low[lows], own, high[highs]))]
+    low, high = a[lows], b[highs]
+    t = np.concatenate((theta[low], np.where(worse, theta[idx], tr), theta[high]))
+    ev = np.concatenate((e[low], np.where(worse, e[idx], er), e[high]))
+    return order, *_alternating(seg, t, ev, floor[order], order.size)
 
 
 def leveled_system(w: WeightParams, n: int, reference) -> tuple[MonicPolynomial, float]:
@@ -575,8 +581,7 @@ def leveled_system(w: WeightParams, n: int, reference) -> tuple[MonicPolynomial,
     # theta-ascending order flips x order; (-1)^{n-j} becomes (-1)^i there
     tref = np.arccos(xref)[::-1]
     signs = (-1.0) ** np.arange(n + 1)
-    lead = _implied_leading(n)
-    coef, h, errors = _level(_Cells([w]), np.array([0]), tref[None], signs[None], n, lead)
+    coef, h, errors = _level(_Cells([w], n), np.array([0]), tref[None], signs[None], n)
     if errors:
         raise errors[0]
     return MonicPolynomial(n, tuple(coef[0, :n])), abs(float(h[0]))
@@ -594,18 +599,15 @@ def error_extrema(w: WeightParams, poly: MonicPolynomial, grid: int) -> list[tup
     """
     if grid < 10 * max(poly.degree, 1):
         raise ValueError("grid must be at least 10 times the degree")
-    cells, one = _Cells([w]), np.array([0])
-    joined = _Grids(cells, grid, poly.degree).join(one)
+    cells, one = _Cells([w], poly.degree), np.array([0])
+    grids = _Grids(cells, [grid]).join(one)
     coefs = poly.full_cheb_coeffs()[None]
-    e = joined.errors(coefs)
+    e = grids.errors(coefs)
     ae = np.abs(e)
     floor = np.array([1e-15 * float(np.max(ae))])
-    peaks = joined.peaks(ae)
-    [(_, kt, ke)] = _extremum_step(cells, joined, coefs, e, ae, peaks, one, one == 0, floor)
-    if len(kt) < poly.degree + 1:
-        raise ExchangeError(
-            f"found {len(kt)} alternations, need {poly.degree + 1}; grid too coarse"
-        )
+    _, kt, ke, found = _extremum_step(cells, grids, coefs, e, ae, grids.peaks(ae), one, one == 0, floor)
+    if found[0] < poly.degree + 1:
+        raise ExchangeError(f"found {found[0]} alternations, need {poly.degree + 1}; grid too coarse")
     # theta ascending is x descending; report by increasing x
     return [(float(np.cos(t)), float(v)) for t, v in zip(kt[::-1], ke[::-1])]
 
@@ -621,19 +623,8 @@ def exchange(reference, extrema) -> list[float]:
         raise ExchangeError("candidates must be sorted by x")
     if np.any(np.sign(es[:-1]) * np.sign(es[1:]) >= 0.0):
         raise ExchangeError("candidate errors must alternate in sign")
-    s0 = _pick_window(es, count)
+    s0 = int(_windows(np.abs(es), np.array([es.size]), np.array([count]))[1][0])
     return [float(x) for x in xs[s0 : s0 + count]]
-
-
-@dataclass(frozen=True)
-class _Iterate:
-    """A levelled iterate: coefficients, theta-reference, max error E and levelling defect."""
-
-    coef: np.ndarray
-    tref: np.ndarray
-    E: float
-    it: int
-    defect: float
 
 
 def solve(
@@ -666,151 +657,160 @@ def solve(
 
 def solve_many(
     weights,
-    n: int,
+    n,
     *,
     tolerance: float = 1e-12,
     max_iter: int = 60,
 ) -> list:
-    """:func:`solve` for each of ``weights`` at degree n, in one lockstep Remez loop.
+    """:func:`solve` for each of ``weights`` at degree n, or at degree ``n[i]`` for ``weights[i]``,
+    in one lockstep Remez loop.
 
     Returns, in the order of ``weights``, what ``solve(w, n)`` returns for
     each weight, or the :class:`ConvergenceError`, :class:`DegeneracyError` or
     :class:`ExchangeError` it raises, bit for bit: the batch shares the
-    elementwise steps, but no weight's arithmetic depends on the others.
-    Each cell takes its own iterations, phases and Newton steps, and drops
-    out of the loop once it is solved or fails.
+    elementwise steps, but no problem's arithmetic depends on the others.
+    Each problem takes its own iterations, phases and Newton steps, and
+    drops out of the loop once it is solved or fails.
     """
     return _lockstep(weights, n, tolerance, max_iter)
 
 
-def _lockstep(weights, n: int, tolerance: float, max_iter: int) -> list:
-    if n < 1:
+def _lockstep(weights, n, tolerance: float, max_iter: int) -> list:
+    weights, degrees = list(weights), np.asarray(n)
+    if np.any(degrees < 1):
         raise ValueError("degree must be at least 1")
+    if degrees.ndim and degrees.shape != (len(weights),):
+        raise ValueError("give one degree, or one degree per weight")
     if tolerance <= 0.0 or max_iter < 1:
         raise ValueError("tolerance and max_iter must be positive")
-    cells = _Cells(weights)
-    count = len(cells.weights)
-    out: list = [None] * count
+    count, out = len(weights), [None] * len(weights)
     if not count:
         return out
-    grids = _Grids(cells, 30 * n + 200, n)
-    lead = _implied_leading(n)
-    alternate = (-1.0) ** np.arange(n + 1)
-
-    tref = np.tile(np.pi * np.arange(n + 1) / n, (count, 1))
-    tref[cells.ra > 0.0, 0] = np.pi / (2 * n + 2)
-    tref[cells.rb > 0.0, -1] = np.pi - np.pi / (2 * n + 2)
+    cells = _Cells(weights, degrees)
+    deg, levels = cells.deg, np.unique(cells.deg).tolist()
+    grids = _Grids(cells, 30 * deg + 200).join(np.arange(count))
+    cols = np.arange(levels[-1] + 1)
+    gaps = cols[1:] <= deg[:, None]
+    alternate = (-1.0) ** cols
+    tref = np.pi * cols / deg[:, None]
+    ends = np.pi / (2 * deg + 2)
+    tref[cells.ra > 0.0, 0] = ends[cells.ra > 0.0]
+    on = np.flatnonzero(cells.rb > 0.0)
+    tref[on, deg[on]] = np.pi - ends[on]
+    # a problem's reference fills the first deg + 1 columns of its row, and its last point the rest
+    last = np.minimum(cols, deg[:, None])
+    tref = np.take_along_axis(tref, last, axis=1)
     signs = np.tile(alternate, (count, 1))
-    certify = np.zeros(count, dtype=bool)
-    best: list[_Iterate | None] = [None] * count
-    cur: list[_Iterate | None] = [None] * count
-    live = list(range(count))
-    joined = grids.join(np.arange(count))
+    certify, open_, live = np.zeros(count, dtype=bool), np.ones(count, dtype=bool), np.arange(count)
+    # a problem's iterate is its row of an iteration's coefs and tref, with its E
+    # and defect; its best so far is its row of those of iteration best_it
+    E, defect, seen = np.zeros(count), np.zeros(count), [None]
+    best_it, best_E, best_defect = np.zeros(count, int), np.zeros(count), np.full(count, np.inf)
+
+    def settle(rows, make) -> None:
+        # the outcome make(i) of each problem i of ``rows``, which leave the loop
+        for i in rows.tolist():
+            out[i] = make(i)
+        open_[rows] = False
+
+    def give_up(i: int, message: str) -> ConvergenceError:
+        coef, at = seen[best_it[i]]
+        best = _package(cells, i, coef[i], at[i], best_E[i], best_it[i], best_defect[i])
+        return ConvergenceError(message, best, float(best_defect[i]))
 
     def exchange_step(chosen):
-        # one extremum step of the cells ``chosen``, and its exchange
-        for i, kt, ke in _extremum_step(cells, joined, coefs, e, ae, peaks, chosen, certify, floor):
-            if len(kt) < n + 1:
-                w = cells.weights[i]
-                out[i] = ExchangeError(
-                    f"found {len(kt)} alternations, need {n + 1} "
-                    f"(rho_a={w.rho_a}, rho_b={w.rho_b}, n={n}, iteration {it})"
-                )
-                continue
-            E = float(np.max(np.abs(ke)))
-            cur[i] = _Iterate(coefs[i], tref[i], E, it, (E - float(h[i])) / E)
-            if best[i] is None or cur[i].defect < best[i].defect:
-                best[i] = cur[i]
-            s0 = _pick_window(ke, n + 1)
-            new_tref[i] = kt[s0 : s0 + n + 1]
-            up[i] = ke[s0] > 0
-            stalled[i] = bool(np.max(np.abs(new_tref[i] - tref[i])) <= 1e-14)
+        # one extremum step of the problems ``chosen``, and its exchange
+        order, kt, ke, found = _extremum_step(cells, grids, coefs, e, ae, peaks, chosen, certify, floor)
+        short = found <= deg[order]
+        if short.any():
+            for i, m in zip(order[short].tolist(), found[short].tolist()):
+                about = f"{cells.about(i)}, iteration {it}"
+                out[i] = ExchangeError(f"found {m} alternations, need {deg[i] + 1} ({about})")
+            open_[order[short]] = False
+            at = np.repeat(~short, found)
+            order, found, kt, ke = order[~short], found[~short], kt[at], ke[at]
+        if not order.size:
+            return
+        ak = np.abs(ke)
+        star, s0 = _windows(ak, found, deg[order] + 1)
+        E[order] = top = ak[star]
+        defect[order] = (top - h[order]) / top
+        better = order[defect[order] < best_defect[order]]
+        best_it[better], best_E[better], best_defect[better] = it, E[better], defect[better]
+        new_tref[order] = kt[s0[:, None] + last[order]]
+        up[order] = ke[s0] > 0
+        stalled[order] = np.abs(new_tref[order] - tref[order]).max(axis=1) <= 1e-14
 
     for it in range(1, max_iter + 1):
-        rows = np.array(live)
         # the reference in x, ascending, must not collapse
-        x = np.cos(tref[rows] if len(live) < count else tref)
-        collapsed = (x[:, :-1] - x[:, 1:] <= 1e-14).any(axis=1)
+        x = np.cos(tref[live] if live.size < count else tref)
+        collapsed = ((x[:, :-1] - x[:, 1:] <= 1e-14) & gaps[live]).any(axis=1)
         if collapsed.any():
-            for i in rows[collapsed]:
-                out[i] = DegeneracyError(f"reference collapse at iteration {it}")
-            live, rows = [i for i in live if out[i] is None], rows[~collapsed]
-        levelled, h_live, singular = _level(cells, live, tref[rows], signs[rows], n, lead)
-        for row, exc in singular.items():
-            out[live[row]] = exc
-        if len(live) == count:
-            coefs, h = levelled, np.abs(h_live)
-        else:
-            coefs, h = np.zeros((count, n + 1)), np.zeros(count)
-            coefs[live], h[live] = levelled, np.abs(h_live)
-        live = [i for i in live if out[i] is None]
-        if not live:
+            settle(live[collapsed], lambda i: DegeneracyError(f"reference collapse at iteration {it}"))
+            live = live[~collapsed]
+        coefs, h = np.zeros((count, cols.size)), np.zeros(count)
+        seen.append((coefs, tref))
+        for n in levels:
+            rows = live if len(levels) == 1 else live[deg[live] == n]
+            if rows.size:
+                ref = np.s_[rows, : n + 1]
+                levelled, h_n, singular = _level(cells, rows, tref[ref], signs[ref], n)
+                coefs[rows, : n + 1], h[rows] = levelled, np.abs(h_n)
+                for r, exc in singular.items():
+                    out[rows[r]], open_[rows[r]] = exc, False
+        live = live[open_[live]]
+        if not live.size:
             return out
-        if len(live) < joined.cells.size:
-            joined = grids.join(np.array(live))
-        e = joined.errors(coefs)
+        if live.size < grids.cells.size:
+            grids.join(live)
+        e = grids.errors(coefs)
         ae = np.abs(e)
-        peaks = joined.peaks(ae)
+        peaks = grids.peaks(ae)
         floor = 1e-15 * h
-        new_tref = tref.copy()
-        up, stalled = [False] * count, [False] * count
-        exchange_step(joined.cells)
+        new_tref, up, stalled = tref.copy(), np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+        exchange_step(grids.cells)
         # redo the reference with certified extrema once the cheap phase levels it
-        redo = [
-            i
-            for i in live
-            if out[i] is None
-            and not certify[i]
-            and (stalled[i] or cur[i].defect <= max(1e-8, 10.0 * tolerance))
-        ]
-        if redo:
+        cheap = live[open_[live] & ~certify[live]]
+        redo = cheap[stalled[cheap] | (defect[cheap] <= max(1e-8, 10.0 * tolerance))]
+        if redo.size:
             certify[redo] = True
-            exchange_step(np.array(redo))
-
-        for i in live:
-            if out[i] is not None:
-                continue
-            w = cells.weights[i]
-            if certify[i] and cur[i].defect <= tolerance:
-                out[i] = _package(w, n, cur[i])
-            elif stalled[i]:
-                # the certified reference has stopped moving above tolerance:
-                # further exchanges cannot improve the iterate
-                out[i] = ConvergenceError(
-                    f"reference stalled at defect {cur[i].defect:.3e} > {tolerance:.1e} "
-                    f"(rho_a={w.rho_a}, rho_b={w.rho_b}, n={n}, iteration {it})",
-                    _package(w, n, best[i]),
-                    best[i].defect,
-                )
-        live = [i for i in live if out[i] is None]
-        if not live:
+            exchange_step(redo)
+        live = live[open_[live]]
+        done = certify[live] & (defect[live] <= tolerance)
+        # a certified reference that stopped moving above tolerance: further
+        # exchanges cannot improve the iterate
+        stuck = live[stalled[live] & ~done]
+        settle(live[done], lambda i: _package(cells, i, coefs[i], tref[i], E[i], it, defect[i]))
+        settle(stuck, lambda i: give_up(i, (
+            f"reference stalled at defect {defect[i]:.3e} > {tolerance:.1e} "
+            f"({cells.about(i)}, iteration {it})"
+        )))
+        live = live[open_[live]]
+        if not live.size:
             return out
         tref = new_tref
         signs = np.where(up, 1.0, -1.0)[:, None] * alternate
 
-    for i, w in enumerate(cells.weights):
-        if out[i] is None:
-            out[i] = ConvergenceError(
-                f"no convergence after {max_iter} iterations "
-                f"(rho_a={w.rho_a}, rho_b={w.rho_b}, n={n}, best defect {best[i].defect:.3e})",
-                _package(w, n, best[i]),
-                best[i].defect,
-            )
+    settle(live, lambda i: give_up(i, (
+        f"no convergence after {max_iter} iterations "
+        f"({cells.about(i)}, best defect {best_defect[i]:.3e})"
+    )))
     return out
 
 
-def _package(w: WeightParams, n: int, state: _Iterate) -> ChebyshevSolution:
+def _package(cells: _Cells, i: int, coef, tref, E, it, defect) -> ChebyshevSolution:
+    w, n = cells.weights[i], int(cells.deg[i])
     # a boundary hump closer to its endpoint than the float spacing at -1 or 1
     # would round onto the endpoint, where the weight vanishes; report the
     # nearest float inside the weight's open support instead
     lo = np.nextafter(-1.0, 0.0) if w.rho_b > 0.0 else -1.0
     hi = np.nextafter(1.0, 0.0) if w.rho_a > 0.0 else 1.0
-    xref = np.clip(np.cos(state.tref)[::-1], lo, hi)
+    xref = np.clip(np.cos(tref[: n + 1])[::-1], lo, hi)
     return ChebyshevSolution(
         weight=w,
-        poly=MonicPolynomial(n, tuple(state.coef[:n])),
+        poly=MonicPolynomial(n, tuple(coef[:n])),
         reference=tuple(xref),
-        norm=state.E,
-        iterations=state.it,
-        levelling_defect=state.defect,
+        norm=float(E),
+        iterations=int(it),
+        levelling_defect=float(defect),
     )

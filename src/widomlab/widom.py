@@ -12,7 +12,6 @@ exponents.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +44,10 @@ _OUTER_R2 = 1.184 / 8.0
 # relative tolerance below which a step of a Widom sequence counts as flat
 _CLASSIFY_TOL = 1e-9
 
-# triangle cells a scan solves in one lockstep batch; a fixed size keeps the
-# work items the same for any worker count and bounds the batch's arrays
-_SCAN_CHUNK = 256
+# (cell, degree) problems a scan solves in one lockstep batch; a fixed size
+# keeps the work items the same for any worker count and bounds the grids and
+# cosine matrices alive at once
+_SCAN_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -176,41 +176,34 @@ def widom_sequence(w: WeightParams, n_max: int) -> WidomSequence:
     return _sequence(w, tuple(widom_factor(w, n) for n in range(1, n_max + 1)))
 
 
-def _failed_cell(w: WeightParams, exc: Exception) -> ScanCell:
-    error = f"{type(exc).__name__}: {exc}"
-    return ScanCell(weight=w, values=(), classification="Failed", error=error)
+def _scan_batches(weights: list[WeightParams], n_max: int) -> list[tuple[list, list[int]]]:
+    """The (weights, degrees) of each lockstep batch that solves ``weights`` at n = 1..n_max.
 
-
-def _scan_chunk(task: tuple[list[WeightParams], int]) -> list[ScanCell]:
-    """The cells of ``weights``, each equal to its ``widom_sequence`` bit for bit.
-
-    One :func:`solve_many` call per degree solves the cells still standing;
-    a cell drops out at its first failure and keeps that error.
+    The problems go degree after degree, ``_SCAN_BATCH`` to a batch.
     """
-    weights, n_max = task
-    try:
-        _check_n_max(n_max)
-    except ValueError as exc:
-        return [_failed_cell(w, exc) for w in weights]
-    values: list[list[float]] = [[] for _ in weights]
-    errors: list[Exception | None] = [None] * len(weights)
-    standing = list(range(len(weights)))
-    for n in range(1, n_max + 1):
-        results = solve_many([weights[i] for i in standing], n)
-        for i, res in zip(standing, results):
-            if isinstance(res, Exception):
-                errors[i] = res
-            else:
-                values[i].append(res.widom)
-        standing = [i for i in standing if errors[i] is None]
-    cells = []
-    for w, vals, exc in zip(weights, values, errors):
-        if exc is None:
-            seq = _sequence(w, tuple(vals))
-            cells.append(ScanCell(weight=w, values=seq.values, classification=seq.classification))
-        else:
-            cells.append(_failed_cell(w, exc))
-    return cells
+    problems = [(w, n) for n in range(1, n_max + 1) for w in weights]
+    return [
+        tuple(list(part) for part in zip(*problems[c : c + _SCAN_BATCH]))
+        for c in range(0, len(problems), _SCAN_BATCH)
+    ]
+
+
+def _solve_batch(task: tuple[list[WeightParams], list[int]]) -> list:
+    """The Widom factor of each problem of a batch, or its solver error as ``"Type: message"``."""
+    weights, degrees = task
+    return [
+        f"{type(out).__name__}: {out}" if isinstance(out, Exception) else out.widom
+        for out in solve_many(weights, degrees)
+    ]
+
+
+def _scan_cell(w: WeightParams, outcomes: list) -> ScanCell:
+    """The cell of ``w`` from its outcomes at n = 1, 2, ...: failed at its first error."""
+    for out in outcomes:
+        if isinstance(out, str):
+            return ScanCell(weight=w, values=(), classification="Failed", error=out)
+    seq = _sequence(w, tuple(outcomes))
+    return ScanCell(weight=w, values=seq.values, classification=seq.classification)
 
 
 def _mirror_cell(twin: ScanCell) -> ScanCell:
@@ -239,13 +232,15 @@ def scan(
     The reflection x -> -x swaps the exponents of the weight and maps the
     monic minimizer ``p(x)`` to ``(-1)**n p(-x)``, so ``W_n(a, b) = W_n(b, a)``.
     Only the ``resolution * (resolution + 1) / 2`` cells with
-    ``rho_a <= rho_b`` are solved, in fixed chunks of up to 256 cells; each
-    chunk advances all its cells at one degree together in one lockstep
-    Remez loop (:func:`widomlab.minimax.solve_many`), degree after degree, and
-    with ``workers > 1`` the chunks run in a process pool.  Each cell equals
-    its own ``widom_sequence`` bit for bit, whatever the chunking or the
-    worker count.  Every cell with
-    ``rho_a > rho_b`` copies the values, label and error of its twin.
+    ``rho_a <= rho_b`` are solved, each at every degree 1..n_max.  These
+    (cell, degree) problems go degree after degree in fixed batches of up
+    to 64, each solved in one lockstep Remez loop
+    (:func:`widomlab.minimax.solve_many` with one degree per weight), and
+    with ``workers > 1`` the batches run in a process pool.  Each cell
+    equals its own ``widom_sequence`` bit for bit, whatever the batching or
+    the worker count, and keeps the error of its first failed degree.
+    Every cell with ``rho_a > rho_b`` copies the values, label and error of
+    its twin.
     Results are gathered by grid index, so the classification matrix is
     deterministic regardless of execution order.  A solver failure is
     recorded in its cell (and its twin) and the scan continues.
@@ -259,14 +254,25 @@ def scan(
     # the grid ascends, so i_a <= i_b is rho_a <= rho_b
     triangle = [(i_a, i_b) for i_b in range(resolution) for i_a in range(i_b + 1)]
     weights = [WeightParams(points[i_a], points[i_b]) for i_a, i_b in triangle]
-    tasks = [(weights[c : c + _SCAN_CHUNK], n_max) for c in range(0, len(weights), _SCAN_CHUNK)]
     start = time.perf_counter()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan_chunk, tasks))
+    try:
+        _check_n_max(n_max)
+    except ValueError as exc:
+        outcomes = [[f"{type(exc).__name__}: {exc}"]] * len(weights)
     else:
-        chunks = list(map(_scan_chunk, tasks))
-    solved = dict(zip(triangle, (cell for chunk in chunks for cell in chunk)))
+        tasks = _scan_batches(weights, n_max)
+        if workers > 1:
+            # imported here: a serial scan does not load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                batches = list(pool.map(_solve_batch, tasks))
+        else:
+            batches = list(map(_solve_batch, tasks))
+        # degree after degree: a weight's outcomes are every len(weights)-th
+        flat = [out for batch in batches for out in batch]
+        outcomes = [flat[j :: len(weights)] for j in range(len(weights))]
+    solved = dict(zip(triangle, map(_scan_cell, weights, outcomes)))
     cells = tuple(
         solved[i_a, i_b] if i_a <= i_b else _mirror_cell(solved[i_b, i_a])
         for i_b in range(resolution)

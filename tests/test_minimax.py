@@ -215,6 +215,14 @@ def _bits(out):
     return out.weight, out.iterations, tuple(v.hex() for v in floats)
 
 
+def _alone(w, n, max_iter):
+    """What ``solve(w, n)`` returns, or the solver error it raises."""
+    try:
+        return solve(w, n, max_iter=max_iter)
+    except (ConvergenceError, ExchangeError, DegeneracyError) as exc:
+        return exc
+
+
 # at n = 20: (0, 0) stops after 1 iteration, the rest after 5 to 7, except
 # (2, 2) and (20, 0), which find too few alternations at iteration 1
 _BATCH = ((0.0, 0.3), (0.2, 0.5), (2.0, 2.0), (0.0, 0.0), (1.3, 0.7), (20.0, 0.0), (0.0, 1e-9), (0.6, 0.1))
@@ -230,12 +238,7 @@ _BATCH = ((0.0, 0.3), (0.2, 0.5), (2.0, 2.0), (0.0, 0.0), (1.3, 0.7), (20.0, 0.0
 def test_solve_many_is_each_single_solve(max_iter, outcomes):
     # a weight's result does not depend on the batch around it, in any bit
     weights = [WeightParams(ra, rb) for ra, rb in _BATCH]
-    alone = []
-    for w in weights:
-        try:
-            alone.append(solve(w, 20, max_iter=max_iter))
-        except (ConvergenceError, ExchangeError, DegeneracyError) as exc:
-            alone.append(exc)
+    alone = [_alone(w, 20, max_iter) for w in weights]
     batch = solve_many(weights, 20, max_iter=max_iter)
     assert [_bits(out) for out in batch] == [_bits(out) for out in alone]
     assert {type(out).__name__ for out in batch} == outcomes
@@ -246,11 +249,39 @@ def test_solve_many_is_each_single_solve(max_iter, outcomes):
         solve_many(weights, 0)
 
 
+# each _BATCH weight at several degrees from 1 to 20, (2, 2) and (20, 0) at 20
+_RAGGED = ((20, 3, 1), (7, 12), (20, 2), (1, 5, 20), (9, 16), (20, 4), (11, 2), (6, 18))
+
+
+@pytest.mark.parametrize("max_iter", [60, 5])
+def test_ragged_solve_many_is_each_single_solve(max_iter):
+    # one batch of problems at different degrees, which stop at different
+    # iterations or fail: each result is its single solve's, in every bit,
+    # the error messages with their own n included
+    problems = [(WeightParams(ra, rb), n) for (ra, rb), ns in zip(_BATCH, _RAGGED) for n in ns]
+    weights, degrees = [w for w, _ in problems], [n for _, n in problems]
+    alone = [_bits(_alone(w, n, max_iter)) for w, n in problems]
+    assert [_bits(out) for out in solve_many(weights, degrees, max_iter=max_iter)] == alone
+    backwards = solve_many(weights[::-1], degrees[::-1], max_iter=max_iter)[::-1]
+    assert [_bits(out) for out in backwards] == alone
+    kinds = {bits[0] for bits in alone if isinstance(bits[0], str)}
+    assert kinds == ({"ExchangeError", "ConvergenceError"} if max_iter == 5 else {"ExchangeError"})
+    assert len({bits[1] for bits in alone if not isinstance(bits[0], str)}) >= 3
+    # one degree for all still works; a length mismatch or a degree below 1 does not
+    assert [_bits(out) for out in solve_many(weights[:4], 7)] == [
+        _bits(_alone(w, 7, 60)) for w in weights[:4]
+    ]
+    with pytest.raises(ValueError):
+        solve_many(weights, degrees[:-1])
+    with pytest.raises(ValueError):
+        solve_many(weights, [0] + degrees[1:])
+
+
 def test_batch_weight_is_each_weight_alone():
     # numpy's power rounds the scalar exponents 0.5, 2 and -1 on a fast path
     # of its own, so a batch applies each distinct exponent as a scalar
     pairs = ((0.5, 2.0), (0.0, 0.5), (2.0, 0.3), (0.3, 0.0), (1.0, 1.0), (0.5, 0.5))
-    cells = minimax._Cells([WeightParams(ra, rb) for ra, rb in pairs])
+    cells = minimax._Cells([WeightParams(ra, rb) for ra, rb in pairs], 1)
     theta = np.random.default_rng(11).uniform(0.0, np.pi, 600)
     got = cells.weight(theta, np.arange(len(pairs)), 100)
     for (ra, rb), block, at in zip(pairs, np.split(theta, len(pairs)), np.split(got, len(pairs))):

@@ -133,14 +133,13 @@ def test_scan_workers_match_serial():
 
 
 def test_scan_solves_one_triangle(monkeypatch):
-    # the weights of each degree-1 batch: every cell a scan solves starts there
+    # the degree-1 problems of the batches: a scan solves each cell there
     solved = []
     real_sequence = widom.widom_sequence
     real_solve_many = widom.solve_many
 
     def counting_solve_many(weights, n):
-        if n == 1:
-            solved.extend(weights)
+        solved.extend(w for w, k in zip(weights, n) if k == 1)
         return real_solve_many(weights, n)
 
     monkeypatch.setattr(widom, "solve_many", counting_solve_many)
@@ -164,7 +163,7 @@ def test_scan_mirrors_a_failed_cell(monkeypatch):
     real_solve_many = widom.solve_many
 
     def failing_solve_many(weights, n):
-        solved.extend(weights)
+        solved.extend(zip(weights, n))
         forced = ConvergenceError("forced failure", None, 1.0)
         results = real_solve_many(weights, n)
         return [forced if w == WeightParams(0.2, 0.4) else r for w, r in zip(weights, results)]
@@ -176,8 +175,9 @@ def test_scan_mirrors_a_failed_cell(monkeypatch):
     assert solved_cell.error == "ConvergenceError: forced failure"
     assert mirrored.error == "ConvergenceError: forced failure (mirror of (0.2, 0.4))"
     assert mirrored.weight == WeightParams(0.4, 0.2)
-    assert solved.count(WeightParams(0.2, 0.4)) == 1
-    assert WeightParams(0.4, 0.2) not in solved
+    # each (weight, degree) problem once
+    assert all(solved.count((WeightParams(0.2, 0.4), n)) == 1 for n in (1, 2, 3))
+    assert WeightParams(0.4, 0.2) not in [w for w, _ in solved]
     others = [c for c in result.cells if c not in (solved_cell, mirrored)]
     assert all(c.error is None and len(c.values) == 3 for c in others)
 

@@ -26,6 +26,13 @@ dump: the certificates lost and gained, the relative drift of the Widom
 factors and roots where both dumps solved, and per set the number of records
 that are bit-identical in every field.  Both dumps must come from the same
 version of this script, since it decides which fields a record holds.
+
+The scan set is solved a second time as ``widom.scan`` batches it (the
+``rho_a <= rho_b`` cells of each grid, at n = 1..SCAN_N_MAX, through
+``minimax.solve_many`` with one degree per weight), and the pool set as one
+ragged ``solve_many`` batch.  The summary reports, per set, how many of these
+batch records are bit-identical to the single solves (``batch``); a SRC whose
+``solve_many`` takes one degree only has no batch records.
 """
 
 from __future__ import annotations
@@ -73,15 +80,22 @@ def _recheck(checks, sol, what: str) -> dict:
 
 
 def _survey_one(wl, checks, group: str, ra: float, rb: float, n: int) -> dict:
-    rec = {"group": group, "rho_a": ra.hex(), "rho_b": rb.hex(), "n": n}
-    what = f"solve({ra}, {rb}, {n})"
     errors = (wl.minimax.ConvergenceError, wl.minimax.ExchangeError, wl.minimax.DegeneracyError)
     try:
         sol = wl.minimax.solve(wl.special.WeightParams(ra, rb), n)
     except errors as exc:
-        rec["outcome"] = type(exc).__name__
-        rec["message"] = str(exc)
-        best = getattr(exc, "best", None)
+        sol = exc
+    return _record(checks, group, ra, rb, n, sol)
+
+
+def _record(checks, group: str, ra: float, rb: float, n: int, sol) -> dict:
+    """The record of one solve's outcome: a solution, or the solver error it raised."""
+    rec = {"group": group, "rho_a": ra.hex(), "rho_b": rb.hex(), "n": n}
+    what = f"solve({ra}, {rb}, {n})"
+    if isinstance(sol, Exception):
+        rec["outcome"] = type(sol).__name__
+        rec["message"] = str(sol)
+        best = getattr(sol, "best", None)
         if best is not None:
             rec["best_norm"] = best.norm.hex()
             rec["best_defect"] = best.levelling_defect.hex()
@@ -99,6 +113,34 @@ def _survey_one(wl, checks, group: str, ra: float, rb: float, n: int) -> dict:
     rec["reference"] = _hexes(sol.reference)
     rec["roots"] = _hexes(sol.roots())
     return rec
+
+
+def _batches(wl, workloads) -> list[tuple[str, list, list[int]]]:
+    """(set, weights, degrees) of each batch: the scan set as widom.scan batches it, the pool as one."""
+    out = []
+    for (lo, hi), res in workloads.SCAN_GRIDS:
+        grid = [float(v) for v in np.linspace(lo, hi, res)]
+        triangle = [wl.special.WeightParams(grid[a], grid[b]) for b in range(res) for a in range(b + 1)]
+        for weights, degrees in wl.widom._scan_batches(triangle, workloads.SCAN_N_MAX):
+            out.append(("scan", weights, degrees))
+    pool = [(ra, rb, n) for group, ra, rb, n in _points(workloads) if group == "pool"]
+    weights = [wl.special.WeightParams(float(ra), float(rb)) for ra, rb, _ in pool]
+    out.append(("pool", weights, [int(n) for _, _, n in pool]))
+    return out
+
+
+def batch_identical(wl, checks, workloads, records: list[dict]) -> dict:
+    """Per set, the batch records equal in every field to the single solve's record."""
+    single = {_key(r): r for r in records}
+    same = {}
+    for group, weights, degrees in _batches(wl, workloads):
+        outs = wl.minimax.solve_many(weights, degrees)
+        tally = same.setdefault(group, [0, 0])
+        for w, n, sol in zip(weights, degrees, outs):
+            rec = _record(checks, group, w.rho_a, w.rho_b, n, sol)
+            tally[0] += rec == single[_key(rec)]
+            tally[1] += 1
+    return {group: f"{a} of {b}" for group, (a, b) in same.items()}
 
 
 def _key(rec: dict) -> tuple:
@@ -180,6 +222,8 @@ def main(argv=None) -> int:
     for group, ra, rb, n in _points(workloads):
         records.append(_survey_one(widomlab, checks, group, float(ra), float(rb), int(n)))
     result = {"src": str(args.src), "summary": summarize(records)}
+    if hasattr(widomlab.widom, "_scan_batches"):
+        result["batch"] = batch_identical(widomlab, checks, workloads, records)
     if args.against:
         other = json.loads(args.against.read_text())["records"]
         result["comparison"] = compare(records, other)
