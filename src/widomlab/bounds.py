@@ -89,22 +89,19 @@ def _m_bound_at(n, q, s, c, qh, sh, sh1, lgamma=math.lgamma, log=math.log, exp=m
 def m_bound(p: JacobiParams, n):
     """The dominating quantity M_n(alpha, beta), via log-space Gamma arithmetic.
 
-    ``n`` is a degree, or a sequence of degrees for an array of M_n; each
-    entry equals the value of its scalar call.
+    ``n`` is a degree, for a float, or a sequence of degrees, for an array of
+    M_n; each entry equals the value of its scalar call.
     """
     _check_square(p)
     q, s = p.q, p.alpha + p.beta
     c = 0.5 * (1.0 - s) * _LN2
-    if not hasattr(n, "__len__"):
-        if n < 1:
-            raise ValueError("degree must be at least 1")
-        return _m_bound_at(n, q, s, c, q + 0.5, 0.5 * s, 0.5 * (s + 1.0))
     ns = np.asarray(n)
     if ns.size and ns.min() < 1:
         raise ValueError("degree must be at least 1")
     qh, sh, sh1 = q + 0.5, 0.5 * s, 0.5 * (s + 1.0)
     out = [_m_bound_at(k, q, s, c, qh, sh, sh1) for k in ns.ravel().tolist()]
-    return np.reshape(out, ns.shape)
+    # a 0-d result unwraps to numpy's float64, a float
+    return np.reshape(out, ns.shape)[()]
 
 
 def m_bound_raw(p: JacobiParams, n: int) -> float:

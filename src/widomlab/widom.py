@@ -150,9 +150,26 @@ def widom_factor(w: WeightParams, n: int) -> float:
     Degree zero is excluded: ``W_0`` equals the weight supremum and is served
     by :func:`widomlab.bounds.weight_sup_bound`.
     """
+    _check_degree(n)
+    return solve(w, n).widom
+
+
+def _check_degree(n: int) -> None:
     if n < 1:
         raise ValueError("widom_factor requires n >= 1; degree 0 is weight_sup_bound")
-    return solve(w, n).widom
+
+
+def _factors(weights: list[WeightParams], n) -> tuple[float, ...]:
+    """The Widom factor of each weight at degree n, or ``n[i]``, from one lockstep batch.
+
+    Each factor equals its own :func:`widom_factor` bit for bit; the first
+    solver error in the order of ``weights`` is raised.
+    """
+    outs = solve_many(weights, n)
+    for out in outs:
+        if isinstance(out, Exception):
+            raise out
+    return tuple(out.widom for out in outs)
 
 
 def _check_n_max(n_max: int) -> None:
@@ -171,9 +188,12 @@ def _sequence(w: WeightParams, values: tuple[float, ...]) -> WidomSequence:
 
 
 def widom_sequence(w: WeightParams, n_max: int) -> WidomSequence:
-    """Compute ``W_1 .. W_{n_max}`` and classify the resulting sequence."""
+    """Compute ``W_1 .. W_{n_max}`` as one lockstep batch and classify the sequence.
+
+    A solver failure raises the error of the first failing degree.
+    """
     _check_n_max(n_max)
-    return _sequence(w, tuple(widom_factor(w, n) for n in range(1, n_max + 1)))
+    return _sequence(w, _factors([w] * n_max, list(range(1, n_max + 1))))
 
 
 def _scan_batches(weights: list[WeightParams], n_max: int) -> list[tuple[list, list[int]]]:
@@ -238,7 +258,8 @@ def scan(
     (:func:`widomlab.minimax.solve_many` with one degree per weight), and
     with ``workers > 1`` the batches run in a process pool.  Each cell
     equals its own ``widom_sequence`` bit for bit, whatever the batching or
-    the worker count, and keeps the error of its first failed degree.
+    the worker count, since ``solve_many`` solves each problem as it would
+    alone, and keeps the error of its first failed degree.
     Every cell with ``rho_a > rho_b`` copies the values, label and error of
     its twin.
     Results are gathered by grid index, so the classification matrix is
@@ -250,28 +271,24 @@ def scan(
         raise ValueError("rho_range must satisfy 0 <= lo < hi")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    _check_n_max(n_max)
     points = [float(v) for v in np.linspace(lo, hi, resolution)]
     # the grid ascends, so i_a <= i_b is rho_a <= rho_b
     triangle = [(i_a, i_b) for i_b in range(resolution) for i_a in range(i_b + 1)]
     weights = [WeightParams(points[i_a], points[i_b]) for i_a, i_b in triangle]
     start = time.perf_counter()
-    try:
-        _check_n_max(n_max)
-    except ValueError as exc:
-        outcomes = [[f"{type(exc).__name__}: {exc}"]] * len(weights)
-    else:
-        tasks = _scan_batches(weights, n_max)
-        if workers > 1:
-            # imported here: a serial scan does not load multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    tasks = _scan_batches(weights, n_max)
+    if workers > 1:
+        # imported here: a serial scan does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                batches = list(pool.map(_solve_batch, tasks))
-        else:
-            batches = list(map(_solve_batch, tasks))
-        # degree after degree: a weight's outcomes are every len(weights)-th
-        flat = [out for batch in batches for out in batch]
-        outcomes = [flat[j :: len(weights)] for j in range(len(weights))]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(_solve_batch, tasks))
+    else:
+        batches = list(map(_solve_batch, tasks))
+    # degree after degree: a weight's outcomes are every len(weights)-th
+    flat = [out for batch in batches for out in batch]
+    outcomes = [flat[j :: len(weights)] for j in range(len(weights))]
     solved = dict(zip(triangle, map(_scan_cell, weights, outcomes)))
     cells = tuple(
         solved[i_a, i_b] if i_a <= i_b else _mirror_cell(solved[i_b, i_a])
@@ -305,17 +322,16 @@ def continuity_probe(w: WeightParams, delta: float, n: int) -> float:
     """Maximum change of ``W_n`` over the four axis perturbations of size ``delta``.
 
     Perturbations that would push an exponent negative are skipped, so the
-    probe is well defined on the boundary of the parameter quadrant.
+    probe is well defined on the boundary of the parameter quadrant.  ``w``
+    and its perturbations are solved as one lockstep batch.
     """
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
     if delta == 0.0:
         return 0.0
-    base = widom_factor(w, n)
-    worst = 0.0
-    for da, db in ((delta, 0.0), (-delta, 0.0), (0.0, delta), (0.0, -delta)):
-        ra, rb = w.rho_a + da, w.rho_b + db
-        if ra < 0.0 or rb < 0.0:
-            continue
-        worst = max(worst, abs(widom_factor(WeightParams(ra, rb), n) - base))
-    return worst
+    _check_degree(n)
+    steps = ((delta, 0.0), (-delta, 0.0), (0.0, delta), (0.0, -delta))
+    moved = [(w.rho_a + da, w.rho_b + db) for da, db in steps]
+    weights = [w] + [WeightParams(ra, rb) for ra, rb in moved if ra >= 0.0 and rb >= 0.0]
+    base, *others = _factors(weights, n)
+    return max((abs(v - base) for v in others), default=0.0)

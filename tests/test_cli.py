@@ -133,6 +133,11 @@ def test_scan_svg_emission(tmp_path, capsys):
 def test_scan_bad_arguments(tmp_path, capsys):
     assert main(["scan", "--resolution", "1", "--out", str(tmp_path / "x.csv")]) == 1
     assert main(["scan", "--range", "nonsense", "--out", str(tmp_path / "x.csv")]) == 1
+    # as `widom --n-max 1` does, instead of writing a CSV of failed cells
+    out = tmp_path / "y.csv"
+    assert main(["scan", "--resolution", "2", "--n-max", "1", "--out", str(out)]) == 1
+    assert "n_max must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
     code = main(
         ["scan", "--resolution", "2", "--n-max", "2", "--range", "0:0.4",
          "--out", "/no-such-dir/deep/x.csv"]

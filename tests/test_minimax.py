@@ -18,7 +18,7 @@ from widomlab.minimax import (
     MonicPolynomial,
     _cheb_eval_012,
     _cos_sin_k,
-    _remez_grid,
+    _grid_cosines,
     _theta_eval,
     error_extrema,
     exchange,
@@ -27,7 +27,7 @@ from widomlab.minimax import (
     solve_many,
     weight_eval,
 )
-from widomlab.special import WeightParams, _theta_grid, _weight_theta
+from widomlab.special import WeightParams, _tail_grid, _theta_grid, _weight_theta
 
 
 def dense_weighted_max(w: WeightParams, poly: MonicPolynomial, samples: int = 200001) -> float:
@@ -288,6 +288,16 @@ def test_batch_weight_is_each_weight_alone():
         assert np.array_equal(at, _weight_theta(ra, rb, block))
 
 
+@pytest.mark.parametrize("rb, n", [(0.14779116465863454, 7), (0.6393574297188755, 6)])
+def test_cheap_phase_hands_over_once_its_defect_stops_falling(rb, n):
+    # two cells of the 250x250 scan: the cheap phase plateaued near 2.3e-8,
+    # above its 1e-8 hand-over gate, and ran all 60 iterations; handing over
+    # once the defect no longer falls certifies both in 7 iterations
+    sol = solve(WeightParams(0.00321285140562249, rb), n)
+    assert sol.levelling_defect <= 1e-12
+    assert sol.iterations <= 10
+
+
 def test_certified_phase_does_not_use_an_iteration():
     # the first-kind reference is exact, so the cheap phase levels it at once
     # and the certified redo of that reference still counts as iteration 1
@@ -337,7 +347,7 @@ def test_theta_eval_matches_clenshaw_by_the_chain_rule(n):
     # from the rounding of x = cos(t) that the x-space side carries)
     coef = np.random.default_rng(n).standard_normal(n + 1)
     k = np.arange(n + 1)
-    p, pt, ptt = _theta_eval(coef, _THETAS)
+    p, pt, ptt = _theta_eval(coef[None], _THETAS, [_THETAS.size], np.array([n + 1]))
     x, s = np.cos(_THETAS), np.sin(_THETAS)
     q, dq, ddq = _cheb_eval_012(coef, x)
     a1, a2, a4 = (np.sum(k**j * np.abs(coef)) for j in (0, 2, 4))
@@ -383,7 +393,8 @@ def test_endpoint_hump_inside_the_first_cell_is_found(ra, rb, n):
     w = WeightParams(ra, rb)
     poly = solve(w, n).poly
     side = -1 if rb > 0.0 else 1
-    theta, wgrid, cos_k, step = _remez_grid(ra, rb, 30 * n + 200, n)
+    theta, wgrid, step = _tail_grid(ra, rb, 30 * n + 200)
+    cos_k = _grid_cosines(theta, n)
     ae = np.abs(wgrid * (cos_k @ poly.full_cheb_coeffs()))
     peak = theta[np.nonzero((ae[1:-1] >= ae[:-2]) & (ae[1:-1] >= ae[2:]))[0] + 1]
     assert np.any(np.minimum(peak, np.pi - peak) < 0.75 * step)
@@ -414,7 +425,7 @@ def test_tied_tail_points_are_not_refined(monkeypatch, ra, rb, n):
 @pytest.mark.parametrize("ra, rb", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.3), (0.5, 1e-300)])
 @pytest.mark.parametrize("size", [230, 501, 12200])
 def test_remez_grid_is_the_uniform_grid_plus_endpoint_tails(ra, rb, size):
-    theta, wgrid, _, step = _remez_grid(ra, rb, size, 3)
+    theta, wgrid, step = _tail_grid(ra, rb, size)
     assert np.all(np.diff(theta) > 0.0)
     assert theta[-1] == np.pi
     uniform, wuniform = _theta_grid(ra, rb, size)
@@ -455,7 +466,8 @@ def test_theta_eval_against_mpmath():
                 float(-mpmath.fsum(j * j * c[j] * co[j] for j in range(n + 1))),
             ]
     scale = np.array([np.sum(k**j * np.abs(coef)) for j in (0, 1, 2)])[:, None]
-    err = np.max(np.abs(np.array(_theta_eval(coef, theta)) - exact) / scale, axis=1)
+    got = np.array(_theta_eval(coef[None], theta, [theta.size], np.array([n + 1])))
+    err = np.max(np.abs(got - exact) / scale, axis=1)
     cos_k, sin_k = np.cos(np.outer(theta, k)), np.sin(np.outer(theta, k))
     plain = np.array([cos_k @ coef, -(sin_k @ (k * coef)), -(cos_k @ (k * k * coef))])
     plain_err = np.max(np.abs(plain - exact) / scale, axis=1)

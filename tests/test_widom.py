@@ -7,7 +7,7 @@ import pytest
 
 from widomlab import widom
 from widomlab.bounds import asymptote, m_bound, weight_sup_bound
-from widomlab.minimax import ConvergenceError
+from widomlab.minimax import ConvergenceError, DegeneracyError, ExchangeError, solve
 from widomlab.special import WeightParams, weight_to_param, weighted_monic_jacobi_sup
 from widomlab.widom import (
     ScanCell,
@@ -65,6 +65,31 @@ def test_widom_sequence_increasing_below_asymptote():
     assert all(v <= math.sqrt(2.0) * (1.0 + 1e-8) for v in seq.values)
     with pytest.raises(ValueError):
         widom_sequence(WeightParams(0.25, 0.25), 1)
+
+
+@pytest.mark.parametrize("ra, rb", [(0.3, 0.6), (0.0, 0.004), (1.0, 1.0)])
+def test_widom_sequence_is_each_widom_factor(ra, rb):
+    # one lockstep batch of degrees 1..n_max, each bit for bit its own solve;
+    # (0, 0.004) peaks in a boundary hump on the grid's tail
+    w = WeightParams(ra, rb)
+    got = widom_sequence(w, 10).values
+    assert [v.hex() for v in got] == [widom_factor(w, n).hex() for n in range(1, 11)]
+
+
+def test_widom_sequence_raises_the_first_failing_degree():
+    w = WeightParams(2.0, 2.0)
+    for n in range(1, 21):
+        try:
+            solve(w, n)
+        except (ConvergenceError, DegeneracyError, ExchangeError) as exc:
+            first = exc
+            break
+    else:
+        pytest.fail("expected a failing degree at (2, 2) below 21")
+    with pytest.raises(type(first)) as got:
+        widom_sequence(w, 20)
+    assert type(got.value) is type(first)
+    assert str(got.value) == str(first)
 
 
 def test_widom_sequence_bounded_by_asymptote_small_parameters():
@@ -189,6 +214,8 @@ def test_scan_argument_validation():
         scan(rho_range=(-0.1, 0.5), resolution=3)
     with pytest.raises(ValueError):
         scan(resolution=1)
+    with pytest.raises(ValueError, match="n_max must be at least 2"):
+        scan(resolution=2, n_max=1)
 
 
 def test_sequence_and_cell_validation():
@@ -221,6 +248,20 @@ def test_continuity_probe_values():
     assert continuity_probe(WeightParams(0.0, 0.0), 1e-4, 5) <= 1e-2
     with pytest.raises(ValueError):
         continuity_probe(WeightParams(0.5, 0.5), -1.0, 3)
+
+
+@pytest.mark.parametrize("ra, rb", [(0.3, 0.6), (0.0, 0.0), (0.0, 0.4), (5e-5, 0.2)])
+def test_continuity_probe_is_the_max_over_its_widom_factors(ra, rb):
+    # one lockstep batch of w and its perturbations, bit for bit the single
+    # solves; at rho = 0 and 5e-5 a perturbation of 1e-4 is skipped
+    w, delta, n = WeightParams(ra, rb), 1e-4, 5
+    base = widom_factor(w, n)
+    expected = 0.0
+    for da, db in ((delta, 0.0), (-delta, 0.0), (0.0, delta), (0.0, -delta)):
+        if w.rho_a + da >= 0.0 and w.rho_b + db >= 0.0:
+            moved = WeightParams(w.rho_a + da, w.rho_b + db)
+            expected = max(expected, abs(widom_factor(moved, n) - base))
+    assert continuity_probe(w, delta, n).hex() == expected.hex()
 
 
 def test_continuity_probe_random_points():

@@ -11,7 +11,9 @@ written) plus two fixed sets of weights:
 - ``weights``: the weights in WEIGHTS at n = 1..100;
 - ``tiny``: the weights in TINY at n = 1..100, each with an exponent below
   0.01, where the error can peak in a boundary hump inside the first cell of
-  the solver's grid.
+  the solver's grid;
+- ``stall``: the points in STALL, where the cheap phase once plateaued above
+  its hand-over gate, so that a survey covers the exit from the cheap phase.
 
 Every record holds the outcome (``solved`` or the solver error's type and
 message) and, as ``float.hex`` strings, the norm, Widom factor, levelling
@@ -51,6 +53,11 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 WEIGHTS = ((1.0, 1.0), (0.5, 0.5), (0.25, 0.75), (0.0, 1.0), (0.75, 0.25), (1.5, 0.5), (0.1, 0.1))
 TINY = ((0.0, 0.004), (0.001, 0.3), (1e-6, 1e-6))
 WEIGHTS_N_MAX = 100
+# two cells of the 250x250 scan grid over [0, 0.8]^2
+STALL = (
+    (0.00321285140562249, 0.14779116465863454, 7),
+    (0.00321285140562249, 0.6393574297188755, 6),
+)
 
 
 def _points(workloads) -> list[tuple[str, float, float, int]]:
@@ -64,6 +71,7 @@ def _points(workloads) -> list[tuple[str, float, float, int]]:
     points.append(("pool", *workloads.SLOW_SOLVE))
     for group, weights in (("weights", WEIGHTS), ("tiny", TINY)):
         points += [(group, ra, rb, n) for ra, rb in weights for n in range(1, WEIGHTS_N_MAX + 1)]
+    points += [("stall", ra, rb, n) for ra, rb, n in STALL]
     return points
 
 
@@ -160,7 +168,7 @@ def _max_rel(one: list[str], two: list[str], scale: float = 0.0) -> float:
     return worst
 
 
-GROUPS = ("scan", "pool", "weights", "tiny")
+GROUPS = ("scan", "pool", "weights", "tiny", "stall")
 
 
 def summarize(records: list[dict]) -> dict:
