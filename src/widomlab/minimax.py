@@ -404,6 +404,11 @@ def _level(cells: _Cells, live, tref, signs, n: int):
     return coef, sol[:, n], errors
 
 
+def _grid_size(n):
+    """The uniform points of the Remez grid at degree n, before its endpoint tails."""
+    return 30 * n + 200
+
+
 def _grid_cosines(theta: np.ndarray, degree: int) -> np.ndarray:
     """cos(k theta) for k <= degree, one row per grid point."""
     cos_k = np.outer(theta, np.arange(degree + 1))
@@ -649,7 +654,7 @@ def _lockstep(weights, n, tolerance: float, max_iter: int) -> list:
         return out
     cells = _Cells(weights, degrees)
     deg, levels = cells.deg, np.unique(cells.deg).tolist()
-    grids = _Grids(cells, 30 * deg + 200).join(np.arange(count))
+    grids = _Grids(cells, _grid_size(deg)).join(np.arange(count))
     cols = np.arange(levels[-1] + 1)
     gaps = cols[1:] <= deg[:, None]
     alternate = (-1.0) ** cols

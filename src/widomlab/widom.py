@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from widomlab.bounds import asymptote, weight_sup_bound
-from widomlab.minimax import solve, solve_many
+from widomlab.minimax import _grid_size, solve, solve_many
 from widomlab.special import WeightParams
 
 __all__ = [
@@ -44,10 +44,12 @@ _OUTER_R2 = 1.184 / 8.0
 # relative tolerance below which a step of a Widom sequence counts as flat
 _CLASSIFY_TOL = 1e-9
 
-# (cell, degree) problems a scan solves in one lockstep batch; a fixed size
-# keeps the work items the same for any worker count and bounds the grids and
-# cosine matrices alive at once
+# a lockstep batch holds at most _SCAN_BATCH (weight, degree) problems, and more
+# than one only while their cosine matrices, all alive at once, hold at most
+# _BATCH_COSINES entries (8 MB): 64 problems up to n = 19, one from n = 129;
+# fixed sizes keep a scan's work items the same for any worker count
 _SCAN_BATCH = 64
+_BATCH_COSINES = 2**20
 
 
 @dataclass(frozen=True)
@@ -159,61 +161,71 @@ def _check_degree(n: int) -> None:
         raise ValueError("widom_factor requires n >= 1; degree 0 is weight_sup_bound")
 
 
-def _factors(weights: list[WeightParams], n) -> tuple[float, ...]:
-    """The Widom factor of each weight at degree n, or ``n[i]``, from one lockstep batch.
-
-    Each factor equals its own :func:`widom_factor` bit for bit; the first
-    solver error in the order of ``weights`` is raised.
-    """
-    outs = solve_many(weights, n)
-    for out in outs:
-        if isinstance(out, Exception):
-            raise out
-    return tuple(out.widom for out in outs)
-
-
 def _check_n_max(n_max: int) -> None:
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
 
 
-def _sequence(w: WeightParams, values: tuple[float, ...]) -> WidomSequence:
+def _sequence(w: WeightParams, values) -> WidomSequence:
     return WidomSequence(
         weight=w,
         n_start=1,
-        values=values,
+        values=tuple(values),
         asymptote=asymptote(w),
         classification=classify(values),
     )
 
 
 def widom_sequence(w: WeightParams, n_max: int) -> WidomSequence:
-    """Compute ``W_1 .. W_{n_max}`` as one lockstep batch and classify the sequence.
+    """Compute ``W_1 .. W_{n_max}`` in the lockstep batches of a scan and classify the sequence.
 
-    A solver failure raises the error of the first failing degree.
+    A solver failure raises the error of the first failing degree, and no later batch is solved.
     """
     _check_n_max(n_max)
-    return _sequence(w, _factors([w] * n_max, list(range(1, n_max + 1))))
+    return _sequence(w, _widoms(_scan_batches([w], n_max)))
+
+
+def _batches(problems: list[tuple[WeightParams, int]]) -> list[tuple[list, list[int]]]:
+    """Split (weight, degree) ``problems``, in order, into the (weights, degrees) of lockstep batches."""
+    tasks, entries = [], 0
+    for w, n in problems:
+        cost = _grid_size(n) * (n + 1)
+        if not tasks or len(tasks[-1][0]) == _SCAN_BATCH or entries + cost > _BATCH_COSINES:
+            tasks.append(([], []))
+            entries = 0
+        tasks[-1][0].append(w)
+        tasks[-1][1].append(n)
+        entries += cost
+    return tasks
 
 
 def _scan_batches(weights: list[WeightParams], n_max: int) -> list[tuple[list, list[int]]]:
-    """The (weights, degrees) of each lockstep batch that solves ``weights`` at n = 1..n_max.
-
-    The problems go degree after degree, ``_SCAN_BATCH`` to a batch.
-    """
-    problems = [(w, n) for n in range(1, n_max + 1) for w in weights]
-    return [
-        tuple(list(part) for part in zip(*problems[c : c + _SCAN_BATCH]))
-        for c in range(0, len(problems), _SCAN_BATCH)
-    ]
+    """The lockstep batches that solve each of ``weights`` at n = 1..n_max, degree after degree."""
+    return _batches([(w, n) for n in range(1, n_max + 1) for w in weights])
 
 
 def _solve_batch(task: tuple[list[WeightParams], list[int]]) -> list:
-    """The Widom factor of each problem of a batch, or its solver error as ``"Type: message"``."""
+    """The Widom factor of each problem of a batch, or the solver error it raised."""
     weights, degrees = task
+    return [out if isinstance(out, Exception) else out.widom for out in solve_many(weights, degrees)]
+
+
+def _widoms(tasks) -> list[float]:
+    """The Widom factors of the problems of ``tasks``; raises the first error before a later batch."""
+    values = []
+    for outs in map(_solve_batch, tasks):
+        for out in outs:
+            if isinstance(out, Exception):
+                raise out
+        values += outs
+    return values
+
+
+def _scan_batch(task: tuple[list[WeightParams], list[int]]) -> list:
+    """:func:`_solve_batch` with each error as ``"Type: message"``, which a process pool can return."""
     return [
-        f"{type(out).__name__}: {out}" if isinstance(out, Exception) else out.widom
-        for out in solve_many(weights, degrees)
+        f"{type(out).__name__}: {out}" if isinstance(out, Exception) else out
+        for out in _solve_batch(task)
     ]
 
 
@@ -222,7 +234,7 @@ def _scan_cell(w: WeightParams, outcomes: list) -> ScanCell:
     for out in outcomes:
         if isinstance(out, str):
             return ScanCell(weight=w, values=(), classification="Failed", error=out)
-    seq = _sequence(w, tuple(outcomes))
+    seq = _sequence(w, outcomes)
     return ScanCell(weight=w, values=seq.values, classification=seq.classification)
 
 
@@ -254,12 +266,13 @@ def scan(
     Only the ``resolution * (resolution + 1) / 2`` cells with
     ``rho_a <= rho_b`` are solved, each at every degree 1..n_max.  These
     (cell, degree) problems go degree after degree in fixed batches of up
-    to 64, each solved in one lockstep Remez loop
+    to 64, fewer at high degree, each solved in one lockstep Remez loop
     (:func:`widomlab.minimax.solve_many` with one degree per weight), and
     with ``workers > 1`` the batches run in a process pool.  Each cell
-    equals its own ``widom_sequence`` bit for bit, whatever the batching or
-    the worker count, since ``solve_many`` solves each problem as it would
-    alone, and keeps the error of its first failed degree.
+    equals its own ``widom_sequence``, which goes through the same batches,
+    bit for bit, whatever the batching or the worker count, since
+    ``solve_many`` solves each problem as it would alone; a cell keeps the
+    error of its first failed degree.
     Every cell with ``rho_a > rho_b`` copies the values, label and error of
     its twin.
     Results are gathered by grid index, so the classification matrix is
@@ -283,9 +296,9 @@ def scan(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_solve_batch, tasks))
+            batches = list(pool.map(_scan_batch, tasks))
     else:
-        batches = list(map(_solve_batch, tasks))
+        batches = list(map(_scan_batch, tasks))
     # degree after degree: a weight's outcomes are every len(weights)-th
     flat = [out for batch in batches for out in batch]
     outcomes = [flat[j :: len(weights)] for j in range(len(weights))]
@@ -323,7 +336,8 @@ def continuity_probe(w: WeightParams, delta: float, n: int) -> float:
 
     Perturbations that would push an exponent negative are skipped, so the
     probe is well defined on the boundary of the parameter quadrant.  ``w``
-    and its perturbations are solved as one lockstep batch.
+    and its perturbations are solved in the lockstep batches of a scan, as
+    one batch up to n = 79.
     """
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
@@ -333,5 +347,5 @@ def continuity_probe(w: WeightParams, delta: float, n: int) -> float:
     steps = ((delta, 0.0), (-delta, 0.0), (0.0, delta), (0.0, -delta))
     moved = [(w.rho_a + da, w.rho_b + db) for da, db in steps]
     weights = [w] + [WeightParams(ra, rb) for ra, rb in moved if ra >= 0.0 and rb >= 0.0]
-    base, *others = _factors(weights, n)
+    base, *others = _widoms(_batches([(v, n) for v in weights]))
     return max((abs(v - base) for v in others), default=0.0)

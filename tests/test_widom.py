@@ -69,7 +69,7 @@ def test_widom_sequence_increasing_below_asymptote():
 
 @pytest.mark.parametrize("ra, rb", [(0.3, 0.6), (0.0, 0.004), (1.0, 1.0)])
 def test_widom_sequence_is_each_widom_factor(ra, rb):
-    # one lockstep batch of degrees 1..n_max, each bit for bit its own solve;
+    # the lockstep batches of degrees 1..n_max, each bit for bit its own solve;
     # (0, 0.004) peaks in a boundary hump on the grid's tail
     w = WeightParams(ra, rb)
     got = widom_sequence(w, 10).values
@@ -90,6 +90,37 @@ def test_widom_sequence_raises_the_first_failing_degree():
         widom_sequence(w, 20)
     assert type(got.value) is type(first)
     assert str(got.value) == str(first)
+
+
+def test_widom_sequence_solves_no_batch_past_its_first_error(monkeypatch):
+    called = []
+
+    def failing_solve_many(weights, n):
+        called.append(list(n))
+        return [ConvergenceError(f"forced at {k}", None, 1.0) for k in n]
+
+    monkeypatch.setattr(widom, "solve_many", failing_solve_many)
+    with pytest.raises(ConvergenceError, match="^forced at 1$"):
+        widom_sequence(WeightParams(0.3, 0.6), 400)
+    assert called == [widom._scan_batches([WeightParams(0.3, 0.6)], 400)[0][1]]
+
+
+def test_batches_bound_their_cosine_matrices():
+    # every problem once, in order; more than one to a batch only within the
+    # cosine budget, so a long sequence holds few degrees' matrices at once
+    w = WeightParams(0.3, 0.6)
+    batches = widom._scan_batches([w], 400)
+    assert [n for _, degrees in batches for n in degrees] == list(range(1, 401))
+    for weights, degrees in batches:
+        assert weights == [w] * len(degrees) and len(degrees) <= widom._SCAN_BATCH
+        entries = sum((30 * n + 200) * (n + 1) for n in degrees)
+        assert len(degrees) == 1 or entries <= widom._BATCH_COSINES
+    assert [len(d) for _, d in batches if d[0] >= 129] == [1] * 272
+    # at low degree the problem count alone splits a scan's problems
+    weights = [WeightParams(a / 10, 0.5) for a in range(10)]
+    problems = [(v, n) for n in range(1, 11) for v in weights]
+    expected = [tuple(zip(*problems[c : c + 64])) for c in range(0, 100, 64)]
+    assert [tuple(map(tuple, b)) for b in widom._scan_batches(weights, 10)] == expected
 
 
 def test_widom_sequence_bounded_by_asymptote_small_parameters():
