@@ -24,8 +24,9 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from widomlab.bounds import weight_sup_bound
-from widomlab.minimax import ChebyshevSolution, MonicPolynomial, solve
-from widomlab.special import WeightParams, _polish_peaks
+from widomlab.minimax import ChebyshevSolution, MonicPolynomial, solve_many
+from widomlab.special import WeightParams, _grouped_power, _polish_peaks, _power_groups
+from widomlab.widom import _batches
 
 __all__ = [
     "RealPolynomial",
@@ -78,13 +79,31 @@ class CircleFunction:
             raise ValueError("exponents must be nonnegative")
 
     def modulus_at_angle(self, phi):
-        z = np.exp(1j * np.asarray(phi, dtype=float))
-        m = np.abs(self.poly(z))
-        if self.exp_plus != 0.0:
-            m = m * np.abs(z - 1.0) ** self.exp_plus
-        if self.exp_minus != 0.0:
-            m = m * np.abs(z + 1.0) ** self.exp_minus
-        return float(m) if np.ndim(phi) == 0 else m
+        at = np.atleast_1d(np.asarray(phi, dtype=float))
+        m = _moduli(at, np.asarray(self.poly.coeffs), _power_groups(self.exp_plus), _power_groups(self.exp_minus))
+        return float(m[0]) if np.ndim(phi) == 0 else m
+
+
+def _moduli(phi: np.ndarray, coeffs: np.ndarray, plus, minus, rows=...) -> np.ndarray:
+    """|z-1|^e_plus |z+1|^e_minus |poly(z)| at z = exp(i phi), elementwise.
+
+    ``coeffs`` holds the ascending coefficients of one polynomial, or one
+    polynomial per row, zero above its own degree, and ``rows`` then gives
+    the row of each point (along the last axis of ``phi``): Horner, as
+    numpy's ``polyval`` runs it, turns a leading zero into an exact zero.
+    ``plus`` and ``minus`` give the exponents as the groups of
+    :func:`special._grouped_power`.
+    """
+    z = np.exp(1j * phi)
+    val = coeffs[rows, -1] + z * 0
+    for k in range(coeffs.shape[-1] - 2, -1, -1):
+        val = coeffs[rows, k] + val * z
+    m = np.abs(val)
+    if plus:
+        m = m * _grouped_power(np.abs(z - 1.0), plus)
+    if minus:
+        m = m * _grouped_power(np.abs(z + 1.0), minus)
+    return m
 
 
 def circle_minimizer_from_interval(w: WeightParams, sol: ChebyshevSolution) -> CircleFunction:
@@ -123,19 +142,53 @@ def _circle_peaks(y: np.ndarray) -> np.ndarray:
     return np.nonzero((y >= yl) & (y >= yh) & (reach >= np.max(y)))[0]
 
 
-def _circle_max(f, phi: np.ndarray, y: np.ndarray) -> float:
-    """Max of the periodic ``f`` from its samples ``y`` on a uniform grid ``phi`` of one period:
-    its :func:`_circle_peaks`, polished by iterated parabolic steps."""
-    idx = _circle_peaks(y)
-    top = _polish_peaks(f, phi[idx], y[idx], 2.0 * np.pi / len(phi), 30, 0.5)
-    return float(np.max(top))
+def _circle_maxes(bind, samples) -> np.ndarray:
+    """The max of each periodic function k from its samples, the k-th (phi, y) pair of
+    ``samples``, on a uniform grid phi of one period: its :func:`_circle_peaks`, polished by
+    iterated parabolic steps.
+
+    The peaks of all the functions go through one polish: ``bind(k)`` returns
+    the elementwise function that evaluates each peak's points under its
+    function ``k[i]``, as :func:`special._polish_peaks` calls it.  Only the
+    peaks of a sample set are kept, so ``samples`` can make each set on demand.
+    """
+    t, y, step, counts = [], [], [], []
+    for phi, ys in samples:
+        at = _circle_peaks(ys)
+        t.append(phi[at])
+        y.append(ys[at])
+        step.append(2.0 * np.pi / len(phi))
+        counts.append(at.size)
+    k = np.repeat(np.arange(len(counts)), counts)
+    top = _polish_peaks(bind(k), np.concatenate(t), np.concatenate(y), np.repeat(step, counts), 30, 0.5)
+    out = np.full(len(counts), -np.inf)
+    np.maximum.at(out, k, top)
+    return out
 
 
 def circle_sup(f: CircleFunction) -> float:
     """Max modulus over the unit circle: the grid peaks that can still win, polished."""
-    size = max(4096, math.ceil(10 * (f.poly.degree + f.exp_plus + f.exp_minus + 4)))
-    phi = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
-    return _circle_max(f.modulus_at_angle, phi, f.modulus_at_angle(phi))
+    return float(_circle_sups([f])[0])
+
+
+def _circle_sups(fs) -> np.ndarray:
+    """:func:`circle_sup` of each of ``fs``, each sampled on its own grid and all polished together."""
+    coeffs = np.zeros((len(fs), max(len(f.poly.coeffs) for f in fs)))
+    for row, f in zip(coeffs, fs):
+        row[: len(f.poly.coeffs)] = f.poly.coeffs
+    plus, minus = np.array([f.exp_plus for f in fs]), np.array([f.exp_minus for f in fs])
+
+    def samples():
+        for f in fs:
+            size = max(4096, math.ceil(10 * (f.poly.degree + f.exp_plus + f.exp_minus + 4)))
+            phi = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
+            yield phi, f.modulus_at_angle(phi)
+
+    def bind(k):
+        pk, mk = _power_groups(plus[k]), _power_groups(minus[k])
+        return lambda t: _moduli(t, coeffs, pk, mk, k)
+
+    return _circle_maxes(bind, samples())
 
 
 def _degree_zero_solution(w: WeightParams) -> ChebyshevSolution:
@@ -153,16 +206,35 @@ def _degree_zero_solution(w: WeightParams) -> ChebyshevSolution:
     )
 
 
-def verify_cn_relation(w: WeightParams, n: int) -> tuple[float, float, float]:
-    """(C_n, I_n, relative defect of C_n = 2^{n+rho_a+rho_b-1} I_n)."""
-    if w.rho_a < 0.5 or w.rho_b < 0.5:
+def verify_cn_relation(w, n):
+    """(C_n, I_n, relative defect of C_n = 2^{n+rho_a+rho_b-1} I_n).
+
+    ``w`` and ``n`` may also be equal-length sequences of weights and
+    degrees: the triples then come back as a list, each equal to its single
+    call.  Their degrees from 1 up are solved in the lockstep batches of
+    :func:`widomlab.widom.widom_sequence`, and the circle sups of all their
+    lifts polished together; the first solver error, in the order given,
+    is raised.
+    """
+    single = isinstance(w, WeightParams)
+    weights, degrees = ([w], [n]) if single else (list(w), [int(k) for k in n])
+    if len(weights) != len(degrees):
+        raise ValueError("give one degree per weight")
+    if any(v.rho_a < 0.5 or v.rho_b < 0.5 for v in weights):
         raise ValueError("circle correspondence requires rho_a, rho_b >= 1/2")
-    sol = _degree_zero_solution(w) if n == 0 else solve(w, n)
-    f = circle_minimizer_from_interval(w, sol)
-    c_n = circle_sup(f)
-    i_n = sol.norm
-    expected = 2.0 ** (n + w.rho_a + w.rho_b - 1.0) * i_n
-    return c_n, i_n, abs(c_n - expected) / c_n
+    tasks = _batches([(v, k) for v, k in zip(weights, degrees) if k != 0])
+    outs = iter([out for task in tasks for out in solve_many(*task)])
+    sols = [next(outs) if k != 0 else _degree_zero_solution(v) for v, k in zip(weights, degrees)]
+    for sol in sols:
+        if isinstance(sol, Exception):
+            raise sol
+    sups = _circle_sups([circle_minimizer_from_interval(v, sol) for v, sol in zip(weights, sols)])
+    out = []
+    for v, k, sol, c_n in zip(weights, degrees, sols, sups.tolist()):
+        i_n = sol.norm
+        expected = 2.0 ** (k + v.rho_a + v.rho_b - 1.0) * i_n
+        out.append((c_n, i_n, abs(c_n - expected) / c_n))
+    return out[0] if single else out
 
 
 _ERDOS_LAX_GRID = 16384
@@ -174,49 +246,75 @@ def erdos_lax_check(angles, exponents) -> tuple[float, float]:
     The derivative modulus uses the logarithmic-derivative form away from the
     zeros and an explicit product-rule expansion within distance 1e-3 of one.
     """
-    s = np.asarray(exponents, dtype=float)
-    if np.any(s < 1.0):
+    return _erdos_lax_checks([(angles, exponents)])[0]
+
+
+def _erdos_lax_checks(checks) -> list[tuple[float, float]]:
+    """:func:`erdos_lax_check` of each (angles, exponents) pair of ``checks``, each equal to its single call.
+
+    Each check samples its grid on its own, and the peaks of |F'| and |F| of
+    all the checks go through one polish.  A check with fewer zeros than
+    the most has the rest at the origin with exponent 0: each adds an exact
+    zero to every sum.
+    """
+    exps = [np.asarray(s, dtype=float) for _, s in checks]
+    if any(np.any(s < 1.0) for s in exps):
         raise ValueError("all exponents must be at least 1")
-    zk = np.exp(1j * np.asarray(angles, dtype=float))
+    zk = np.zeros((len(checks), max(s.size for s in exps)), dtype=complex)
+    s = np.zeros(zk.shape)
+    for i, ((angles, _), si) in enumerate(zip(checks, exps)):
+        zk[i, : si.size], s[i, : si.size] = np.exp(1j * np.asarray(angles, dtype=float)), si
     # offset grid so no sample collides with a zero of F
     phi = (np.arange(_ERDOS_LAX_GRID) + 0.31) * 2.0 * np.pi / _ERDOS_LAX_GRID
+    # |F'| and then |F| of each check, one check at a time
+    samples = ((phi, m) for zr, sr in zip(zk, s) for m in _erdos_lax_moduli(phi, zr, sr))
 
-    def moduli(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = np.exp(1j * p)
-        # one zero at a time: only the rows near a zero need the (grid, m) matrices
-        logf = np.zeros_like(z)
-        dlogf = np.zeros_like(z)
-        logdist = np.full(z.shape, np.inf)
-        for sj, zj in zip(s, zk):
-            d = z - zj
-            logd = np.log(d)
-            np.minimum(logdist, logd.real, out=logdist)
-            logd *= sj
-            logf += logd
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dlogf += sj / d
-        absf = np.exp(np.real(logf))
-        with np.errstate(invalid="ignore"):
-            absd = absf * np.abs(dlogf)
-        near = logdist < np.log(1e-3)
-        if np.any(near):
-            logd = np.log(z[near, None] - zk[None, :])
-            terms = s * np.exp(logf[near, None] - logd)
-            absd[near] = np.abs(np.sum(terms, axis=1))
-        return absd, absf
+    def bind(k):
+        zr, sr, want_d = zk[k // 2], s[k // 2], k % 2 == 0
 
-    absd, absf = moduli(phi)
-    # the peaks of |F'| and then those of |F|, polished together: moduli is elementwise
-    at_d, at_f = _circle_peaks(absd), _circle_peaks(absf)
-    split = at_d.size
+        def moduli(p: np.ndarray) -> np.ndarray:
+            d, f = _erdos_lax_moduli(p, zr, sr)
+            return np.where(want_d, d, f)
 
-    def both(p: np.ndarray) -> np.ndarray:
-        d, f = moduli(p)
-        return np.concatenate((d[:split], f[split:]))
+        return moduli
 
-    t, y = np.concatenate((phi[at_d], phi[at_f])), np.concatenate((absd[at_d], absf[at_f]))
-    top = _polish_peaks(both, t, y, 2.0 * np.pi / len(phi), 30, 0.5)
-    return float(np.max(top[:split])), 0.5 * float(np.sum(s)) * float(np.max(top[split:]))
+    top = _circle_maxes(bind, samples).tolist()
+    return [(top[2 * i], 0.5 * float(np.sum(si)) * top[2 * i + 1]) for i, si in enumerate(exps)]
+
+
+def _erdos_lax_moduli(p: np.ndarray, zk: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|F'|, |F|) at the angles ``p``, elementwise, for F = prod (z - zk_j)^{s_j}.
+
+    ``zk`` and ``s`` hold the zeros and exponents along their last axis, for
+    every point, or one row per point along the last axis of ``p``.
+    """
+    z = np.exp(1j * p)
+    # one zero at a time: only the points near a zero need the (points, m) matrices
+    logf = np.zeros_like(z)
+    dlogf = np.zeros_like(z)
+    logdist = np.full(z.shape, np.inf)
+    for j in range(zk.shape[-1]):
+        sj = s[..., j]
+        d = z - zk[..., j]
+        logd = np.log(d)
+        np.minimum(logdist, logd.real, out=logdist)
+        logd *= sj
+        logf += logd
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dlogf += sj / d
+    absf = np.exp(np.real(logf))
+    with np.errstate(invalid="ignore"):
+        absd = absf * np.abs(dlogf)
+    near = logdist < np.log(1e-3)
+    if np.any(near):
+        shape = z.shape + zk.shape[-1:]
+        zn, sn = np.broadcast_to(zk, shape)[near], np.broadcast_to(s, shape)[near]
+        zs, logfn = z[near], logf[near]
+        total = np.zeros_like(zs)
+        for j in range(shape[-1]):
+            total = total + sn[:, j] * np.exp(logfn - np.log(zs - zn[:, j]))
+        absd[near] = np.abs(total)
+    return absd, absf
 
 
 def polya_szego_combine(points) -> np.ndarray:

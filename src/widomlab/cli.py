@@ -19,13 +19,13 @@ import numpy as np
 
 from widomlab.bounds import (
     PropertyViolation,
-    m_bound,
+    _m_bounds,
     verify_coeff_lemma,
     verify_m_monotone,
 )
-from widomlab.circle import erdos_lax_check, verify_cn_relation
+from widomlab.circle import _erdos_lax_checks, verify_cn_relation
 from widomlab.minimax import ConvergenceError, DegeneracyError, ExchangeError, solve
-from widomlab.special import WeightParams, weight_to_param, weighted_monic_jacobi_sup
+from widomlab.special import WeightParams, _jacobi_sups, weight_to_param
 from widomlab.widom import _DISC_CENTER, _INNER_R2, widom_sequence
 from widomlab.widom import scan as grid_scan
 
@@ -262,20 +262,17 @@ def _verify_coeffs(args) -> list[dict]:
 def _verify_circle(args) -> list[dict]:
     if args.n_max < 0:
         raise ValueError("--n-max must be at least 0")
-    worst = 0.0
-    for ra, rb in _CN_VERIFY_PARAMS:
-        for n in range(args.n_max + 1):
-            _, _, defect = verify_cn_relation(WeightParams(ra, rb), n)
-            worst = max(worst, defect)
+    pairs = [(WeightParams(ra, rb), n) for ra, rb in _CN_VERIFY_PARAMS for n in range(args.n_max + 1)]
+    relations = verify_cn_relation(*zip(*pairs))
+    worst = max([0.0] + [defect for _, _, defect in relations])
     checks = [_check("circle-interval norm relation defect", worst, 1e-6)]
     rng = np.random.default_rng(5)
-    worst_el = 0.0
+    configs = []
     for _ in range(10):
         m = int(rng.integers(2, 5))
         angles = rng.uniform(0.0, 2.0 * np.pi, m)
-        exponents = rng.uniform(1.0, 2.5, m)
-        lhs, rhs = erdos_lax_check(angles, exponents)
-        worst_el = max(worst_el, abs(lhs - rhs) / rhs)
+        configs.append((angles, rng.uniform(1.0, 2.5, m)))
+    worst_el = max([0.0] + [abs(lhs - rhs) / rhs for lhs, rhs in _erdos_lax_checks(configs)])
     checks.append(_check("Erdos-Lax relative defect", worst_el, 1e-6))
     return checks
 
@@ -283,16 +280,13 @@ def _verify_circle(args) -> list[dict]:
 def _verify_jacobi(args) -> list[dict]:
     if args.n_max < 1 or args.samples < 1:
         raise ValueError("--n-max and --samples must be at least 1")
-    worst = 0.0
     rhos = np.linspace(0.0, 0.5, args.samples)
     ns = np.arange(1, args.n_max + 1)
-    for rb in rhos:
-        for ra in rhos:
-            w = WeightParams(float(ra), float(rb))
-            # scaling by 2^n is exact
-            lhs = np.ldexp(weighted_monic_jacobi_sup(w, ns), ns)
-            worst = max(worst, float(np.max(lhs / m_bound(weight_to_param(w), ns) - 1.0)))
-    return [_check("chain inequality relative excess", worst, 1e-9)]
+    weights = [WeightParams(float(ra), float(rb)) for rb in rhos for ra in rhos]
+    # scaling by 2^n is exact
+    lhs = np.ldexp(_jacobi_sups(weights, ns), ns)
+    excess = lhs / _m_bounds([weight_to_param(w) for w in weights], ns) - 1.0
+    return [_check("chain inequality relative excess", max(0.0, float(np.max(excess))), 1e-9)]
 
 
 def cmd_verify(args) -> int:

@@ -19,7 +19,14 @@ from itertools import groupby
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from widomlab.special import WeightParams, _bracketed_newton, _parabolic_shift, _tail_grid
+from widomlab.special import (
+    WeightParams,
+    _bracketed_newton,
+    _parabolic_shift,
+    _power_groups,
+    _tail_grid,
+    _weight_groups,
+)
 
 __all__ = [
     "MonicPolynomial",
@@ -46,6 +53,10 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.best = best
         self.defect = defect
+
+    def __reduce__(self):
+        # pickled with all three arguments: a process pool can return the error
+        return type(self), (self.args[0], self.best, self.defect)
 
 
 class DegeneracyError(RuntimeError):
@@ -244,8 +255,8 @@ class _Cells:
     """A batch of problems solved side by side: the weight ``weights[i]`` at degree ``deg[i]``.
 
     The methods take points in consecutive blocks, ``sizes[j]`` points of
-    the problem ``rows[j]``, and evaluate each point as
-    :func:`special._weight_theta` would evaluate it alone, bit for bit.
+    the problem ``rows[j]``: a layout.  :meth:`weight` evaluates each point
+    as :func:`special._weight_theta` would evaluate it alone, bit for bit.
     """
 
     def __init__(self, weights, degrees):
@@ -253,21 +264,15 @@ class _Cells:
         self.deg = np.broadcast_to(np.asarray(degrees, dtype=int), (len(self.weights),))
         self.ra = np.array([w.rho_a for w in self.weights], dtype=float)
         self.rb = np.array([w.rho_b for w in self.weights], dtype=float)
-        self._exponents = [
-            self._groups([w.rho_a for w in self.weights]),
-            self._groups([w.rho_b for w in self.weights]),
-        ]
+        # the exponent groups of the layouts :meth:`weight` saw last, least
+        # recent first: as many as one iteration uses, one per degree for the
+        # levelled systems and two for the extremum steps
+        self._groups: dict = {}
+        self._keep = np.unique(self.deg).size + 2
 
     def about(self, i: int) -> str:
         w = self.weights[i]
         return f"rho_a={w.rho_a}, rho_b={w.rho_b}, n={self.deg[i]}"
-
-    @staticmethod
-    def _groups(rhos):
-        # (group of each cell, the exponent of each group as the caller gave it)
-        index: dict = {}
-        group = np.array([index.setdefault(r, len(index)) for r in rhos], dtype=int)
-        return group, list(index)
 
     def exponent(self, side: int, rows, sizes) -> np.ndarray:
         """rho_a (side 0) or rho_b (side 1) at each point."""
@@ -276,25 +281,19 @@ class _Cells:
     def weight(self, theta: np.ndarray, rows, sizes) -> np.ndarray:
         """(1-x)^rho_a (1+x)^rho_b at x = cos(theta), under each point's own exponents.
 
-        numpy's power takes a fast path for some scalar exponents (0.5, 2
-        and -1) that rounds differently from the path an array of exponents
-        takes, so each distinct exponent is applied as a scalar to its points.
+        The points of each exponent are found once per layout while the
+        layout stays in use: a problem's reference keeps its layout from
+        one iteration to the next, and its number of grid maxima mostly does.
         """
-        out = np.ones_like(theta)
-        for (group, rhos), trig in zip(self._exponents, (np.sin, np.cos)):
-            if not any(r != 0.0 for r in rhos):
-                continue
-            base = 2.0 * trig(0.5 * theta) ** 2
-            factor = np.ones_like(theta)
-            of_point = np.repeat(group[rows], sizes)
-            order = np.argsort(of_point, kind="stable")
-            bounds = np.searchsorted(of_point[order], np.arange(len(rhos) + 1))
-            for g, rho in enumerate(rhos):
-                at = order[bounds[g] : bounds[g + 1]]
-                if rho != 0.0 and at.size:
-                    factor[at] = base[at] ** rho
-            out = out * factor
-        return out
+        rows, sizes = np.asarray(rows), np.asarray(sizes)
+        key = (rows.tobytes(), sizes.tobytes())
+        groups = self._groups.pop(key, None)
+        if groups is None:
+            if len(self._groups) == self._keep:
+                del self._groups[next(iter(self._groups))]
+            groups = [_power_groups(self.exponent(side, rows, sizes)) for side in (0, 1)]
+        self._groups[key] = groups
+        return _weight_groups(theta, *groups)
 
 
 def _log_error_slope(cells: _Cells, blocks, counts, coefs, theta, live):

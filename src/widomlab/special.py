@@ -75,8 +75,8 @@ def weight_to_param(w: WeightParams) -> JacobiParams:
     return JacobiParams(2.0 * w.rho_a - 0.5, 2.0 * w.rho_b - 0.5)
 
 
-def _recurrence_terms(a: float, b: float, k: int) -> tuple[float, float, float, float]:
-    """Coefficients of a_k P_k = (b_k + c_k x) P_{k-1} - d_k P_{k-2}."""
+def _recurrence_terms(a, b, k: int):
+    """Coefficients of a_k P_k = (b_k + c_k x) P_{k-1} - d_k P_{k-2}; numbers, or arrays of per-point parameters."""
     s = a + b
     ak = 2.0 * k * (k + s) * (2.0 * k + s - 2.0)
     bk = (2.0 * k + s - 1.0) * (a * a - b * b)
@@ -94,45 +94,75 @@ def jacobi_eval(p: JacobiParams, n, x):
     value and derivative at its own degree.  The arithmetic of a point does
     not depend on the degrees of the others.
     """
+    return _jacobi(p.alpha, p.beta, n, x, derivative=True)
+
+
+def _tail(c, start: int):
+    # a per-point parameter from the point ``start`` on; a number stays as it is
+    return c[start:] if np.ndim(c) else c
+
+
+def _jacobi(a, b, n, x, derivative: bool):
+    """The recurrence of :func:`jacobi_eval`: values, and derivatives if ``derivative``.
+
+    ``a`` and ``b`` are numbers, or arrays of per-point parameters broadcast
+    against x and ``n``; an array runs the same arithmetic on each point
+    that a number runs on all of them, so each point gets what its own
+    parameters give it alone.
+    """
     deg = np.asarray(n)
     if deg.dtype.kind not in "iu":
         raise TypeError("degrees must be integers")
     if np.any(deg < 0):
         raise ValueError("degree must be nonnegative")
-    a, b = p.alpha, p.beta
     xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0 and deg.ndim == 0
-    xs, deg = np.broadcast_arrays(np.atleast_1d(xs), deg)
+    per_point = np.ndim(a) > 0 or np.ndim(b) > 0
+    scalar = xs.ndim == 0 and deg.ndim == 0 and not per_point
+    if per_point:
+        xs, deg, a, b = np.broadcast_arrays(np.atleast_1d(xs), deg, a, b)
+    else:
+        xs, deg = np.broadcast_arrays(np.atleast_1d(xs), deg)
     shape = xs.shape
     # points sorted by degree, so that step k runs on the suffix of degree >= k
     order = np.argsort(deg, axis=None, kind="stable")
     xs, deg = xs.ravel()[order], deg.ravel()[order]
+    if per_point:
+        a, b = a.ravel()[order], b.ravel()[order]
     top = int(deg[-1]) if deg.size else 0
     cut = np.searchsorted(deg, np.arange(top + 2))
     v = np.empty(xs.size)
-    d = np.empty(xs.size)
     v[order[: cut[1]]] = 1.0
-    d[order[: cut[1]]] = 0.0
+    if derivative:
+        d = np.empty(xs.size)
+        d[order[: cut[1]]] = 0.0
     if top > 0:
         x1 = xs[cut[1] :]
+        a1, b1 = _tail(a, cut[1]), _tail(b, cut[1])
         v0 = np.ones_like(x1)
-        d0 = np.zeros_like(x1)
-        v1 = 0.5 * ((a + b + 2.0) * x1 + (a - b))
-        d1 = np.full_like(x1, 0.5 * (a + b + 2.0))
+        v1 = 0.5 * ((a1 + b1 + 2.0) * x1 + (a1 - b1))
+        if derivative:
+            d0 = np.zeros_like(x1)
+            d1 = d0 + 0.5 * (a1 + b1 + 2.0)
         for k in range(2, top + 1):
             done = cut[k] - cut[k - 1]
             if done:  # store the points of degree k - 1 and drop them
                 v[order[cut[k - 1] : cut[k]]] = v1[:done]
-                d[order[cut[k - 1] : cut[k]]] = d1[:done]
-                v0, v1, d0, d1 = v0[done:], v1[done:], d0[done:], d1[done:]
-            ak, bk, ck, dk = _recurrence_terms(a, b, k)
+                v0, v1 = v0[done:], v1[done:]
+                if derivative:
+                    d[order[cut[k - 1] : cut[k]]] = d1[:done]
+                    d0, d1 = d0[done:], d1[done:]
+            ak, bk, ck, dk = _recurrence_terms(_tail(a, cut[k]), _tail(b, cut[k]), k)
             t = bk + ck * xs[cut[k] :]
             v2 = (t * v1 - dk * v0) / ak
-            d2 = (ck * v1 + t * d1 - dk * d0) / ak
+            if derivative:
+                d2 = (ck * v1 + t * d1 - dk * d0) / ak
+                d0, d1 = d1, d2
             v0, v1 = v1, v2
-            d0, d1 = d1, d2
         v[order[cut[top] :]] = v1
-        d[order[cut[top] :]] = d1
+        if derivative:
+            d[order[cut[top] :]] = d1
+    if not derivative:
+        return float(v[0]) if scalar else v.reshape(shape)
     if scalar:
         return float(v[0]), float(d[0])
     return v.reshape(shape), d.reshape(shape)
@@ -154,14 +184,49 @@ def monic_scale(p: JacobiParams, n: int) -> float:
     )
 
 
-def _weight_theta(ra: float, rb: float, theta: np.ndarray) -> np.ndarray:
-    """(1-x)^ra (1+x)^rb at x = cos(theta), via half-angle forms stable near the endpoints."""
-    out = np.ones_like(theta)
-    if ra != 0.0:
-        out = out * (2.0 * np.sin(0.5 * theta) ** 2) ** ra
-    if rb != 0.0:
-        out = out * (2.0 * np.cos(0.5 * theta) ** 2) ** rb
+def _power_groups(rho) -> list:
+    """Each distinct nonzero exponent of ``rho``, one per point along the last axis of the
+    points, with the indices of its points: the groups of :func:`_grouped_power`."""
+    rho = np.asarray(rho)
+    values = np.unique(rho)
+    if values.size == 1:  # one exponent: every point, without an index array
+        return [(float(values[0]), slice(None))] if values[0] != 0.0 else []
+    return [(float(r), np.flatnonzero(rho == r)) for r in values if r != 0.0]
+
+
+def _grouped_power(base: np.ndarray, groups) -> np.ndarray:
+    """``base ** rho`` at the points of each (rho, indices) pair of ``groups``, 1 at the others.
+
+    The indices run along the last axis of ``base``, as :func:`_power_groups`
+    gives them.  numpy's power takes a fast path for some scalar exponents
+    (0.5, 2 and -1) that rounds differently from the path an array of
+    exponents takes, so each exponent is applied as a scalar to its points,
+    and each point gets what its own exponent gives it alone.
+    """
+    if len(groups) == 1 and isinstance(groups[0][1], slice):  # every point
+        return base ** groups[0][0]
+    out = np.ones(base.shape)
+    for rho, at in groups:
+        out[..., at] = base[..., at] ** rho
     return out
+
+
+def _weight_groups(theta: np.ndarray, groups_a, groups_b) -> np.ndarray:
+    """(1-x)^rho_a (1+x)^rho_b at x = cos(theta), via half-angle forms stable near the endpoints,
+    under per-point exponents given as the groups of :func:`_grouped_power` (no group: exponent 0)."""
+    out = None
+    for groups, trig in ((groups_a, np.sin), (groups_b, np.cos)):
+        if groups:
+            factor = _grouped_power(2.0 * trig(0.5 * theta) ** 2, groups)
+            # a factor of 1 is exact: each point gets the product of its own factors
+            out = factor if out is None else out * factor
+    return np.ones_like(theta) if out is None else out
+
+
+def _weight_theta(ra: float, rb: float, theta: np.ndarray) -> np.ndarray:
+    """(1-x)^ra (1+x)^rb at x = cos(theta): :func:`_weight_groups` with one exponent for every point."""
+    every = slice(None)
+    return _weight_groups(theta, [(ra, every)] if ra else [], [(rb, every)] if rb else [])
 
 
 def _theta_grid(ra: float, rb: float, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -234,11 +299,14 @@ def _polish_peaks(f, t, y, step, rounds: int, shrink: float):
     Each round fits a parabola to f at t - step, t, t + step, moves each point
     to its vertex (at most ``step`` away) unless f is lower there, and scales
     ``step`` by ``shrink``; ``step`` is a number or one per point.  ``f`` must
-    accept points up to ``step`` outside the range ``t`` was sampled from.
-    Returns the polished values.
+    accept points up to ``step`` outside the range ``t`` was sampled from,
+    and be elementwise: it gets t - step and t + step in one call, stacked
+    as the two rows of an array, and anything it holds per peak must
+    broadcast against each row.  Returns the polished values.
     """
     for _ in range(rounds):
-        t2 = t + _parabolic_shift(f(t - step), y, f(t + step), step)
+        yl, yh = f(np.stack((t - step, t + step)))
+        t2 = t + _parabolic_shift(yl, y, yh, step)
         y2 = f(t2)
         better = y2 >= y
         t = np.where(better, t2, t)
@@ -313,7 +381,7 @@ def jacobi_zeros(p: JacobiParams, n: int) -> list[float]:
     if n < 1:
         raise ValueError("degree must be at least 1")
     grid = np.cos(np.linspace(0.0, np.pi, 20 * n + 100))[::-1]
-    vals, _ = jacobi_eval(p, n, grid)
+    vals = _jacobi(p.alpha, p.beta, n, grid, derivative=False)
     flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if flip.size != n:
         raise RuntimeError(f"zero bracketing found {flip.size} of {n} zeros for {p}")
@@ -332,42 +400,59 @@ def weighted_monic_jacobi_sup(w: WeightParams, n):
     Local maxima are refined by iterated 3-point parabolic interpolation, a
     tail point with half its distance to the endpoint as the first step;
     relative accuracy target 1e-9.  ``n`` may also be a sequence of degrees:
-    their grids are evaluated in one :func:`jacobi_eval` call and their
-    peaks polished together, and the sups come back as an array, each equal
-    to the sup at its degree alone.
+    their grids are evaluated in one recurrence and their peaks polished
+    together, and the sups come back as an array, each equal to the sup at
+    its degree alone.
     """
     degrees = np.asarray(n)
-    if np.any(degrees < 0):
+    sups = _jacobi_sups([w], np.atleast_1d(degrees).ravel())[0]
+    return float(sups[0]) if degrees.ndim == 0 else sups.reshape(degrees.shape)
+
+
+def _jacobi_sups(weights, deg: np.ndarray) -> np.ndarray:
+    """:func:`weighted_monic_jacobi_sup` of each of ``weights`` at each of the degrees ``deg``, one row per weight.
+
+    Each weight's grids go through a recurrence of their own, so that only
+    one weight's grids are alive at a time, and the peaks of all weights
+    are polished together; each sup equals its single call bit for bit.
+    """
+    if np.any(deg < 0):
         raise ValueError("degree must be nonnegative")
-    p = weight_to_param(w)
-    deg = np.atleast_1d(degrees).ravel()
-    scale = np.array([monic_scale(p, int(k)) for k in deg])
-    grids = [_tail_grid(w.rho_a, w.rho_b, 50 * int(k) + 500) for k in deg]
-    theta = np.concatenate([t for t, _, _ in grids])
-    sizes = np.array([t.size for t, _, _ in grids])
-    steps = np.array([step for _, _, step in grids])
-    # degree index of each grid point, and the first and last point of each grid
-    seg = np.repeat(np.arange(deg.size), sizes)
-    last = np.cumsum(sizes) - 1
-    first = last - sizes + 1
-    vals, _ = jacobi_eval(p, deg[seg], np.cos(theta))
-    mag = np.concatenate([wt for _, wt, _ in grids]) * np.abs(scale[seg] * vals)
-    best = np.maximum(mag[first], mag[last])
-    inner = np.ones(theta.size, dtype=bool)
-    inner[first] = inner[last] = False
-    idx = np.nonzero(inner[1:-1] & (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]))[0] + 1
-    if idx.size:
+    params = [weight_to_param(w) for w in weights]
+    best, peaks = np.empty((len(weights), deg.size)), []
+    for row, (w, p) in enumerate(zip(weights, params)):
+        scale = np.array([monic_scale(p, int(k)) for k in deg])
+        grids = [_tail_grid(w.rho_a, w.rho_b, 50 * int(k) + 500) for k in deg]
+        theta = np.concatenate([t for t, _, _ in grids])
+        sizes = np.array([t.size for t, _, _ in grids])
+        steps = np.array([step for _, _, step in grids])
+        # degree index of each grid point, and the first and last point of each grid
+        seg = np.repeat(np.arange(deg.size), sizes)
+        last = np.cumsum(sizes) - 1
+        first = last - sizes + 1
+        vals = _jacobi(p.alpha, p.beta, deg[seg], np.cos(theta), derivative=False)
+        mag = np.concatenate([wt for _, wt, _ in grids]) * np.abs(scale[seg] * vals)
+        best[row] = np.maximum(mag[first], mag[last])
+        inner = np.ones(theta.size, dtype=bool)
+        inner[first] = inner[last] = False
+        idx = np.nonzero(inner[1:-1] & (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]))[0] + 1
         pk = seg[idx]
-
-        def eval_mag(t: np.ndarray) -> np.ndarray:
-            # even about theta = 0 and pi, so the polish may step past either end
-            v, _ = jacobi_eval(p, deg[pk], np.cos(t))
-            return _weight_theta(w.rho_a, w.rho_b, t) * np.abs(scale[pk] * v)
-
         t = theta[idx]
         # a tail point lies at most half a step from its endpoint
         u = np.minimum(t, np.pi - t)
         step = np.where(u < 0.75 * steps[pk], 0.5 * u, steps[pk])
-        y = _polish_peaks(eval_mag, t, mag[idx], step, 3, 0.25)
-        np.maximum.at(best, pk, y)
-    return float(best[0]) if degrees.ndim == 0 else best.reshape(degrees.shape)
+        peaks.append((np.full(idx.size, row), pk, t, mag[idx], step, scale[pk]))
+    rows, pk, t, y, step, scale = (np.concatenate(c) for c in zip(*peaks))
+    if t.size:
+        alpha = np.array([p.alpha for p in params])[rows]
+        beta = np.array([p.beta for p in params])[rows]
+        ga = _power_groups(np.array([w.rho_a for w in weights])[rows])
+        gb = _power_groups(np.array([w.rho_b for w in weights])[rows])
+
+        def eval_mag(t: np.ndarray) -> np.ndarray:
+            # even about theta = 0 and pi, so the polish may step past either end
+            v = _jacobi(alpha, beta, deg[pk], np.cos(t), derivative=False)
+            return _weight_groups(t, ga, gb) * np.abs(scale * v)
+
+        np.maximum.at(best, (rows, pk), _polish_peaks(eval_mag, t, y, step, 3, 0.25))
+    return best

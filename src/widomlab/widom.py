@@ -221,19 +221,12 @@ def _widoms(tasks) -> list[float]:
     return values
 
 
-def _scan_batch(task: tuple[list[WeightParams], list[int]]) -> list:
-    """:func:`_solve_batch` with each error as ``"Type: message"``, which a process pool can return."""
-    return [
-        f"{type(out).__name__}: {out}" if isinstance(out, Exception) else out
-        for out in _solve_batch(task)
-    ]
-
-
 def _scan_cell(w: WeightParams, outcomes: list) -> ScanCell:
     """The cell of ``w`` from its outcomes at n = 1, 2, ...: failed at its first error."""
     for out in outcomes:
-        if isinstance(out, str):
-            return ScanCell(weight=w, values=(), classification="Failed", error=out)
+        if isinstance(out, Exception):
+            error = f"{type(out).__name__}: {out}"
+            return ScanCell(weight=w, values=(), classification="Failed", error=error)
     seq = _sequence(w, outcomes)
     return ScanCell(weight=w, values=seq.values, classification=seq.classification)
 
@@ -296,9 +289,9 @@ def scan(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_scan_batch, tasks))
+            batches = list(pool.map(_solve_batch, tasks))
     else:
-        batches = list(map(_scan_batch, tasks))
+        batches = list(map(_solve_batch, tasks))
     # degree after degree: a weight's outcomes are every len(weights)-th
     flat = [out for batch in batches for out in batch]
     outcomes = [flat[j :: len(weights)] for j in range(len(weights))]

@@ -72,6 +72,32 @@ def test_m_bound_over_degrees_equals_scalar_calls():
         m_bound(JacobiParams(0.6, 0.0), [3, 4])
 
 
+def _m_bound_scalar(p, n):
+    # the scalar formula of m_bound, one math call per term
+    q, s = p.q, p.alpha + p.beta
+    return math.exp(
+        0.5 * (1.0 - s) * math.log(2.0)
+        + math.lgamma(n + q + 1.0)
+        + math.lgamma(n + s + 1.0)
+        - (q + 0.5) * math.log(n + 0.5 * (s + 1.0))
+        - math.lgamma(n + 0.5 * (s + 1.0))
+        - math.lgamma(n + 0.5 * s + 1.0)
+    )
+
+
+def test_m_bounds_over_the_grid_equal_each_weight_alone():
+    # the batch tabulates each log-Gamma and log term once per distinct
+    # argument, shared by the 81 weights, but keeps math.exp per entry
+    params, ns = grid9(), np.arange(1, 301)
+    table = bounds._m_bounds(params, ns)
+    assert table.shape == (81, 300)
+    for p, row in zip(params, table):
+        assert np.array_equal(row, m_bound(p, ns))
+        assert [row[n - 1] for n in (1, 2, 17, 300)] == [_m_bound_scalar(p, n) for n in (1, 2, 17, 300)]
+    p = JacobiParams(0.1, -0.3)
+    assert m_bound(p, 10**6) == _m_bound_scalar(p, 10**6)
+
+
 def test_m_bound_raw_form_agrees():
     rng = np.random.default_rng(3)
     for _ in range(40):

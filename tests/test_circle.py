@@ -107,6 +107,21 @@ def test_cn_relation_high_degree(ra, rb, n):
     assert defect <= 1e-12
 
 
+def test_cn_relations_in_one_batch_equal_each_alone():
+    # (0.75, *) and (1, *) lift to the exponents 0.5 and 1.0, which numpy's
+    # power rounds on scalar fast paths; the polish applies each as a scalar
+    pairs = [
+        (WeightParams(ra, rb), n)
+        for ra, rb in ((0.5, 0.5), (0.75, 0.75), (1.0, 1.0), (0.75, 1.25), (1.5, 0.5))
+        for n in range(0, 5)
+    ]
+    got = verify_cn_relation(*zip(*pairs))
+    assert got == [verify_cn_relation(w, n) for w, n in pairs]
+    assert isinstance(verify_cn_relation(WeightParams(1.0, 1.0), 2), tuple)
+    with pytest.raises(ValueError):
+        verify_cn_relation([WeightParams(1.0, 1.0), WeightParams(0.3, 0.7)], [1, 1])
+
+
 def test_circle_minimizer_roots_conjugate_closed():
     w = WeightParams(0.8, 1.1)
     for n in (1, 3):
@@ -139,6 +154,20 @@ def test_erdos_lax_random_configurations():
         assert abs(lhs - rhs) <= 1e-6 * rhs
 
 
+def test_erdos_lax_checks_in_one_polish_equal_each_alone():
+    # the zeros of a check with fewer than the most are padded at the origin
+    # with exponent 0, which adds exact zeros
+    rng = np.random.default_rng(5)
+    checks = [([1.0, 1.0 + 5e-4], [1.0, 2.5]), ([0.0, math.pi], [1.0, 1.0])]
+    for _ in range(12):
+        m = int(rng.integers(1, 7))
+        checks.append((rng.uniform(0.0, 2.0 * np.pi, m), rng.uniform(1.0, 3.0, m)))
+    got = circle._erdos_lax_checks(checks)
+    assert got == [erdos_lax_check(angles, exps) for angles, exps in checks]
+    with pytest.raises(ValueError):
+        circle._erdos_lax_checks([([0.0], [1.0]), ([0.0], [0.5])])
+
+
 def _erdos_lax_by_matrices(angles, exponents):
     # the (grid, m) matrix form that erdos_lax_check replaced, as a reference
     s = np.asarray(exponents, dtype=float)
@@ -148,22 +177,24 @@ def _erdos_lax_by_matrices(angles, exponents):
 
     def moduli(p):
         z = np.exp(1j * p)
-        d = z[:, None] - zk[None, :]
+        d = z[..., None] - zk
         logd = np.log(d)
-        logf = np.sum(s * logd, axis=1)
+        logf = np.sum(s * logd, axis=-1)
         absf = np.exp(np.real(logf))
-        near = np.min(np.abs(d), axis=1) < 1e-3
+        near = np.min(np.abs(d), axis=-1) < 1e-3
         with np.errstate(divide="ignore", invalid="ignore"):
-            absd = absf * np.abs(np.sum(s / d, axis=1))
+            absd = absf * np.abs(np.sum(s / d, axis=-1))
         if np.any(near):
             terms = s * np.exp(logf[near, None] - logd[near, :])
             absd[near] = np.abs(np.sum(terms, axis=1))
         return absd, absf
 
     absd, absf = moduli(phi)
+    # the polish evaluates t - step and t + step as the two rows of one array
+    top = circle._circle_maxes(lambda k: lambda p: np.where(k % 2 == 0, *moduli(p)), [(phi, absd), (phi, absf)])
     return (
-        circle._circle_max(lambda p: moduli(p)[0], phi, absd),
-        0.5 * float(np.sum(s)) * circle._circle_max(lambda p: moduli(p)[1], phi, absf),
+        float(top[0]),
+        0.5 * float(np.sum(s)) * float(top[1]),
     )
 
 

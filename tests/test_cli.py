@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +152,26 @@ def test_verify_commands_pass(capsys):
     assert main(["verify", "bounds", "--n-max", "200", "--samples", "3"]) == 0
     assert main(["verify", "circle", "--n-max", "1"]) == 0
     assert main(["verify", "jacobi", "--n-max", "4", "--samples", "2"]) == 0
+
+
+# the json documents of each sweep, byte for byte: batching a sweep over
+# degrees or weights must not move any digit of them
+GOLDEN = Path(__file__).with_name("golden")
+REDUCED = {
+    "bounds": ["--n-max", "200", "--samples", "3"],
+    "coeffs": ["--samples", "25"],
+    "circle": ["--n-max", "1"],
+    "jacobi": ["--n-max", "4", "--samples", "2"],
+}
+
+
+@pytest.mark.parametrize("sizes", ["reduced", "default"])
+@pytest.mark.parametrize("check", sorted(REDUCED))
+def test_verify_documents_match_golden(check, sizes, capsys):
+    flags, suffix = (REDUCED[check], "") if sizes == "reduced" else ([], "_default")
+    assert main(["verify", check, *flags, "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (GOLDEN / f"verify_{check}{suffix}.json").read_bytes()
 
 
 def test_verify_json_report(capsys):

@@ -1,6 +1,7 @@
 """Tests for the weighted Remez solver and its equioscillation certificate."""
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -286,6 +287,35 @@ def test_batch_weight_is_each_weight_alone():
     got = cells.weight(theta, np.arange(len(pairs)), 100)
     for (ra, rb), block, at in zip(pairs, np.split(theta, len(pairs)), np.split(got, len(pairs))):
         assert np.array_equal(at, _weight_theta(ra, rb, block))
+
+
+def test_batch_weight_groups_the_points_once_per_layout(monkeypatch):
+    built = []
+    groups = minimax._power_groups
+    monkeypatch.setattr(minimax, "_power_groups", lambda rho: built.append(len(rho)) or groups(rho))
+    cells = minimax._Cells([WeightParams(0.5, 0.3), WeightParams(0.3, 0.0)], 4)
+    theta = np.random.default_rng(2).uniform(0.0, np.pi, (2, 10))
+    first = cells.weight(theta[0], np.array([0, 1]), np.array([4, 6]))
+    again = cells.weight(theta[1], np.array([0, 1]), np.array([4, 6]))
+    assert built == [10, 10]  # one grouping per side
+    cells.weight(theta[0], np.array([1, 0]), np.array([4, 6]))
+    assert built == [10, 10, 10, 10]
+    # it keeps the layouts of about one iteration: here one degree and two extremum steps
+    for m in range(1, 6):
+        cells.weight(theta[0], np.array([0, 1]), np.array([m, 10 - m]))
+    assert len(cells._groups) == 3
+    for got, t in ((first, theta[0]), (again, theta[1])):
+        assert np.array_equal(got[:4], _weight_theta(0.5, 0.3, t[:4]))
+        assert np.array_equal(got[4:], _weight_theta(0.3, 0.0, t[4:]))
+
+
+def test_convergence_error_survives_pickling():
+    # a process pool returns a batch's outcomes, errors included, by pickling them
+    (out,) = solve_many([WeightParams(0.78, 0.03)], 60, max_iter=3)
+    assert isinstance(out, ConvergenceError)
+    back = pickle.loads(pickle.dumps(out))
+    assert type(back) is ConvergenceError and str(back) == str(out)
+    assert back.best == out.best and back.defect == out.defect
 
 
 @pytest.mark.parametrize("rb, n", [(0.14779116465863454, 7), (0.6393574297188755, 6)])

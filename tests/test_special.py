@@ -303,3 +303,27 @@ def test_weighted_sup_over_degrees_equals_per_degree_calls(ra, rb):
     assert isinstance(weighted_monic_jacobi_sup(w, 5), float)
     with pytest.raises(ValueError):
         weighted_monic_jacobi_sup(w, [2, -1])
+
+
+def test_weighted_sups_over_weights_equal_each_weight_alone():
+    # the peaks of all weights are polished together; 0.5 and 1.0 take
+    # numpy's scalar power fast paths, so each exponent is applied as a scalar
+    rhos = (0.0, 0.125, 0.5, 1.0, 0.004)
+    weights = [WeightParams(ra, rb) for rb in rhos for ra in rhos]
+    ns = np.arange(0, 13)
+    got = special._jacobi_sups(weights, ns)
+    for w, row in zip(weights, got):
+        assert np.array_equal(row, weighted_monic_jacobi_sup(w, ns))
+
+
+def test_jacobi_recurrence_takes_per_point_parameters():
+    rng = np.random.default_rng(3)
+    a, b = rng.uniform(-0.9, 2.0, 50), rng.uniform(-0.9, 2.0, 50)
+    x, deg = rng.uniform(-1.0, 1.0, 50), rng.integers(0, 9, 50)
+    got = special._jacobi(a, b, deg, x, derivative=False)
+    for i in range(50):
+        v, _ = jacobi_eval(JacobiParams(a[i], b[i]), int(deg[i]), x[i])
+        assert got[i] == v
+    # two rows of points against one row of parameters, as the peak polish calls it
+    both = special._jacobi(a, b, deg, np.stack((x, -x)), derivative=False)
+    assert np.array_equal(both[0], got)
