@@ -333,20 +333,19 @@ def _alternating(seg, t, e, floor, count: int):
     """The max-|e| point of each sign run of each segment's points by ascending theta ``t``,
     ignoring |e| below the segment's ``floor``; ties keep their given order.
 
-    Returns the (theta, e) kept, segment after segment, and their number per segment.
+    Returns the (theta, e) kept, segment after segment, their number per
+    segment, and the index of each in the given points.
     """
     order = np.lexsort((t, seg))
     keep = order[~(np.abs(e[order]) < floor[seg[order]])]
-    seg, t, e = seg[keep], t[keep], e[keep]
-    pos = e > 0
-    run = np.empty(e.size, dtype=bool)
+    kseg, pos = seg[keep], e[keep] > 0
+    run = np.empty(keep.size, dtype=bool)
     run[:1] = True
-    run[1:] = (seg[1:] != seg[:-1]) | (pos[1:] != pos[:-1])
+    run[1:] = (kseg[1:] != kseg[:-1]) | (pos[1:] != pos[:-1])
     if not run.all():
         # a stable sort by run, then by |e| descending, puts each run's first max first
-        at = np.lexsort((-np.abs(e), run.cumsum()))[run.nonzero()[0]]
-        seg, t, e = seg[at], t[at], e[at]
-    return t, e, np.bincount(seg, minlength=count)
+        keep = keep[np.lexsort((-np.abs(e[keep]), run.cumsum()))[run.nonzero()[0]]]
+    return t[keep], e[keep], np.bincount(seg[keep], minlength=count), keep
 
 
 def _windows(ae: np.ndarray, sizes: np.ndarray, width: np.ndarray):
@@ -367,7 +366,20 @@ def _windows(ae: np.ndarray, sizes: np.ndarray, width: np.ndarray):
     return star, s[np.arange(s.shape[0]), wmin.argmax(axis=1)]
 
 
-def _level(cells: _Cells, live, tref, signs, n: int):
+# no cosine rows: what the levelled systems hold before any extremum step
+_NO_ROWS = np.empty((0, 1))
+
+
+def _stack_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows of ``a`` and then those of ``b``, the narrower zero-padded."""
+    if not a.shape[0]:
+        return b
+    out = np.zeros((a.shape[0] + b.shape[0], max(a.shape[1], b.shape[1])))
+    out[: a.shape[0], : a.shape[1]], out[a.shape[0] :, : b.shape[1]] = a, b
+    return out
+
+
+def _level(cells: _Cells, live, tref, signs, n: int, at=None, held=_NO_ROWS):
     """Least free coefficients + levelled h on each problem's reference, in theta variables.
 
     Row i of ``tref`` and ``signs`` is the reference of the degree-n problem
@@ -376,16 +388,26 @@ def _level(cells: _Cells, live, tref, signs, n: int):
     One stacked solve rounds each system as a solve of its own would.  The
     matrix takes the compensated cosines of :func:`_cos_sin_k`: with plain
     ``cos(k * theta)``, 12 of 41 sample problems at n = 100 to 400 missed
-    the 1e-12 certificate; with compensated ones all 41 certify.
+    the 1e-12 certificate; with compensated ones all 41 certify.  A
+    reference point whose entry of ``at`` is not -1 takes its cosine row from
+    the extremum steps that evaluated it: row ``at`` of their stacked ``held``.
     """
     rows, lead = len(live), _implied_leading(n)
     points = tref.ravel()
     wr = cells.weight(points, live, n + 1).reshape(rows, n + 1)
-    Tn = _cos_sin_k(points, n)[0].reshape(rows, n + 1, n + 1)
-    A = np.empty((rows, n + 1, n + 1))
-    A[:, :, :n] = wr[:, :, None] * Tn[:, :, :n]
+    if not held.shape[0]:  # no extremum step yet
+        A = _cos_sin_k(points, n)[0]
+    else:
+        # a point that no step evaluated takes the last held row, and then its own
+        at = at.ravel()
+        A, fresh = held[at, : n + 1], at < 0
+        if fresh.any():
+            A[fresh] = _cos_sin_k(points[fresh], n)[0]
+    A = A.reshape(rows, n + 1, n + 1)
+    # the matrix in place of the cosines T_k: w T_k in the free columns, -signs in the last
+    rhs = -wr * lead * A[:, :, n]
+    A[:, :, :n] *= wr[:, :, None]
     A[:, :, n] = -signs
-    rhs = -wr * lead * Tn[:, :, n]
     errors = {}
     try:
         sol = np.linalg.solve(A, rhs[..., None])[..., 0]
@@ -415,9 +437,19 @@ def _grid_cosines(theta: np.ndarray, degree: int) -> np.ndarray:
     return cos_k
 
 
+# the largest grid cosine matrix of the last batch, read-only, by (degree, grid bytes)
+_GRID_STORE: dict = {}
+
+
 class _Grids:
     """The Remez grids of a batch of problems, ``sizes[i]`` uniform points for problem i,
     end to end and grouped by cosine matrix, one per distinct grid and degree.
+
+    The largest matrix stays in ``_GRID_STORE`` until the next batch, which
+    takes it if it shares its key and else drops it before it builds any:
+    consecutive solves on one grid build its matrix once.  Stored matrices
+    are read-only and each batch holds its own references, so batches in
+    concurrent threads can only miss a reuse, never share a wrong matrix.
 
     :meth:`join` keeps those of the problems ``cells`` for the elementwise
     steps: ``theta`` and ``weight`` at each point, the ``first`` and ``last``
@@ -426,17 +458,27 @@ class _Grids:
     """
 
     def __init__(self, cells: _Cells, sizes):
-        grids, self.cosines, seen = [], [], {}
+        grids, first, seen = [], [], {}
         self.kind, self.step = np.empty(len(cells.weights), dtype=int), np.empty(len(cells.weights))
         self.open = (cells.ra == 0.0, cells.rb == 0.0)
         for i, (w, size, n) in enumerate(zip(cells.weights, sizes, cells.deg.tolist())):
             theta, wgrid, self.step[i] = _tail_grid(w.rho_a, w.rho_b, int(size))
             key = (n, theta.tobytes())
             if key not in seen:
-                seen[key] = len(self.cosines)
-                self.cosines.append(_grid_cosines(theta, n))
+                seen[key] = len(first)
+                first.append(theta)
             self.kind[i] = seen[key]
             grids.append((theta, wgrid))
+        # the stored matrix stays if this batch shares it, and else goes before any is built
+        self.cosines = [_GRID_STORE.get(key) for key in seen]
+        _GRID_STORE.clear()
+        for j, (key, theta) in enumerate(zip(seen, first)):
+            if self.cosines[j] is None:
+                self.cosines[j] = _grid_cosines(theta, key[0])
+                self.cosines[j].flags.writeable = False
+        # the largest is kept for the next batch: a scan's next batch starts at this one's top degree
+        key, cos_k = max(zip(seen, self.cosines), key=lambda kept: kept[1].size)
+        _GRID_STORE[key] = cos_k
         self.order = np.argsort(self.kind, kind="stable")
         self.size = np.array([theta.size for theta, _ in grids])
         self.all_theta = np.concatenate([grids[i][0] for i in self.order])
@@ -486,9 +528,11 @@ def _extremum_step(cells: _Cells, grids: _Grids, coefs, e, ae, peaks, chosen, ce
     full step on either side, so a point next to a tail point keeps its grid
     value in the cheap phase.  A point keeps its grid value where refinement
     lowered |e|.  An endpoint is a candidate where the weight does not
-    vanish.  Returns ``chosen`` in the order it took them, and
+    vanish.  Returns ``chosen`` in the order it took them;
     :func:`_alternating` of their candidates, ignoring errors below each
-    problem's ``floor``: the (theta, e) kept and their number per problem.
+    problem's ``floor``: the (theta, e) kept and their number per problem;
+    the compensated cosine rows it computed at its refined points; and for
+    each point kept its row there, or -1 at a grid point.
     """
     idx, count = peaks, len(cells.weights)
     # the problem whose grid holds each maximum
@@ -517,15 +561,19 @@ def _extremum_step(cells: _Cells, grids: _Grids, coefs, e, ae, peaks, chosen, ce
     cos_k, _ = _cos_sin_k(tr, int(widths.max()) - 1)
     er = cells.weight(tr, order, sizes) * _gemv_blocks(cos_k, sizes, coefs[order], widths)
     worse = np.abs(er) < ae[idx]
+    tm = np.where(worse, theta[idx], tr)
     # an open grid end is a candidate where |e| does not rise inward; the
     # candidates at theta = 0 come first and those at pi last, to lead and close their ties
     a, b = grids.first[low], grids.last[high]
     lows, highs = ae[a] >= ae[a + 1], ae[b] >= ae[b - 1]
     seg = rank[np.concatenate((low[lows], own, high[highs]))]
     low, high = a[lows], b[highs]
-    t = np.concatenate((theta[low], np.where(worse, theta[idx], tr), theta[high]))
+    t = np.concatenate((theta[low], tm, theta[high]))
     ev = np.concatenate((e[low], np.where(worse, e[idx], er), e[high]))
-    return order, *_alternating(seg, t, ev, floor[order], order.size)
+    row = np.full(t.size, -1)
+    row[low.size : low.size + tm.size] = np.where(tm == tr, np.arange(tm.size), -1)
+    kt, ke, found, keep = _alternating(seg, t, ev, floor[order], order.size)
+    return order, kt, ke, found, cos_k, row[keep]
 
 
 def leveled_system(w: WeightParams, n: int, reference) -> tuple[MonicPolynomial, float]:
@@ -569,7 +617,7 @@ def error_extrema(w: WeightParams, poly: MonicPolynomial, grid: int) -> list[tup
     e = grids.errors(coefs)
     ae = np.abs(e)
     floor = np.array([1e-15 * float(np.max(ae))])
-    _, kt, ke, found = _extremum_step(cells, grids, coefs, e, ae, grids.peaks(ae), one, one == 0, floor)
+    _, kt, ke, found, *_ = _extremum_step(cells, grids, coefs, e, ae, grids.peaks(ae), one, one == 0, floor)
     if found[0] < poly.degree + 1:
         raise ExchangeError(f"found {found[0]} alternations, need {poly.degree + 1}; grid too coarse")
     # theta ascending is x descending; report by increasing x
@@ -671,6 +719,9 @@ def _lockstep(weights, n, tolerance: float, max_iter: int) -> list:
     # and defect; its best so far is its row of those of iteration best_it
     E, defect, seen = np.zeros(count), np.zeros(count), [None]
     best_it, best_E, best_defect = np.zeros(count, int), np.zeros(count), np.full(count, np.inf)
+    # the cosine rows that the last extremum steps computed, for the levelled systems:
+    # ``held`` holds them, and ``held_at`` where each reference point's row is there, or -1
+    held, held_at = _NO_ROWS, np.full(tref.shape, -1)
 
     def settle(rows, make) -> None:
         # the outcome make(i) of each problem i of ``rows``, which leave the loop
@@ -685,7 +736,10 @@ def _lockstep(weights, n, tolerance: float, max_iter: int) -> list:
 
     def exchange_step(chosen):
         # one extremum step of the problems ``chosen``, and its exchange
-        order, kt, ke, found = _extremum_step(cells, grids, coefs, e, ae, peaks, chosen, certify, floor)
+        nonlocal held
+        order, kt, ke, found, evaluated, kr = _extremum_step(
+            cells, grids, coefs, e, ae, peaks, chosen, certify, floor
+        )
         short = found <= deg[order]
         if short.any():
             for i, m in zip(order[short].tolist(), found[short].tolist()):
@@ -693,7 +747,7 @@ def _lockstep(weights, n, tolerance: float, max_iter: int) -> list:
                 out[i] = ExchangeError(f"found {m} alternations, need {deg[i] + 1} ({about})")
             open_[order[short]] = False
             at = np.repeat(~short, found)
-            order, found, kt, ke = order[~short], found[~short], kt[at], ke[at]
+            order, found, kt, ke, kr = order[~short], found[~short], kt[at], ke[at], kr[at]
         if not order.size:
             return
         ak = np.abs(ke)
@@ -702,7 +756,12 @@ def _lockstep(weights, n, tolerance: float, max_iter: int) -> list:
         defect[order] = (top - h[order]) / top
         better = order[defect[order] < best_defect[order]]
         best_it[better], best_E[better], best_defect[better] = it, E[better], defect[better]
-        new_tref[order] = kt[s0[:, None] + last[order]]
+        pick = s0[:, None] + last[order]
+        new_tref[order] = kt[pick]
+        # the step's rows at the new reference, stacked after those of the iteration's earlier step
+        kr = kr[pick]
+        held_at[order] = np.where(kr < 0, -1, kr + held.shape[0])
+        held = _stack_rows(held, evaluated)
         up[order] = ke[s0] > 0
         stalled[order] = np.abs(new_tref[order] - tref[order]).max(axis=1) <= 1e-14
 
@@ -719,7 +778,7 @@ def _lockstep(weights, n, tolerance: float, max_iter: int) -> list:
             rows = live[deg[live] == n]
             if rows.size:
                 ref = np.s_[rows, : n + 1]
-                levelled, h_n, singular = _level(cells, rows, tref[ref], signs[ref], n)
+                levelled, h_n, singular = _level(cells, rows, tref[ref], signs[ref], n, held_at[ref], held)
                 coefs[rows, : n + 1], h[rows] = levelled, np.abs(h_n)
                 for r, exc in singular.items():
                     out[rows[r]], open_[rows[r]] = exc, False
@@ -733,6 +792,7 @@ def _lockstep(weights, n, tolerance: float, max_iter: int) -> list:
         peaks = grids.peaks(ae)
         floor = 1e-15 * h
         new_tref, up, stalled = tref.copy(), np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+        held, held_at = _NO_ROWS, np.full(tref.shape, -1)
         exchange_step(grids.cells)
         # redo the reference with certified extrema once the cheap phase levels
         # it, or once its defect no longer falls below its best so far
@@ -742,6 +802,8 @@ def _lockstep(weights, n, tolerance: float, max_iter: int) -> list:
         ]
         if redo.size:
             certify[redo] = True
+            if redo.size == np.count_nonzero(open_[live]):
+                held = _NO_ROWS  # the redo replaces every row held: free them before its step
             exchange_step(redo)
         live = live[open_[live]]
         done = certify[live] & (defect[live] <= tolerance)

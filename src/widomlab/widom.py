@@ -47,7 +47,11 @@ _CLASSIFY_TOL = 1e-9
 # a lockstep batch holds at most _SCAN_BATCH (weight, degree) problems, and more
 # than one only while their cosine matrices, all alive at once, hold at most
 # _BATCH_COSINES entries (8 MB): 64 problems up to n = 19, one from n = 129;
-# fixed sizes keep a scan's work items the same for any worker count
+# fixed sizes keep a scan's work items the same for any worker count.  A batch
+# takes the largest matrix of the batch before it if it shares it
+# (minimax._GRID_STORE), so consecutive singleton batches at one degree share
+# one matrix, and else drops it before building its own: the cap still bounds
+# what is alive at once
 _SCAN_BATCH = 64
 _BATCH_COSINES = 2**20
 

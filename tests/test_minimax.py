@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from widomlab import minimax
+from widomlab import minimax, widom
 from widomlab.circle import _degree_zero_solution
 from widomlab.minimax import (
     ChebyshevSolution,
@@ -20,6 +21,7 @@ from widomlab.minimax import (
     _cheb_eval_012,
     _cos_sin_k,
     _grid_cosines,
+    _grid_size,
     _theta_eval,
     error_extrema,
     exchange,
@@ -307,6 +309,93 @@ def test_batch_weight_groups_the_points_once_per_layout(monkeypatch):
     for got, t in ((first, theta[0]), (again, theta[1])):
         assert np.array_equal(got[:4], _weight_theta(0.5, 0.3, t[:4]))
         assert np.array_equal(got[4:], _weight_theta(0.3, 0.0, t[4:]))
+
+
+def _stored(*problems) -> set:
+    """The grid store's keys after a batch of (weight, degree) ``problems`` on the solver's grids:
+    that of its largest cosine matrix, the first of that size."""
+    grids = [(n, _tail_grid(w.rho_a, w.rho_b, _grid_size(n))[0]) for w, n in problems]
+    n, theta = max(grids, key=lambda grid: (grid[0] + 1) * grid[1].size)
+    return {(n, theta.tobytes())}
+
+
+def test_grid_store_leaks_no_state():
+    # a solve after another batch equals, in every bit, a solve with an empty
+    # store, whether that batch left the solve's own grid matrix or another
+    w, slow = WeightParams(0.3, 0.6), WeightParams(0.78, 0.03)
+    poly = solve(w, 60).poly
+    grid = np.linspace(0.0, 0.8, 4)
+    triangle = [WeightParams(a, b) for i, b in enumerate(grid) for a in grid[: i + 1]]
+    last_scan = list(zip(*widom._scan_batches(triangle, 10)[-1]))
+    befores = (
+        # (a batch, the store's keys after it, the degree at which a probe shares them)
+        (lambda: solve(WeightParams(0.5, 0.2), 60), _stored((WeightParams(0.5, 0.2), 60)), 60),
+        (lambda: solve(WeightParams(0.0, 0.4), 60), _stored((WeightParams(0.0, 0.4), 60)), None),
+        (lambda: widom.scan((0.0, 0.8), 4, 10), _stored(*last_scan), 10),
+        (lambda: error_extrema(w, poly, 2400), {(60, _tail_grid(0.3, 0.6, 2400)[0].tobytes())}, None),
+    )
+    for n in (60, 10):
+        for probe, max_iter in ((w, 60), (slow, 3)):
+            minimax._GRID_STORE.clear()
+            alone = _bits(_alone(probe, n, max_iter))
+            assert max_iter == 60 or alone[0] == "ConvergenceError"
+            for before, keys, shared in befores:
+                before()
+                assert set(minimax._GRID_STORE) == keys
+                assert not any(cos_k.flags.writeable for cos_k in minimax._GRID_STORE.values())
+                assert (_stored((probe, n)) <= keys) == (n == shared)
+                assert _bits(_alone(probe, n, max_iter)) == alone
+                assert set(minimax._GRID_STORE) == _stored((probe, n))
+
+
+def _recorded_rows(monkeypatch, w, n):
+    """The points at which each iteration's levelled system and extremum steps computed cosine rows."""
+    iterations = []
+    level, cos_sin_k = minimax._level, minimax._cos_sin_k
+
+    def levelling(*args):
+        iterations.append({"_level": [], "_extremum_step": []})
+        return level(*args)
+
+    def recording(theta, degree):
+        caller = sys._getframe(1).f_code.co_name
+        if caller in ("_level", "_extremum_step"):
+            iterations[-1][caller] += theta.tolist()
+        return cos_sin_k(theta, degree)
+
+    monkeypatch.setattr(minimax, "_level", levelling)
+    monkeypatch.setattr(minimax, "_cos_sin_k", recording)
+    sol = solve(w, n)
+    return sol, iterations
+
+
+def test_levelled_systems_take_the_rows_of_the_step_before(monkeypatch):
+    # after iteration 1 the levelled system computes a row only at a
+    # reference point that no extremum step evaluated: here none at all
+    sol, iterations = _recorded_rows(monkeypatch, WeightParams(0.3, 0.6), 60)
+    assert sol.iterations == len(iterations) > 2
+    assert len(iterations[0]["_level"]) == 61
+    for before, now in zip(iterations, iterations[1:]):
+        assert before["_extremum_step"]
+        assert not set(now["_level"]) & set(before["_extremum_step"])
+    assert sum(len(rows["_level"]) for rows in iterations[1:]) == 0
+
+
+def test_an_extremum_step_without_refined_points_hands_over_no_rows(monkeypatch):
+    # at n = 1 under (0, 0) the error x has no interior maximum: each step
+    # keeps the two endpoints and evaluates no row
+    sol, iterations = _recorded_rows(monkeypatch, WeightParams(0.0, 0.0), 1)
+    assert sol.iterations == 1 and sol.norm == 1.0
+    assert iterations == [{"_level": [0.0, np.pi], "_extremum_step": []}]
+    # a levelled system given no rows, or some rows of a wider step, equals one computed in full
+    cells, live = minimax._Cells([WeightParams(0.3, 0.6)], 6), np.array([0])
+    tref = np.sort(np.random.default_rng(6).uniform(0.0, np.pi, 7))[None]
+    signs = (-1.0) ** np.arange(7)[None]
+    full = minimax._level(cells, live, tref, signs, 6)
+    held = _cos_sin_k(np.concatenate(([0.5], tref[0, [1, 4, 6]])), 9)[0]
+    for at, rows in ((np.full((1, 7), -1), np.empty((0, 1))), ([[-1, 1, -1, -1, 2, -1, 3]], held)):
+        got = minimax._level(cells, live, tref, signs, 6, np.array(at), rows)
+        assert all(np.array_equal(a, b) for a, b in zip(got[:2], full[:2]))
 
 
 def test_convergence_error_survives_pickling():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from widomlab import widom
+from widomlab import minimax, widom
 from widomlab.bounds import asymptote, m_bound, weight_sup_bound
 from widomlab.minimax import ConvergenceError, DegeneracyError, ExchangeError, solve
 from widomlab.special import WeightParams, weight_to_param, weighted_monic_jacobi_sup
@@ -293,6 +293,25 @@ def test_continuity_probe_is_the_max_over_its_widom_factors(ra, rb):
             moved = WeightParams(w.rho_a + da, w.rho_b + db)
             expected = max(expected, abs(widom_factor(moved, n) - base))
     assert continuity_probe(w, delta, n).hex() == expected.hex()
+
+
+def test_continuity_probe_builds_its_grid_once(monkeypatch):
+    # at n = 150 each weight of a probe is a batch of its own, and the
+    # batches after the first take the grid matrix from the grid store; the
+    # result is that of solves each made with an empty store (with one BLAS
+    # thread it reads 0x1.84c2e1e1be000p-11; the BLAS thread count moves its last bits)
+    w, delta, n = WeightParams(0.3, 0.6), 1e-3, 150
+    expected = []
+    for da, db in ((0.0, 0.0), (delta, 0.0), (-delta, 0.0), (0.0, delta), (0.0, -delta)):
+        minimax._GRID_STORE.clear()
+        expected.append(widom_factor(WeightParams(w.rho_a + da, w.rho_b + db), n))
+    built = []
+    grid_cosines = minimax._grid_cosines
+    monkeypatch.setattr(minimax, "_grid_cosines", lambda theta, m: built.append(m) or grid_cosines(theta, m))
+    minimax._GRID_STORE.clear()
+    got = continuity_probe(w, delta, n)
+    assert got.hex() == max(abs(v - expected[0]) for v in expected[1:]).hex()
+    assert built == [n]
 
 
 def test_continuity_probe_random_points():

@@ -34,7 +34,11 @@ The scan set is solved a second time as ``widom.scan`` batches it (the
 ``minimax.solve_many`` with one degree per weight), and the pool set as one
 ragged ``solve_many`` batch.  The summary reports, per set, how many of these
 batch records are bit-identical to the single solves (``batch``); a SRC whose
-``solve_many`` takes one degree only has no batch records.
+``solve_many`` takes one degree only has no batch records.  The pool set is
+also solved once more through ``minimax.solve``, in reverse degree order, and
+the summary reports how many of these records are bit-identical to the first
+ones (``reordered``): a solver that carries state from one call to the next
+shows there.
 """
 
 from __future__ import annotations
@@ -151,6 +155,17 @@ def batch_identical(wl, checks, workloads, records: list[dict]) -> dict:
     return {group: f"{a} of {b}" for group, (a, b) in same.items()}
 
 
+def reordered_identical(wl, checks, records: list[dict]) -> str:
+    """The pool records, solved again in reverse degree order, equal in every field to the first ones."""
+    pool = [r for r in records if r["group"] == "pool"]
+    again = sorted(pool, key=lambda r: r["n"], reverse=True)
+    same = sum(
+        _survey_one(wl, checks, "pool", float.fromhex(r["rho_a"]), float.fromhex(r["rho_b"]), r["n"]) == r
+        for r in again
+    )
+    return f"{same} of {len(again)}"
+
+
 def _key(rec: dict) -> tuple:
     return rec["group"], rec["rho_a"], rec["rho_b"], rec["n"]
 
@@ -232,6 +247,7 @@ def main(argv=None) -> int:
     result = {"src": str(args.src), "summary": summarize(records)}
     if hasattr(widomlab.widom, "_scan_batches"):
         result["batch"] = batch_identical(widomlab, checks, workloads, records)
+    result["reordered"] = reordered_identical(widomlab, checks, records)
     if args.against:
         other = json.loads(args.against.read_text())["records"]
         result["comparison"] = compare(records, other)
