@@ -203,14 +203,44 @@ def _cos_sin_k(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(n + 1, dtype=float)
     hi = np.round(theta / _SPLIT) * _SPLIT
     arg = np.multiply.outer(hi, k)
-    cos_k, sin_k = np.cos(arg), np.sin(arg)
-    # in place from here: at n = 400 each matrix is 1.3 MB
-    klo = np.multiply.outer(theta - hi, k, out=arg)
+    return _compensated(theta - hi, k, np.cos(arg), np.sin(arg), arg)
+
+
+def _compensated(lo, k, cos_k, sin_k, out=None):
+    """The rows of :func:`_cos_sin_k` from ``cos_k`` and ``sin_k`` at the split's hi."""
+    # into two new matrices, ``out`` a spare one: at n = 400 each matrix is 1.3 MB
+    klo = np.multiply.outer(lo, k, out=out)
     shift = klo * sin_k
     klo *= cos_k
-    cos_k -= shift
-    sin_k += klo
-    return cos_k, sin_k
+    return np.subtract(cos_k, shift, out=shift), np.add(sin_k, klo, out=klo)
+
+
+class _Rows:
+    """The rows of :func:`_cos_sin_k` at degree ``n`` for points that move, one slot each.
+
+    A slot keeps the cosines and sines at the 2^-38 split of its last point
+    and computes them again only once its point moves onto another split:
+    a Newton iterate that moves by less than 2^-39 keeps them, and so does
+    the extremum step's evaluation at the points where Newton stopped.
+    """
+
+    def __init__(self, size: int, n: int):
+        self.k = np.arange(n + 1, dtype=float)
+        self.hi = np.full(size, np.nan)
+        self.cos, self.sin = np.empty((size, n + 1)), np.empty((size, n + 1))
+
+    def __call__(self, theta: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows at the points ``theta``, which take the ascending slots ``slots``."""
+        hi = np.round(theta / _SPLIT) * _SPLIT
+        moved = hi != self.hi[slots]
+        if moved.any():
+            at, arg = slots[moved], np.multiply.outer(hi[moved], self.k)
+            self.hi[at], self.cos[at] = hi[moved], np.cos(arg)
+            self.sin[at] = np.sin(arg, out=arg)
+            del arg  # at n = 400 it is 1.3 MB
+        if slots.size == self.hi.size:  # every slot, in order
+            return _compensated(theta - hi, self.k, self.cos, self.sin)
+        return _compensated(theta - hi, self.k, self.cos[slots], self.sin[slots])
 
 
 def _gemv_blocks(M: np.ndarray, counts, coefs: np.ndarray, widths) -> np.ndarray:
@@ -235,18 +265,18 @@ def _gemv_blocks(M: np.ndarray, counts, coefs: np.ndarray, widths) -> np.ndarray
     return out
 
 
-def _theta_eval(coef: np.ndarray, theta: np.ndarray, counts, widths: np.ndarray):
+def _theta_eval(coef: np.ndarray, cos_k: np.ndarray, sin_k: np.ndarray, counts, widths: np.ndarray):
     """p, dp/dtheta and d2p/dtheta2 of Chebyshev series at x = cos(theta), as trig sums.
 
     p = sum c_k cos(k theta), p_theta = -sum k c_k sin(k theta) and
     p_thetatheta = -sum k^2 c_k cos(k theta): a fixed number of numpy calls at
     any degree, where Clenshaw in x takes nine per degree.  ``coef`` holds
     one series per row, the first ``widths[i]`` entries of row i, and row i
-    is evaluated at the i-th block of ``counts[i]`` consecutive points.
+    is evaluated at the i-th block of ``counts[i]`` consecutive points, whose
+    rows of :func:`_cos_sin_k`, at least that wide, are ``cos_k`` and ``sin_k``.
     """
     coef = coef[:, : widths.max(initial=1)]
     k = np.arange(coef.shape[1])
-    cos_k, sin_k = _cos_sin_k(theta, coef.shape[1] - 1)
     gemv = partial(_gemv_blocks, counts=counts, widths=widths)
     return gemv(cos_k, coefs=coef), -gemv(sin_k, coefs=k * coef), -gemv(cos_k, coefs=k * k * coef)
 
@@ -296,14 +326,14 @@ class _Cells:
         return _weight_groups(theta, *groups)
 
 
-def _log_error_slope(cells: _Cells, blocks, counts, coefs, theta, live):
+def _log_error_slope(cells: _Cells, blocks, counts, coefs, theta, cos_k, sin_k):
     """g = d/dtheta ln|e| and g' for e(t) = w(cos t) p(cos t).
 
-    The points come in the blocks ``live`` of ``blocks``: block j holds
-    ``counts[j]`` points of the problem ``blocks[j]``, whose series is ``coefs[j]``.
+    Block j of the points ``theta`` holds ``counts[j]`` points of the problem
+    ``blocks[j]``, whose series is ``coefs[j]``; ``cos_k`` and ``sin_k`` are
+    their rows of :func:`_cos_sin_k`.
     """
-    blocks, counts, coefs = blocks[live], counts[live], coefs[live]
-    p, pt, ptt = _theta_eval(coefs, theta, counts, cells.deg[blocks] + 1)
+    p, pt, ptt = _theta_eval(coefs, cos_k, sin_k, counts, cells.deg[blocks] + 1)
     ra, rb = cells.exponent(0, blocks, counts), cells.exponent(1, blocks, counts)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = pt / p
@@ -319,13 +349,24 @@ def _log_error_slope(cells: _Cells, blocks, counts, coefs, theta, live):
     return g, gp
 
 
-def _refine_newton(cells: _Cells, blocks, counts, coefs, lo, hi) -> np.ndarray:
+def _refine_newton(cells: _Cells, blocks, counts, coefs, lo, hi, rows: _Rows, slots) -> np.ndarray:
     """Maxima of |e| inside brackets [lo, hi], where g = d/dtheta ln|e| falls through 0.
 
     The brackets come in consecutive blocks, ``counts[i]`` of them for the
-    problem ``blocks[i]``; each problem's Newton stops on its own step.
+    problem ``blocks[i]``; each problem's Newton stops on its own step.  The
+    iterate in bracket j takes its trig rows from ``rows``, in slot ``slots[j]``.
     """
-    slope = partial(_log_error_slope, cells, blocks, counts, coefs[blocks])
+    # the slots of the points of the blocks still running, by their number: the blocks only drop out
+    coefs, running = coefs[blocks], {blocks.size: slots}
+
+    def slope(theta, live):
+        if live.size not in running:
+            on = np.zeros(blocks.size, dtype=bool)
+            on[live] = True
+            running[live.size] = slots[np.repeat(on, counts)]
+        trig = rows(theta, running[live.size])
+        return _log_error_slope(cells, blocks[live], counts[live], coefs[live], theta, *trig)
+
     return _bracketed_newton(slope, lo, hi, 1.0, 3e-16, 50, counts)
 
 
@@ -366,10 +407,6 @@ def _windows(ae: np.ndarray, sizes: np.ndarray, width: np.ndarray):
     return star, s[np.arange(s.shape[0]), wmin.argmax(axis=1)]
 
 
-# no cosine rows: what the levelled systems hold before any extremum step
-_NO_ROWS = np.empty((0, 1))
-
-
 def _stack_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The rows of ``a`` and then those of ``b``, the narrower zero-padded."""
     if not a.shape[0]:
@@ -379,7 +416,7 @@ def _stack_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _level(cells: _Cells, live, tref, signs, n: int, at=None, held=_NO_ROWS):
+def _level(cells: _Cells, live, tref, signs, n: int, at, held):
     """Least free coefficients + levelled h on each problem's reference, in theta variables.
 
     Row i of ``tref`` and ``signs`` is the reference of the degree-n problem
@@ -393,16 +430,12 @@ def _level(cells: _Cells, live, tref, signs, n: int, at=None, held=_NO_ROWS):
     the extremum steps that evaluated it: row ``at`` of their stacked ``held``.
     """
     rows, lead = len(live), _implied_leading(n)
-    points = tref.ravel()
+    points, at = tref.ravel(), at.ravel()
     wr = cells.weight(points, live, n + 1).reshape(rows, n + 1)
-    if not held.shape[0]:  # no extremum step yet
-        A = _cos_sin_k(points, n)[0]
-    else:
-        # a point that no step evaluated takes the last held row, and then its own
-        at = at.ravel()
-        A, fresh = held[at, : n + 1], at < 0
-        if fresh.any():
-            A[fresh] = _cos_sin_k(points[fresh], n)[0]
+    fresh = at < 0
+    computed = _cos_sin_k(points[fresh], n)[0]
+    A = np.empty((points.size, n + 1))
+    A[fresh], A[~fresh] = computed, held[at[~fresh], : n + 1]
     A = A.reshape(rows, n + 1, n + 1)
     # the matrix in place of the cosines T_k: w T_k in the free columns, -signs in the last
     rhs = -wr * lead * A[:, :, n]
@@ -431,25 +464,38 @@ def _grid_size(n):
 
 
 def _grid_cosines(theta: np.ndarray, degree: int) -> np.ndarray:
-    """cos(k theta) for k <= degree, one row per grid point."""
-    cos_k = np.outer(theta, np.arange(degree + 1))
-    np.cos(cos_k, out=cos_k)  # in place: at n = 400 each copy is 39 MB
+    """cos(k theta) for k <= degree, one row per point of the ascending grid ``theta``.
+
+    A run of rows whose points double exactly onto every other point further
+    up takes its even columns from those points' rows: 2m * theta and
+    m * (2 theta) are one exact product, so they round to one argument.  On
+    the uniform grid the top half goes first and each run below it is half
+    the one before, down to _RUN rows: 0.78 of the cosines are computed at n = 150.
+    """
+    cos_k = np.multiply.outer(theta, np.arange(degree + 1.0))  # in place: at n = 400 it is 39 MB
+    done = theta.size
+    if done >= 4 * _RUN:  # on a smaller grid the runs are too short to pay for finding them
+        twice = np.searchsorted(theta, 2.0 * theta)
+        low = int(np.searchsorted(twice, done))  # the rows whose double is off the grid
+        np.cos(cos_k[low:], out=cos_k[low:])
+        while low != done:
+            done, low = low, int(np.searchsorted(twice, low))
+            src = np.s_[twice[low] : twice[low] + 2 * (done - low) : 2]
+            if done - low < _RUN or not np.array_equal(theta[src], 2.0 * theta[low:done]):
+                break
+            np.cos(cos_k[low:done, 1::2], out=cos_k[low:done, 1::2])
+            cos_k[low:done, ::2] = cos_k[src, : degree // 2 + 1]
+    np.cos(cos_k[:done], out=cos_k[:done])
     return cos_k
 
 
-# the largest grid cosine matrix of the last batch, read-only, by (degree, grid bytes)
-_GRID_STORE: dict = {}
+# the shortest run of grid rows that takes its even columns from rows further up
+_RUN = 256
 
 
 class _Grids:
     """The Remez grids of a batch of problems, ``sizes[i]`` uniform points for problem i,
     end to end and grouped by cosine matrix, one per distinct grid and degree.
-
-    The largest matrix stays in ``_GRID_STORE`` until the next batch, which
-    takes it if it shares its key and else drops it before it builds any:
-    consecutive solves on one grid build its matrix once.  Stored matrices
-    are read-only and each batch holds its own references, so batches in
-    concurrent threads can only miss a reuse, never share a wrong matrix.
 
     :meth:`join` keeps those of the problems ``cells`` for the elementwise
     steps: ``theta`` and ``weight`` at each point, the ``first`` and ``last``
@@ -458,27 +504,17 @@ class _Grids:
     """
 
     def __init__(self, cells: _Cells, sizes):
-        grids, first, seen = [], [], {}
+        grids, self.cosines, seen = [], [], {}
         self.kind, self.step = np.empty(len(cells.weights), dtype=int), np.empty(len(cells.weights))
         self.open = (cells.ra == 0.0, cells.rb == 0.0)
         for i, (w, size, n) in enumerate(zip(cells.weights, sizes, cells.deg.tolist())):
             theta, wgrid, self.step[i] = _tail_grid(w.rho_a, w.rho_b, int(size))
             key = (n, theta.tobytes())
             if key not in seen:
-                seen[key] = len(first)
-                first.append(theta)
+                seen[key] = len(self.cosines)
+                self.cosines.append(_grid_cosines(theta, n))
             self.kind[i] = seen[key]
             grids.append((theta, wgrid))
-        # the stored matrix stays if this batch shares it, and else goes before any is built
-        self.cosines = [_GRID_STORE.get(key) for key in seen]
-        _GRID_STORE.clear()
-        for j, (key, theta) in enumerate(zip(seen, first)):
-            if self.cosines[j] is None:
-                self.cosines[j] = _grid_cosines(theta, key[0])
-                self.cosines[j].flags.writeable = False
-        # the largest is kept for the next batch: a scan's next batch starts at this one's top degree
-        key, cos_k = max(zip(seen, self.cosines), key=lambda kept: kept[1].size)
-        _GRID_STORE[key] = cos_k
         self.order = np.argsort(self.kind, kind="stable")
         self.size = np.array([theta.size for theta, _ in grids])
         self.all_theta = np.concatenate([grids[i][0] for i in self.order])
@@ -547,19 +583,22 @@ def _extremum_step(cells: _Cells, grids: _Grids, coefs, e, ae, peaks, chosen, ce
     idx, own, sizes = idx[at], own[at], per[order]
     theta, step = grids.theta, grids.step[own]
     left, right = theta[idx - 1], theta[idx + 1]
-    newton = certify[order]
+    newton, top = certify[order], int(cells.deg[order].max())
     if newton.all():
-        tr = _refine_newton(cells, order, sizes, coefs, left, right)
+        tr = np.empty(idx.size)
     else:
         d = _parabolic_shift(ae[idx - 1], ae[idx], ae[idx + 1], step)
         # a tail point, or a uniform point next to one, has a neighbour nearer than step
         tr = np.clip(theta[idx] + np.where(right - left > 1.75 * step, d, 0.0), 0.0, np.pi)
-        if newton.any():
-            at = np.repeat(newton, sizes)
-            tr[at] = _refine_newton(cells, order[newton], sizes[newton], coefs, left[at], right[at])
-    widths = cells.deg[order] + 1
-    cos_k, _ = _cos_sin_k(tr, int(widths.max()) - 1)
-    er = cells.weight(tr, order, sizes) * _gemv_blocks(cos_k, sizes, coefs[order], widths)
+    if newton.any():
+        # Newton's trig rows, a slot per maximum, serve the evaluation at its points too
+        at = np.s_[:] if newton.all() else np.repeat(newton, sizes)
+        rows, slots = _Rows(idx.size, top), np.arange(idx.size)[at]
+        tr[at] = _refine_newton(cells, order[newton], sizes[newton], coefs, left[at], right[at], rows, slots)
+        cos_k, _ = rows(tr, np.arange(idx.size))
+    else:
+        cos_k, _ = _cos_sin_k(tr, top)
+    er = cells.weight(tr, order, sizes) * _gemv_blocks(cos_k, sizes, coefs[order], cells.deg[order] + 1)
     worse = np.abs(er) < ae[idx]
     tm = np.where(worse, theta[idx], tr)
     # an open grid end is a candidate where |e| does not rise inward; the
@@ -593,7 +632,8 @@ def leveled_system(w: WeightParams, n: int, reference) -> tuple[MonicPolynomial,
     # theta-ascending order flips x order; (-1)^{n-j} becomes (-1)^i there
     tref = np.arccos(xref)[::-1]
     signs = (-1.0) ** np.arange(n + 1)
-    coef, h, errors = _level(_Cells([w], n), np.array([0]), tref[None], signs[None], n)
+    none = np.full((1, n + 1), -1), np.empty((0, n + 1))
+    coef, h, errors = _level(_Cells([w], n), np.array([0]), tref[None], signs[None], n, *none)
     if errors:
         raise errors[0]
     return MonicPolynomial(n, tuple(coef[0, :n])), abs(float(h[0]))
@@ -721,7 +761,8 @@ def _lockstep(weights, n, tolerance: float, max_iter: int) -> list:
     best_it, best_E, best_defect = np.zeros(count, int), np.zeros(count), np.full(count, np.inf)
     # the cosine rows that the last extremum steps computed, for the levelled systems:
     # ``held`` holds them, and ``held_at`` where each reference point's row is there, or -1
-    held, held_at = _NO_ROWS, np.full(tref.shape, -1)
+    no_rows = np.empty((0, cols.size))
+    held, held_at = no_rows, np.full(tref.shape, -1)
 
     def settle(rows, make) -> None:
         # the outcome make(i) of each problem i of ``rows``, which leave the loop
@@ -792,7 +833,7 @@ def _lockstep(weights, n, tolerance: float, max_iter: int) -> list:
         peaks = grids.peaks(ae)
         floor = 1e-15 * h
         new_tref, up, stalled = tref.copy(), np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
-        held, held_at = _NO_ROWS, np.full(tref.shape, -1)
+        held, held_at = no_rows, np.full(tref.shape, -1)
         exchange_step(grids.cells)
         # redo the reference with certified extrema once the cheap phase levels
         # it, or once its defect no longer falls below its best so far
@@ -803,7 +844,7 @@ def _lockstep(weights, n, tolerance: float, max_iter: int) -> list:
         if redo.size:
             certify[redo] = True
             if redo.size == np.count_nonzero(open_[live]):
-                held = _NO_ROWS  # the redo replaces every row held: free them before its step
+                held = no_rows  # the redo replaces every row held: free them before its step
             exchange_step(redo)
         live = live[open_[live]]
         done = certify[live] & (defect[live] <= tolerance)

@@ -285,6 +285,17 @@ def _tail_grid(ra: float, rb: float, size: int) -> tuple[np.ndarray, np.ndarray,
     return theta, wgrid, step
 
 
+def _tail_kind(ra: float, rb: float) -> tuple:
+    """A key that weights with one :func:`_tail_grid` of each size share.
+
+    The grid depends on the exponents only through the ends where the weight
+    vanishes, except that an exponent below 1e-14 can drop tied tail points
+    (:func:`_untied`): from 1e-14 on, the vanishing factor changes by at least
+    60 ulp from one tail point to the next.  Such an exponent, or 0, is its own key.
+    """
+    return (ra if ra < 1e-14 else True, rb if rb < 1e-14 else True)
+
+
 def _parabolic_shift(yl, y, yh, step):
     """Vertex offset of the parabola through (-step, yl), (0, y), (step, yh), clipped to +-step."""
     den = yl - 2.0 * y + yh

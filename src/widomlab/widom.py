@@ -18,7 +18,7 @@ import numpy as np
 
 from widomlab.bounds import asymptote, weight_sup_bound
 from widomlab.minimax import _grid_size, solve, solve_many
-from widomlab.special import WeightParams
+from widomlab.special import WeightParams, _tail_kind
 
 __all__ = [
     "CLASSIFICATIONS",
@@ -45,14 +45,15 @@ _OUTER_R2 = 1.184 / 8.0
 _CLASSIFY_TOL = 1e-9
 
 # a lockstep batch holds at most _SCAN_BATCH (weight, degree) problems, and more
-# than one only while their cosine matrices, all alive at once, hold at most
-# _BATCH_COSINES entries (8 MB): 64 problems up to n = 19, one from n = 129;
-# fixed sizes keep a scan's work items the same for any worker count.  A batch
-# takes the largest matrix of the batch before it if it shares it
-# (minimax._GRID_STORE), so consecutive singleton batches at one degree share
-# one matrix, and else drops it before building its own: the cap still bounds
-# what is alive at once
+# than one only while its arrays hold at most _BATCH_COSINES entries (8 MB): one
+# grid cosine matrix per distinct grid, which problems of one degree and tail
+# kind share, and _PROBLEM_ROWS * (n + 1)^2 for each problem's own arrays (9 to
+# 10 traced at n = 100 and 150).  That is 64 problems up to n = 36 on at most
+# three grids, a sequence's degrees one at a time from n = 112, and any
+# problems one at a time from n = 143; fixed sizes keep a scan's work items the
+# same for any worker count
 _SCAN_BATCH = 64
+_PROBLEM_ROWS = 10
 _BATCH_COSINES = 2**20
 
 
@@ -191,15 +192,19 @@ def widom_sequence(w: WeightParams, n_max: int) -> WidomSequence:
 
 def _batches(problems: list[tuple[WeightParams, int]]) -> list[tuple[list, list[int]]]:
     """Split (weight, degree) ``problems``, in order, into the (weights, degrees) of lockstep batches."""
-    tasks, entries = [], 0
+    tasks, entries, grids = [], 0, set()
     for w, n in problems:
-        cost = _grid_size(n) * (n + 1)
+        grid = (n, _tail_kind(w.rho_a, w.rho_b))
+        # the problem's own arrays, and the grid's matrix unless the batch holds it
+        cost = _PROBLEM_ROWS * (n + 1) ** 2 + (grid not in grids) * _grid_size(n) * (n + 1)
         if not tasks or len(tasks[-1][0]) == _SCAN_BATCH or entries + cost > _BATCH_COSINES:
             tasks.append(([], []))
-            entries = 0
+            entries, grids = 0, set()
+            cost = _PROBLEM_ROWS * (n + 1) ** 2 + _grid_size(n) * (n + 1)
         tasks[-1][0].append(w)
         tasks[-1][1].append(n)
         entries += cost
+        grids.add(grid)
     return tasks
 
 
@@ -334,7 +339,8 @@ def continuity_probe(w: WeightParams, delta: float, n: int) -> float:
     Perturbations that would push an exponent negative are skipped, so the
     probe is well defined on the boundary of the parameter quadrant.  ``w``
     and its perturbations are solved in the lockstep batches of a scan, as
-    one batch up to n = 79.
+    one batch, which builds one grid cosine matrix, up to n = 112 where no
+    exponent is 0 or within ``delta`` of it.
     """
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from widomlab import minimax, widom
+from widomlab import minimax
 from widomlab.circle import _degree_zero_solution
 from widomlab.minimax import (
     ChebyshevSolution,
@@ -311,47 +311,32 @@ def test_batch_weight_groups_the_points_once_per_layout(monkeypatch):
         assert np.array_equal(got[4:], _weight_theta(0.3, 0.0, t[4:]))
 
 
-def _stored(*problems) -> set:
-    """The grid store's keys after a batch of (weight, degree) ``problems`` on the solver's grids:
-    that of its largest cosine matrix, the first of that size."""
-    grids = [(n, _tail_grid(w.rho_a, w.rho_b, _grid_size(n))[0]) for w, n in problems]
-    n, theta = max(grids, key=lambda grid: (grid[0] + 1) * grid[1].size)
-    return {(n, theta.tobytes())}
+@pytest.mark.parametrize(
+    "ra, rb", [(0.3, 0.6), (0.0, 0.4), (0.0, 0.0), (0.78, 0.03), (1e-17, 0.3), (0.0, 1e-300)]
+)
+def test_grid_cosines_equal_plain_cosines(ra, rb):
+    # the rows that take their even columns from the rows of doubled points
+    # hold, bit for bit, the cosines of their own points; sizes on either
+    # side of the smallest grid that looks for such runs, and above it
+    for size in (230, 4 * minimax._RUN - 1, 4 * minimax._RUN, 2400, _grid_size(150), 4097):
+        theta = _tail_grid(ra, rb, size)[0]
+        for n in (1, 2, 7, 60, 151):
+            assert np.array_equal(_grid_cosines(theta, n), np.cos(np.outer(theta, np.arange(n + 1))))
 
 
-def test_grid_store_leaks_no_state():
-    # a solve after another batch equals, in every bit, a solve with an empty
-    # store, whether that batch left the solve's own grid matrix or another
-    w, slow = WeightParams(0.3, 0.6), WeightParams(0.78, 0.03)
-    poly = solve(w, 60).poly
-    grid = np.linspace(0.0, 0.8, 4)
-    triangle = [WeightParams(a, b) for i, b in enumerate(grid) for a in grid[: i + 1]]
-    last_scan = list(zip(*widom._scan_batches(triangle, 10)[-1]))
-    befores = (
-        # (a batch, the store's keys after it, the degree at which a probe shares them)
-        (lambda: solve(WeightParams(0.5, 0.2), 60), _stored((WeightParams(0.5, 0.2), 60)), 60),
-        (lambda: solve(WeightParams(0.0, 0.4), 60), _stored((WeightParams(0.0, 0.4), 60)), None),
-        (lambda: widom.scan((0.0, 0.8), 4, 10), _stored(*last_scan), 10),
-        (lambda: error_extrema(w, poly, 2400), {(60, _tail_grid(0.3, 0.6, 2400)[0].tobytes())}, None),
-    )
-    for n in (60, 10):
-        for probe, max_iter in ((w, 60), (slow, 3)):
-            minimax._GRID_STORE.clear()
-            alone = _bits(_alone(probe, n, max_iter))
-            assert max_iter == 60 or alone[0] == "ConvergenceError"
-            for before, keys, shared in befores:
-                before()
-                assert set(minimax._GRID_STORE) == keys
-                assert not any(cos_k.flags.writeable for cos_k in minimax._GRID_STORE.values())
-                assert (_stored((probe, n)) <= keys) == (n == shared)
-                assert _bits(_alone(probe, n, max_iter)) == alone
-                assert set(minimax._GRID_STORE) == _stored((probe, n))
+def test_grid_cosines_compute_a_quarter_less_on_a_large_grid(monkeypatch):
+    # at n = 150 a fifth of the matrix is copied, not computed (0.784 computed)
+    theta = _tail_grid(0.3, 0.6, _grid_size(150))[0]
+    computed, cos = [], np.cos
+    monkeypatch.setattr(np, "cos", lambda x, **kw: computed.append(x.size) or cos(x, **kw))
+    _grid_cosines(theta, 150)
+    assert 0.75 < sum(computed) / (theta.size * 151) < 0.8
 
 
 def _recorded_rows(monkeypatch, w, n):
     """The points at which each iteration's levelled system and extremum steps computed cosine rows."""
     iterations = []
-    level, cos_sin_k = minimax._level, minimax._cos_sin_k
+    level, cos_sin_k, rows_call = minimax._level, minimax._cos_sin_k, minimax._Rows.__call__
 
     def levelling(*args):
         iterations.append({"_level": [], "_extremum_step": []})
@@ -363,8 +348,14 @@ def _recorded_rows(monkeypatch, w, n):
             iterations[-1][caller] += theta.tolist()
         return cos_sin_k(theta, degree)
 
+    def recording_rows(self, theta, slots):
+        hi = np.round(theta / minimax._SPLIT) * minimax._SPLIT
+        iterations[-1]["_extremum_step"] += theta[hi != self.hi[slots]].tolist()
+        return rows_call(self, theta, slots)
+
     monkeypatch.setattr(minimax, "_level", levelling)
     monkeypatch.setattr(minimax, "_cos_sin_k", recording)
+    monkeypatch.setattr(minimax._Rows, "__call__", recording_rows)
     sol = solve(w, n)
     return sol, iterations
 
@@ -391,11 +382,59 @@ def test_an_extremum_step_without_refined_points_hands_over_no_rows(monkeypatch)
     cells, live = minimax._Cells([WeightParams(0.3, 0.6)], 6), np.array([0])
     tref = np.sort(np.random.default_rng(6).uniform(0.0, np.pi, 7))[None]
     signs = (-1.0) ** np.arange(7)[None]
-    full = minimax._level(cells, live, tref, signs, 6)
+    none = np.full((1, 7), -1), np.empty((0, 7))
+    full = minimax._level(cells, live, tref, signs, 6, *none)
+    public = leveled_system(WeightParams(0.3, 0.6), 6, np.cos(tref[0])[::-1])[0]
+    assert np.array_equal(full[0][0, :6], public.cheb_coeffs)
     held = _cos_sin_k(np.concatenate(([0.5], tref[0, [1, 4, 6]])), 9)[0]
-    for at, rows in ((np.full((1, 7), -1), np.empty((0, 1))), ([[-1, 1, -1, -1, 2, -1, 3]], held)):
-        got = minimax._level(cells, live, tref, signs, 6, np.array(at), rows)
-        assert all(np.array_equal(a, b) for a, b in zip(got[:2], full[:2]))
+    got = minimax._level(cells, live, tref, signs, 6, np.array([[-1, 1, -1, -1, 2, -1, 3]]), held)
+    assert all(np.array_equal(a, b) for a, b in zip(got[:2], full[:2]))
+
+
+def _counting_cosines(monkeypatch) -> list:
+    """Records [caller, rows computed, rows asked for] for each call of a :class:`minimax._Rows`."""
+    calls = []
+    rows_call, cos = minimax._Rows.__call__, np.cos
+
+    def counting(self, theta, slots):
+        calls.append([sys._getframe(1).f_code.co_name, 0, theta.size])
+        return rows_call(self, theta, slots)
+
+    def cosines(x, **kw):
+        if sys._getframe(1).f_code.co_name == "__call__":
+            calls[-1][1] += x.shape[0]
+        return cos(x, **kw)
+
+    monkeypatch.setattr(minimax._Rows, "__call__", counting)
+    monkeypatch.setattr(np, "cos", cosines)
+    return calls
+
+
+def test_newton_rows_are_computed_again_only_where_a_point_moved(monkeypatch):
+    # a slot keeps its row while its point stays on one 2^-38 split, and the
+    # rows it returns equal those computed afresh, bit for bit
+    rng = np.random.default_rng(3)
+    theta = np.sort(rng.uniform(0.0, np.pi, 40))
+    rows = minimax._Rows(theta.size, 30)
+    calls = _counting_cosines(monkeypatch)
+    for step in (1e-3, 1e-6, 1e-13, 0.0, 1e-3):
+        theta = theta + step * rng.standard_normal(theta.size)
+        slots = np.sort(rng.choice(theta.size, 25 if step else 40, replace=False))
+        moved = np.round(theta[slots] / minimax._SPLIT) * minimax._SPLIT != rows.hi[slots]
+        got = rows(theta[slots], slots)
+        assert all(np.array_equal(a, b) for a, b in zip(got, _cos_sin_k(theta[slots], 30)))
+        assert calls[-1][1] == np.count_nonzero(moved)
+        assert moved.all() if step >= 1e-6 else not moved.all()
+
+
+def test_a_certified_step_evaluates_no_row_that_newton_has(monkeypatch):
+    # the evaluation at the points where Newton stopped, and Newton's last
+    # iterates, reuse the rows of the iterates before
+    calls = _counting_cosines(monkeypatch)
+    solve(WeightParams(0.3, 0.6), 60)
+    finals = [computed for caller, computed, _ in calls if caller == "_extremum_step"]
+    assert finals and all(computed == 0 for computed in finals)
+    assert sum(computed for _, computed, _ in calls) < 0.75 * sum(size for *_, size in calls)
 
 
 def test_convergence_error_survives_pickling():
@@ -466,7 +505,7 @@ def test_theta_eval_matches_clenshaw_by_the_chain_rule(n):
     # from the rounding of x = cos(t) that the x-space side carries)
     coef = np.random.default_rng(n).standard_normal(n + 1)
     k = np.arange(n + 1)
-    p, pt, ptt = _theta_eval(coef[None], _THETAS, [_THETAS.size], np.array([n + 1]))
+    p, pt, ptt = _theta_eval(coef[None], *_cos_sin_k(_THETAS, n), [_THETAS.size], np.array([n + 1]))
     x, s = np.cos(_THETAS), np.sin(_THETAS)
     q, dq, ddq = _cheb_eval_012(coef, x)
     a1, a2, a4 = (np.sum(k**j * np.abs(coef)) for j in (0, 2, 4))
@@ -531,9 +570,9 @@ def test_tied_tail_points_are_not_refined(monkeypatch, ra, rb, n):
     refine = minimax._refine_newton
     refined = []
 
-    def counting(cells, blocks, counts, coefs, lo, hi):
+    def counting(cells, blocks, counts, coefs, lo, hi, *rows):
         refined.append(lo.size)
-        return refine(cells, blocks, counts, coefs, lo, hi)
+        return refine(cells, blocks, counts, coefs, lo, hi, *rows)
 
     monkeypatch.setattr(minimax, "_refine_newton", counting)
     sol = solve(WeightParams(ra, rb), n)
@@ -585,7 +624,7 @@ def test_theta_eval_against_mpmath():
                 float(-mpmath.fsum(j * j * c[j] * co[j] for j in range(n + 1))),
             ]
     scale = np.array([np.sum(k**j * np.abs(coef)) for j in (0, 1, 2)])[:, None]
-    got = np.array(_theta_eval(coef[None], theta, [theta.size], np.array([n + 1])))
+    got = np.array(_theta_eval(coef[None], *_cos_sin_k(theta, n), [theta.size], np.array([n + 1])))
     err = np.max(np.abs(got - exact) / scale, axis=1)
     cos_k, sin_k = np.cos(np.outer(theta, k)), np.sin(np.outer(theta, k))
     plain = np.array([cos_k @ coef, -(sin_k @ (k * coef)), -(cos_k @ (k * k * coef))])

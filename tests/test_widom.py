@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widomlab import minimax, widom
 from widomlab.bounds import asymptote, m_bound, weight_sup_bound
 from widomlab.minimax import ConvergenceError, DegeneracyError, ExchangeError, solve
-from widomlab.special import WeightParams, weight_to_param, weighted_monic_jacobi_sup
+from widomlab.special import WeightParams, _tail_grid, _tail_kind, weight_to_param, weighted_monic_jacobi_sup
 from widomlab.widom import (
     ScanCell,
     ScanResult,
@@ -115,12 +117,41 @@ def test_batches_bound_their_cosine_matrices():
         assert weights == [w] * len(degrees) and len(degrees) <= widom._SCAN_BATCH
         entries = sum((30 * n + 200) * (n + 1) for n in degrees)
         assert len(degrees) == 1 or entries <= widom._BATCH_COSINES
-    assert [len(d) for _, d in batches if d[0] >= 129] == [1] * 272
+    assert [len(d) for _, d in batches if d[0] >= 112] == [1] * 289
     # at low degree the problem count alone splits a scan's problems
     weights = [WeightParams(a / 10, 0.5) for a in range(10)]
     problems = [(v, n) for n in range(1, 11) for v in weights]
     expected = [tuple(zip(*problems[c : c + 64])) for c in range(0, 100, 64)]
     assert [tuple(map(tuple, b)) for b in widom._scan_batches(weights, 10)] == expected
+
+
+def test_batches_charge_each_grid_once():
+    # problems of one degree on one grid share its matrix: the batch charges
+    # it once, and each problem its own arrays
+    cost = lambda n: (30 * n + 200) * (n + 1)  # noqa: E731
+    one_grid = [WeightParams(0.3 + 1e-3 * i, 0.6) for i in range(5)]
+    for n in (100, 112):
+        assert [len(b[0]) for b in widom._batches([(v, n) for v in one_grid])] == [5]
+        assert cost(n) + 5 * widom._PROBLEM_ROWS * (n + 1) ** 2 <= widom._BATCH_COSINES
+    assert [len(b[0]) for b in widom._batches([(v, 113) for v in one_grid])] == [4, 1]
+    assert [len(b[0]) for b in widom._batches([(v, 143) for v in one_grid])] == [1] * 5
+    # a weight that vanishes at other ends, or an exponent below 1e-14, has a grid of its own
+    for other in (WeightParams(0.0, 0.6), WeightParams(0.3, 0.0), WeightParams(1e-15, 0.6)):
+        batches = widom._batches([(v, 100) for v in one_grid[:2] + [other] + one_grid[2:]])
+        assert [len(b[0]) for b in batches] == [3, 3]
+
+
+@given(
+    st.sampled_from([0.0, 1e-14, 2e-14, 1e-9, 0.25, 0.5, 3.0, 12.0]),
+    st.sampled_from([0.0, 1e-14, 3e-12, 0.1, 0.6, 2.0, 20.0]),
+    st.sampled_from([230, 1400, 4789]),
+)
+@settings(max_examples=40, deadline=None)
+def test_tail_kind_keys_the_grid(ra, rb, size):
+    # weights of one tail kind have one grid, point for point
+    same = [1.0 if r > 0.0 else 0.0 for r in (ra, rb)]
+    assert _tail_kind(ra, rb) == _tail_kind(*same)
+    assert np.array_equal(_tail_grid(ra, rb, size)[0], _tail_grid(*same, size)[0])
 
 
 def test_widom_sequence_bounded_by_asymptote_small_parameters():
@@ -296,19 +327,17 @@ def test_continuity_probe_is_the_max_over_its_widom_factors(ra, rb):
 
 
 def test_continuity_probe_builds_its_grid_once(monkeypatch):
-    # at n = 150 each weight of a probe is a batch of its own, and the
-    # batches after the first take the grid matrix from the grid store; the
-    # result is that of solves each made with an empty store (with one BLAS
-    # thread it reads 0x1.84c2e1e1be000p-11; the BLAS thread count moves its last bits)
-    w, delta, n = WeightParams(0.3, 0.6), 1e-3, 150
-    expected = []
-    for da, db in ((0.0, 0.0), (delta, 0.0), (-delta, 0.0), (0.0, delta), (0.0, -delta)):
-        minimax._GRID_STORE.clear()
-        expected.append(widom_factor(WeightParams(w.rho_a + da, w.rho_b + db), n))
+    # at n = 100 the probe's five weights share one grid and go into one
+    # batch, which builds its cosine matrix once; the result is that of the
+    # five solves made one at a time
+    w, delta, n = WeightParams(0.3, 0.6), 1e-3, 100
+    expected = [
+        widom_factor(WeightParams(w.rho_a + da, w.rho_b + db), n)
+        for da, db in ((0.0, 0.0), (delta, 0.0), (-delta, 0.0), (0.0, delta), (0.0, -delta))
+    ]
     built = []
     grid_cosines = minimax._grid_cosines
     monkeypatch.setattr(minimax, "_grid_cosines", lambda theta, m: built.append(m) or grid_cosines(theta, m))
-    minimax._GRID_STORE.clear()
     got = continuity_probe(w, delta, n)
     assert got.hex() == max(abs(v - expected[0]) for v in expected[1:]).hex()
     assert built == [n]
