@@ -25,7 +25,7 @@ from numpy.polynomial import polynomial as npp
 
 from widomlab.bounds import weight_sup_bound
 from widomlab.minimax import ChebyshevSolution, MonicPolynomial, solve_many
-from widomlab.special import WeightParams, _grouped_power, _polish_peaks, _power_groups
+from widomlab.special import WeightParams, _polish_peaks, _power
 from widomlab.widom import _batches
 
 __all__ = [
@@ -80,7 +80,7 @@ class CircleFunction:
 
     def modulus_at_angle(self, phi):
         at = np.atleast_1d(np.asarray(phi, dtype=float))
-        m = _moduli(at, np.asarray(self.poly.coeffs), _power_groups(self.exp_plus), _power_groups(self.exp_minus))
+        m = _moduli(at, np.asarray(self.poly.coeffs), self.exp_plus, self.exp_minus)
         return float(m[0]) if np.ndim(phi) == 0 else m
 
 
@@ -91,19 +91,13 @@ def _moduli(phi: np.ndarray, coeffs: np.ndarray, plus, minus, rows=...) -> np.nd
     polynomial per row, zero above its own degree, and ``rows`` then gives
     the row of each point (along the last axis of ``phi``): Horner, as
     numpy's ``polyval`` runs it, turns a leading zero into an exact zero.
-    ``plus`` and ``minus`` give the exponents as the groups of
-    :func:`special._grouped_power`.
+    ``plus`` and ``minus`` are the exponents: numbers, or one per point.
     """
     z = np.exp(1j * phi)
     val = coeffs[rows, -1] + z * 0
     for k in range(coeffs.shape[-1] - 2, -1, -1):
         val = coeffs[rows, k] + val * z
-    m = np.abs(val)
-    if plus:
-        m = m * _grouped_power(np.abs(z - 1.0), plus)
-    if minus:
-        m = m * _grouped_power(np.abs(z + 1.0), minus)
-    return m
+    return np.abs(val) * _power(np.abs(z - 1.0), plus) * _power(np.abs(z + 1.0), minus)
 
 
 def circle_minimizer_from_interval(w: WeightParams, sol: ChebyshevSolution) -> CircleFunction:
@@ -173,6 +167,8 @@ def circle_sup(f: CircleFunction) -> float:
 
 def _circle_sups(fs) -> np.ndarray:
     """:func:`circle_sup` of each of ``fs``, each sampled on its own grid and all polished together."""
+    if not fs:
+        return np.empty(0)
     coeffs = np.zeros((len(fs), max(len(f.poly.coeffs) for f in fs)))
     for row, f in zip(coeffs, fs):
         row[: len(f.poly.coeffs)] = f.poly.coeffs
@@ -185,8 +181,7 @@ def _circle_sups(fs) -> np.ndarray:
             yield phi, f.modulus_at_angle(phi)
 
     def bind(k):
-        pk, mk = _power_groups(plus[k]), _power_groups(minus[k])
-        return lambda t: _moduli(t, coeffs, pk, mk, k)
+        return lambda t: _moduli(t, coeffs, plus[k], minus[k], k)
 
     return _circle_maxes(bind, samples())
 

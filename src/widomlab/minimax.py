@@ -23,9 +23,8 @@ from widomlab.special import (
     WeightParams,
     _bracketed_newton,
     _parabolic_shift,
-    _power_groups,
     _tail_grid,
-    _weight_groups,
+    _weight_theta,
 )
 
 __all__ = [
@@ -285,8 +284,8 @@ class _Cells:
     """A batch of problems solved side by side: the weight ``weights[i]`` at degree ``deg[i]``.
 
     The methods take points in consecutive blocks, ``sizes[j]`` points of
-    the problem ``rows[j]``: a layout.  :meth:`weight` evaluates each point
-    as :func:`special._weight_theta` would evaluate it alone, bit for bit.
+    the problem ``rows[j]``: a layout.  :meth:`weight` gives each point the
+    weight of its own problem, bit for bit as that weight alone gives it.
     """
 
     def __init__(self, weights, degrees):
@@ -294,11 +293,6 @@ class _Cells:
         self.deg = np.broadcast_to(np.asarray(degrees, dtype=int), (len(self.weights),))
         self.ra = np.array([w.rho_a for w in self.weights], dtype=float)
         self.rb = np.array([w.rho_b for w in self.weights], dtype=float)
-        # the exponent groups of the layouts :meth:`weight` saw last, least
-        # recent first: as many as one iteration uses, one per degree for the
-        # levelled systems and two for the extremum steps
-        self._groups: dict = {}
-        self._keep = np.unique(self.deg).size + 2
 
     def about(self, i: int) -> str:
         w = self.weights[i]
@@ -309,21 +303,8 @@ class _Cells:
         return np.repeat((self.ra, self.rb)[side][rows], sizes)
 
     def weight(self, theta: np.ndarray, rows, sizes) -> np.ndarray:
-        """(1-x)^rho_a (1+x)^rho_b at x = cos(theta), under each point's own exponents.
-
-        The points of each exponent are found once per layout while the
-        layout stays in use: a problem's reference keeps its layout from
-        one iteration to the next, and its number of grid maxima mostly does.
-        """
-        rows, sizes = np.asarray(rows), np.asarray(sizes)
-        key = (rows.tobytes(), sizes.tobytes())
-        groups = self._groups.pop(key, None)
-        if groups is None:
-            if len(self._groups) == self._keep:
-                del self._groups[next(iter(self._groups))]
-            groups = [_power_groups(self.exponent(side, rows, sizes)) for side in (0, 1)]
-        self._groups[key] = groups
-        return _weight_groups(theta, *groups)
+        """(1-x)^rho_a (1+x)^rho_b at x = cos(theta), under each point's own exponents."""
+        return _weight_theta(self.exponent(0, rows, sizes), self.exponent(1, rows, sizes), theta)
 
 
 def _log_error_slope(cells: _Cells, blocks, counts, coefs, theta, cos_k, sin_k):

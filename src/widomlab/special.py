@@ -184,49 +184,32 @@ def monic_scale(p: JacobiParams, n: int) -> float:
     )
 
 
-def _power_groups(rho) -> list:
-    """Each distinct nonzero exponent of ``rho``, one per point along the last axis of the
-    points, with the indices of its points: the groups of :func:`_grouped_power`."""
-    rho = np.asarray(rho)
-    values = np.unique(rho)
-    if values.size == 1:  # one exponent: every point, without an index array
-        return [(float(values[0]), slice(None))] if values[0] != 0.0 else []
-    return [(float(r), np.flatnonzero(rho == r)) for r in values if r != 0.0]
+def _power(base: np.ndarray, rho) -> np.ndarray:
+    """``base ** rho``, with ``rho`` a number or one exponent per point along the last axis of ``base``.
 
-
-def _grouped_power(base: np.ndarray, groups) -> np.ndarray:
-    """``base ** rho`` at the points of each (rho, indices) pair of ``groups``, 1 at the others.
-
-    The indices run along the last axis of ``base``, as :func:`_power_groups`
-    gives them.  numpy's power takes a fast path for some scalar exponents
-    (0.5, 2 and -1) that rounds differently from the path an array of
-    exponents takes, so each exponent is applied as a scalar to its points,
-    and each point gets what its own exponent gives it alone.
+    An array of exponents goes through one ``np.power``, which gives each
+    point what ``base ** r`` gives it with its exponent ``r`` as a number,
+    except at 0.5 and 2: there a number takes numpy's sqrt and square, which
+    round differently, and so do those points.  Exponents are nonnegative.
     """
-    if len(groups) == 1 and isinstance(groups[0][1], slice):  # every point
-        return base ** groups[0][0]
-    out = np.ones(base.shape)
-    for rho, at in groups:
-        out[..., at] = base[..., at] ** rho
+    if not np.ndim(rho):
+        return base ** rho
+    out = np.power(base, rho)
+    at = (rho == 0.5) | (rho == 2.0)
+    if np.count_nonzero(at):
+        b = base[..., at]
+        out[..., at] = np.where(rho[at] == 0.5, np.sqrt(b), np.square(b))
     return out
 
 
-def _weight_groups(theta: np.ndarray, groups_a, groups_b) -> np.ndarray:
-    """(1-x)^rho_a (1+x)^rho_b at x = cos(theta), via half-angle forms stable near the endpoints,
-    under per-point exponents given as the groups of :func:`_grouped_power` (no group: exponent 0)."""
-    out = None
-    for groups, trig in ((groups_a, np.sin), (groups_b, np.cos)):
-        if groups:
-            factor = _grouped_power(2.0 * trig(0.5 * theta) ** 2, groups)
-            # a factor of 1 is exact: each point gets the product of its own factors
-            out = factor if out is None else out * factor
-    return np.ones_like(theta) if out is None else out
+def _weight_theta(ra, rb, theta: np.ndarray) -> np.ndarray:
+    """(1-x)^ra (1+x)^rb at x = cos(theta), via half-angle forms stable near the endpoints.
 
-
-def _weight_theta(ra: float, rb: float, theta: np.ndarray) -> np.ndarray:
-    """(1-x)^ra (1+x)^rb at x = cos(theta): :func:`_weight_groups` with one exponent for every point."""
-    every = slice(None)
-    return _weight_groups(theta, [(ra, every)] if ra else [], [(rb, every)] if rb else [])
+    Each exponent is a number, or one per point along the last axis of
+    ``theta``; a point gets what its own exponents give it alone.
+    """
+    half = 0.5 * theta
+    return _power(2.0 * np.sin(half) ** 2, ra) * _power(2.0 * np.cos(half) ** 2, rb)
 
 
 def _theta_grid(ra: float, rb: float, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -429,6 +412,8 @@ def _jacobi_sups(weights, deg: np.ndarray) -> np.ndarray:
     """
     if np.any(deg < 0):
         raise ValueError("degree must be nonnegative")
+    if not (len(weights) and deg.size):
+        return np.empty((len(weights), deg.size))
     params = [weight_to_param(w) for w in weights]
     best, peaks = np.empty((len(weights), deg.size)), []
     for row, (w, p) in enumerate(zip(weights, params)):
@@ -457,13 +442,13 @@ def _jacobi_sups(weights, deg: np.ndarray) -> np.ndarray:
     if t.size:
         alpha = np.array([p.alpha for p in params])[rows]
         beta = np.array([p.beta for p in params])[rows]
-        ga = _power_groups(np.array([w.rho_a for w in weights])[rows])
-        gb = _power_groups(np.array([w.rho_b for w in weights])[rows])
+        ra = np.array([w.rho_a for w in weights])[rows]
+        rb = np.array([w.rho_b for w in weights])[rows]
 
         def eval_mag(t: np.ndarray) -> np.ndarray:
             # even about theta = 0 and pi, so the polish may step past either end
             v = _jacobi(alpha, beta, deg[pk], np.cos(t), derivative=False)
-            return _weight_groups(t, ga, gb) * np.abs(scale * v)
+            return _weight_theta(ra, rb, t) * np.abs(scale * v)
 
         np.maximum.at(best, (rows, pk), _polish_peaks(eval_mag, t, y, step, 3, 0.25))
     return best

@@ -134,11 +134,13 @@ def classify(values) -> str:
     A sequence whose total spread is below tolerance is ``Constant``.
     Otherwise it is ``Increasing`` when no step drops below minus the
     tolerance and some step exceeds it (``Decreasing`` symmetrically), else
-    ``NonMonotone``.
+    ``NonMonotone``.  A value that is not finite raises ``ValueError``.
     """
     vals = [float(v) for v in values]
     if len(vals) < 2:
         raise ValueError("classification needs at least two values")
+    if not np.isfinite(vals).all():
+        raise ValueError("classification needs finite values")
     scale = max(abs(v) for v in vals)
     gate = _CLASSIFY_TOL * scale if scale > 0.0 else _CLASSIFY_TOL
     if max(vals) - min(vals) <= gate:

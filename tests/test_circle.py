@@ -108,8 +108,9 @@ def test_cn_relation_high_degree(ra, rb, n):
 
 
 def test_cn_relations_in_one_batch_equal_each_alone():
-    # (0.75, *) and (1, *) lift to the exponents 0.5 and 1.0, which numpy's
-    # power rounds on scalar fast paths; the polish applies each as a scalar
+    # (0.75, *) and (1, *) lift to the exponents 0.5 and 1.0, and (1.5, *)
+    # to 2.0: the polish takes one exponent per point, and the points at 0.5
+    # and 2 take numpy's sqrt and square, as each lift alone does
     pairs = [
         (WeightParams(ra, rb), n)
         for ra, rb in ((0.5, 0.5), (0.75, 0.75), (1.0, 1.0), (0.75, 1.25), (1.5, 0.5))
@@ -118,6 +119,7 @@ def test_cn_relations_in_one_batch_equal_each_alone():
     got = verify_cn_relation(*zip(*pairs))
     assert got == [verify_cn_relation(w, n) for w, n in pairs]
     assert isinstance(verify_cn_relation(WeightParams(1.0, 1.0), 2), tuple)
+    assert verify_cn_relation([], []) == []
     with pytest.raises(ValueError):
         verify_cn_relation([WeightParams(1.0, 1.0), WeightParams(0.3, 0.7)], [1, 1])
 

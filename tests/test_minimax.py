@@ -281,34 +281,25 @@ def test_ragged_solve_many_is_each_single_solve(max_iter):
 
 
 def test_batch_weight_is_each_weight_alone():
-    # numpy's power rounds the scalar exponents 0.5, 2 and -1 on a fast path
-    # of its own, so a batch applies each distinct exponent as a scalar
-    pairs = ((0.5, 2.0), (0.0, 0.5), (2.0, 0.3), (0.3, 0.0), (1.0, 1.0), (0.5, 0.5))
+    # one numpy power over the per-point exponents gives each point what its
+    # exponent gives it as a number, except at 0.5 and 2, where a number
+    # takes numpy's sqrt and square: those points take them too
+    rhos = (0.0, 0.5, 1.0, 2.0, 1e-16, 12.0, 30.0)
+    pairs = [(ra, rb) for ra in rhos for rb in rhos]
     cells = minimax._Cells([WeightParams(ra, rb) for ra, rb in pairs], 1)
-    theta = np.random.default_rng(11).uniform(0.0, np.pi, 600)
-    got = cells.weight(theta, np.arange(len(pairs)), 100)
-    for (ra, rb), block, at in zip(pairs, np.split(theta, len(pairs)), np.split(got, len(pairs))):
-        assert np.array_equal(at, _weight_theta(ra, rb, block))
+    rng = np.random.default_rng(11)
+    rows, sizes = rng.permutation(len(pairs)), rng.integers(0, 40, len(pairs))
+    theta = rng.uniform(0.0, np.pi, sizes.sum())
+    cuts = np.cumsum(sizes)[:-1]
 
+    def alone(t):
+        return np.concatenate([_weight_theta(*pairs[i], block) for i, block in zip(rows, np.split(t, cuts))])
 
-def test_batch_weight_groups_the_points_once_per_layout(monkeypatch):
-    built = []
-    groups = minimax._power_groups
-    monkeypatch.setattr(minimax, "_power_groups", lambda rho: built.append(len(rho)) or groups(rho))
-    cells = minimax._Cells([WeightParams(0.5, 0.3), WeightParams(0.3, 0.0)], 4)
-    theta = np.random.default_rng(2).uniform(0.0, np.pi, (2, 10))
-    first = cells.weight(theta[0], np.array([0, 1]), np.array([4, 6]))
-    again = cells.weight(theta[1], np.array([0, 1]), np.array([4, 6]))
-    assert built == [10, 10]  # one grouping per side
-    cells.weight(theta[0], np.array([1, 0]), np.array([4, 6]))
-    assert built == [10, 10, 10, 10]
-    # it keeps the layouts of about one iteration: here one degree and two extremum steps
-    for m in range(1, 6):
-        cells.weight(theta[0], np.array([0, 1]), np.array([m, 10 - m]))
-    assert len(cells._groups) == 3
-    for got, t in ((first, theta[0]), (again, theta[1])):
-        assert np.array_equal(got[:4], _weight_theta(0.5, 0.3, t[:4]))
-        assert np.array_equal(got[4:], _weight_theta(0.3, 0.0, t[4:]))
+    assert np.array_equal(cells.weight(theta, rows, sizes), alone(theta))
+    # two rows of points against one row of exponents, as the peak polish calls it
+    ra, rb = cells.exponent(0, rows, sizes), cells.exponent(1, rows, sizes)
+    both = _weight_theta(ra, rb, np.stack((theta, np.pi - theta)))
+    assert np.array_equal(both, np.stack((alone(theta), alone(np.pi - theta))))
 
 
 @pytest.mark.parametrize(

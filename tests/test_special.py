@@ -301,14 +301,16 @@ def test_weighted_sup_over_degrees_equals_per_degree_calls(ra, rb):
     unsorted = [7, 0, 20, 3, 3, 12, 1]
     assert weighted_monic_jacobi_sup(w, unsorted).tolist() == [single[n] for n in unsorted]
     assert isinstance(weighted_monic_jacobi_sup(w, 5), float)
+    empty = weighted_monic_jacobi_sup(w, [])
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
     with pytest.raises(ValueError):
         weighted_monic_jacobi_sup(w, [2, -1])
 
 
 def test_weighted_sups_over_weights_equal_each_weight_alone():
-    # the peaks of all weights are polished together; 0.5 and 1.0 take
-    # numpy's scalar power fast paths, so each exponent is applied as a scalar
-    rhos = (0.0, 0.125, 0.5, 1.0, 0.004)
+    # the peaks of all weights are polished together, under per-point
+    # exponents; 0.5 and 2 cover the points that take numpy's sqrt and square
+    rhos = (0.0, 0.125, 0.5, 1.0, 2.0, 0.004)
     weights = [WeightParams(ra, rb) for rb in rhos for ra in rhos]
     ns = np.arange(0, 13)
     got = special._jacobi_sups(weights, ns)

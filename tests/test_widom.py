@@ -35,6 +35,10 @@ def test_classify_basic_shapes():
     assert classify([1.0, 1.0, 1.1]) == "Increasing"
     with pytest.raises(ValueError):
         classify([1.0])
+    # a NaN compares false either way, so its place would pick the label
+    for values in ([1.0, math.nan], [math.nan, 1.0], [1.0, math.inf]):
+        with pytest.raises(ValueError):
+            classify(values)
 
 
 def test_widom_factor_known_values():
