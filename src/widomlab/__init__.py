@@ -43,7 +43,6 @@ from widomlab.special import (
     JacobiParams,
     WeightParams,
     jacobi_eval,
-    jacobi_zeros,
     monic_scale,
     param_to_weight,
     weight_to_param,
@@ -89,7 +88,6 @@ __all__ = [
     "continuity_probe",
     "erdos_lax_check",
     "jacobi_eval",
-    "jacobi_zeros",
     "m_bound",
     "m_ratio",
     "monic_scale",

@@ -80,14 +80,19 @@ def _tabulate(fn, x: np.ndarray) -> np.ndarray:
     return table[np.searchsorted(values, x)]
 
 
+def _log_m(q, s, lga, lgb, lgc, lgd, log_half):
+    """log M_n from lgamma at n + q + 1, n + s + 1, h = n + (s + 1) / 2 and n + s / 2 + 1, and log h."""
+    return 0.5 * (1.0 - s) * _LN2 + lga + lgb - (q + 0.5) * log_half - lgc - lgd
+
+
 def _m_bounds(params, ns) -> np.ndarray:
     """M_n for each of ``params`` (rows) at each of the degrees ``ns`` (columns).
 
     Each log-Gamma and log term comes from ``math.lgamma`` and ``math.log``,
-    once per distinct argument of its term, the terms are summed in the
-    order of the scalar formula, and ``math.exp`` is taken per entry, since
-    numpy's exp rounds some entries differently: each entry equals the
-    scalar formula.
+    once per distinct argument of its term, the terms are summed by
+    :func:`_log_m`, and ``math.exp`` is taken per entry, since numpy's exp
+    rounds some entries differently: each entry equals the scalar call of
+    :func:`m_bound`.
     """
     n = np.asarray(ns, dtype=float)
     qs = sorted({p.q for p in params})
@@ -104,7 +109,7 @@ def _m_bounds(params, ns) -> np.ndarray:
     out = np.empty((len(params), n.size))
     for row, p in zip(out, params):
         q, s = p.q, p.alpha + p.beta
-        logm = 0.5 * (1.0 - s) * _LN2 + lga[q] + lgb[s] - (q + 0.5) * logs[s] - lgc[s] - lgd[s]
+        logm = _log_m(q, s, lga[q], lgb[s], lgc[s], lgd[s], logs[s])
         row[:] = list(map(math.exp, logm.tolist()))
     return out
 
@@ -116,12 +121,16 @@ def m_bound(p: JacobiParams, n):
     M_n; each entry equals the value of its scalar call.
     """
     _check_square(p)
+    if not np.ndim(n):
+        if n < 1:
+            raise ValueError("degree must be at least 1")
+        q, s, x, lg = p.q, p.alpha + p.beta, float(n), math.lgamma
+        h = x + 0.5 * (s + 1.0)
+        return math.exp(_log_m(q, s, lg(x + q + 1.0), lg(x + s + 1.0), lg(h), lg(x + 0.5 * s + 1.0), math.log(h)))
     ns = np.asarray(n)
     if ns.size and ns.min() < 1:
         raise ValueError("degree must be at least 1")
-    out = _m_bounds([p], ns.ravel())[0]
-    # a 0-d result unwraps to numpy's float64, a float
-    return np.reshape(out, ns.shape)[()]
+    return _m_bounds([p], ns.ravel())[0].reshape(ns.shape)
 
 
 def m_bound_raw(p: JacobiParams, n: int) -> float:

@@ -26,7 +26,6 @@ from numpy.polynomial import polynomial as npp
 from widomlab.bounds import weight_sup_bound
 from widomlab.minimax import ChebyshevSolution, MonicPolynomial, solve_many
 from widomlab.special import WeightParams, _polish_peaks, _power
-from widomlab.widom import _batches
 
 __all__ = [
     "RealPolynomial",
@@ -206,10 +205,10 @@ def verify_cn_relation(w, n):
 
     ``w`` and ``n`` may also be equal-length sequences of weights and
     degrees: the triples then come back as a list, each equal to its single
-    call.  Their degrees from 1 up are solved in the lockstep batches of
-    :func:`widomlab.widom.widom_sequence`, and the circle sups of all their
-    lifts polished together; the first solver error, in the order given,
-    is raised.
+    call.  Their degrees from 1 up go through one
+    :func:`widomlab.minimax.solve_many` call, and the circle sups of all
+    their lifts are polished together; the first solver error, in the order
+    given, is raised.
     """
     single = isinstance(w, WeightParams)
     weights, degrees = ([w], [n]) if single else (list(w), [int(k) for k in n])
@@ -217,8 +216,8 @@ def verify_cn_relation(w, n):
         raise ValueError("give one degree per weight")
     if any(v.rho_a < 0.5 or v.rho_b < 0.5 for v in weights):
         raise ValueError("circle correspondence requires rho_a, rho_b >= 1/2")
-    tasks = _batches([(v, k) for v, k in zip(weights, degrees) if k != 0])
-    outs = iter([out for task in tasks for out in solve_many(*task)])
+    problems = [(v, k) for v, k in zip(weights, degrees) if k != 0]
+    outs = iter(solve_many([v for v, _ in problems], [k for _, k in problems]))
     sols = [next(outs) if k != 0 else _degree_zero_solution(v) for v, k in zip(weights, degrees)]
     for sol in sols:
         if isinstance(sol, Exception):

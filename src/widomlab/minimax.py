@@ -24,6 +24,7 @@ from widomlab.special import (
     _bracketed_newton,
     _parabolic_shift,
     _tail_grid,
+    _tail_kind,
     _weight_theta,
 )
 
@@ -444,6 +445,12 @@ def _grid_size(n):
     return 30 * n + 200
 
 
+def _grid_key(w: WeightParams, n: int, size: int) -> tuple:
+    """The problems at degree n on grids of ``size`` uniform points with one key share one
+    theta-grid (it depends on the weight through :func:`special._tail_kind`) and cosine matrix."""
+    return size, n, _tail_kind(w.rho_a, w.rho_b)
+
+
 def _grid_cosines(theta: np.ndarray, degree: int) -> np.ndarray:
     """cos(k theta) for k <= degree, one row per point of the ascending grid ``theta``.
 
@@ -476,7 +483,7 @@ _RUN = 256
 
 class _Grids:
     """The Remez grids of a batch of problems, ``sizes[i]`` uniform points for problem i,
-    end to end and grouped by cosine matrix, one per distinct grid and degree.
+    end to end and grouped by key, with one theta-grid and cosine matrix per :func:`_grid_key`.
 
     :meth:`join` keeps those of the problems ``cells`` for the elementwise
     steps: ``theta`` and ``weight`` at each point, the ``first`` and ``last``
@@ -485,21 +492,24 @@ class _Grids:
     """
 
     def __init__(self, cells: _Cells, sizes):
-        grids, self.cosines, seen = [], [], {}
-        self.kind, self.step = np.empty(len(cells.weights), dtype=int), np.empty(len(cells.weights))
+        sizes = np.broadcast_to(sizes, cells.deg.shape)
+        kind, keys, thetas, self.cosines = [], {}, [], []
+        for w, size, n in zip(cells.weights, sizes.tolist(), cells.deg.tolist()):
+            kind.append(keys.setdefault(_grid_key(w, n, size), len(keys)))
+            if kind[-1] == len(thetas):  # the first problem of its key
+                thetas.append(_tail_grid(w.rho_a, w.rho_b, size))
+                self.cosines.append(_grid_cosines(thetas[-1], n))
+        self.kind, self.step = np.array(kind), np.pi / (sizes - 1)
         self.open = (cells.ra == 0.0, cells.rb == 0.0)
-        for i, (w, size, n) in enumerate(zip(cells.weights, sizes, cells.deg.tolist())):
-            theta, wgrid, self.step[i] = _tail_grid(w.rho_a, w.rho_b, int(size))
-            key = (n, theta.tobytes())
-            if key not in seen:
-                seen[key] = len(self.cosines)
-                self.cosines.append(_grid_cosines(theta, n))
-            self.kind[i] = seen[key]
-            grids.append((theta, wgrid))
         self.order = np.argsort(self.kind, kind="stable")
-        self.size = np.array([theta.size for theta, _ in grids])
-        self.all_theta = np.concatenate([grids[i][0] for i in self.order])
-        self.all_weight = np.concatenate([grids[i][1] for i in self.order])
+        self.size = np.array([thetas[k].size for k in self.kind])
+        self.all_theta = np.concatenate([thetas[k] for k in self.kind[self.order]])
+        counts = self.size[self.order]
+        self.all_weight = cells.weight(self.all_theta, self.order, counts)
+        # exact zeros where the weight vanishes: rounding cos(pi / 2) would leak through at pi
+        end = np.cumsum(counts) - 1
+        self.all_weight[(end - counts + 1)[~self.open[0][self.order]]] = 0.0
+        self.all_weight[end[~self.open[1][self.order]]] = 0.0
 
     def join(self, live: np.ndarray) -> "_Grids":
         on = np.isin(self.order, live)
@@ -679,11 +689,11 @@ def solve(
     below its best so far, or the reference stops moving, the iteration
     redoes the same reference in the certified phase, the step of
     :func:`error_extrema`, which every later iteration keeps.  A certified
-    defect within ``tolerance`` returns the solution.  This is
-    :func:`solve_many` on one weight.
+    defect within ``tolerance`` returns the solution.  This is a lockstep
+    batch of one, as :func:`solve_many` runs it.
     """
     # the loop by its private name: a tracer of the public functions sees one span
-    (out,) = _lockstep([w], n, tolerance, max_iter)
+    (out,) = _lockstep([w], _degrees(1, n, tolerance, max_iter), tolerance, max_iter)
     if isinstance(out, Exception):
         raise out
     return out
@@ -697,29 +707,65 @@ def solve_many(
     max_iter: int = 60,
 ) -> list:
     """:func:`solve` for each of ``weights`` at degree n, or at degree ``n[i]`` for ``weights[i]``,
-    in one lockstep Remez loop.
+    in lockstep Remez loops over the batches of :func:`_batches`.
 
     Returns, in the order of ``weights``, what ``solve(w, n)`` returns for
     each weight, or the :class:`ConvergenceError`, :class:`DegeneracyError` or
-    :class:`ExchangeError` it raises, bit for bit: the batch shares the
-    elementwise steps, but no problem's arithmetic depends on the others.
-    Each problem takes its own iterations, phases and Newton steps, and
-    drops out of the loop once it is solved or fails.
+    :class:`ExchangeError` it raises, bit for bit: a batch shares the
+    elementwise steps and the grids of each :func:`_grid_key`, but no
+    problem's arithmetic depends on the others.  Each problem takes its own
+    iterations, phases and Newton steps, and drops out of its loop once it
+    is solved or fails.
     """
-    return _lockstep(weights, n, tolerance, max_iter)
+    weights = list(weights)
+    degrees = _degrees(len(weights), n, tolerance, max_iter)
+    batches = _batches(zip(weights, degrees))
+    return [out for batch in batches for out in _lockstep(*batch, tolerance, max_iter)]
 
 
-def _lockstep(weights, n, tolerance: float, max_iter: int) -> list:
-    weights, degrees = list(weights), np.asarray(n)
+def _degrees(count: int, n, tolerance: float, max_iter: int) -> list[int]:
+    """The degree of each of ``count`` problems, from one degree or one per problem; checks the arguments."""
+    degrees = np.asarray(n)
     if np.any(degrees < 1):
         raise ValueError("degree must be at least 1")
-    if degrees.ndim and degrees.shape != (len(weights),):
+    if degrees.ndim and degrees.shape != (count,):
         raise ValueError("give one degree, or one degree per weight")
     if tolerance <= 0.0 or max_iter < 1:
         raise ValueError("tolerance and max_iter must be positive")
+    return np.broadcast_to(degrees.astype(int), (count,)).tolist()
+
+
+# a lockstep batch holds at most _BATCH_PROBLEMS problems, and more than one only
+# while its arrays hold at most _BATCH_COSINES entries (8 MB): a cosine matrix per
+# grid key, and _PROBLEM_ROWS * (n + 1)^2 for each problem's own arrays (9 to 10
+# traced at n = 100 and 150).  That is 64 problems up to n = 36 on at most three
+# grids, a sequence's degrees one at a time from n = 112, and any problems one at
+# a time from n = 143; fixed sizes keep a scan's work items the same for any worker count
+_BATCH_PROBLEMS = 64
+_PROBLEM_ROWS = 10
+_BATCH_COSINES = 2**20
+
+
+def _batches(problems) -> list[tuple[list, list[int]]]:
+    """Split (weight, degree) ``problems``, in order, into the (weights, degrees) of lockstep batches."""
+    tasks, entries, keys = [], 0, set()
+    for w, n in problems:
+        key = _grid_key(w, n, _grid_size(n))
+        # the problem's own arrays, and its grid's matrix unless the batch holds it
+        cost = _PROBLEM_ROWS * (n + 1) ** 2 + (key not in keys) * _grid_size(n) * (n + 1)
+        if not tasks or len(tasks[-1][0]) == _BATCH_PROBLEMS or entries + cost > _BATCH_COSINES:
+            tasks.append(([], []))
+            entries, keys = 0, set()
+            cost = _PROBLEM_ROWS * (n + 1) ** 2 + _grid_size(n) * (n + 1)
+        tasks[-1][0].append(w)
+        tasks[-1][1].append(n)
+        entries += cost
+        keys.add(key)
+    return tasks
+
+
+def _lockstep(weights: list, degrees: list[int], tolerance: float, max_iter: int) -> list:
     count, out = len(weights), [None] * len(weights)
-    if not count:
-        return out
     cells = _Cells(weights, degrees)
     deg, levels = cells.deg, np.unique(cells.deg).tolist()
     grids = _Grids(cells, _grid_size(deg)).join(np.arange(count))

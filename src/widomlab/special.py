@@ -1,4 +1,4 @@
-"""Jacobi polynomials: evaluation, monic normalization, zeros, and weighted sups.
+"""Jacobi polynomials: evaluation, monic normalization, and weighted sups.
 
 Conventions follow Szego: P_n^{(alpha,beta)} is orthogonal on [-1,1] for the
 measure (1-x)^alpha (1+x)^beta dx, normalized by P_n(1) = C(n+alpha, n).
@@ -21,7 +21,6 @@ __all__ = [
     "weight_to_param",
     "jacobi_eval",
     "monic_scale",
-    "jacobi_zeros",
     "weighted_monic_jacobi_sup",
 ]
 
@@ -111,6 +110,8 @@ def _jacobi(a, b, n, x, derivative: bool):
     parameters give it alone.
     """
     deg = np.asarray(n)
+    if deg.size == 0:  # np.asarray([]) is a float array
+        deg = deg.astype(int)
     if deg.dtype.kind not in "iu":
         raise TypeError("degrees must be integers")
     if np.any(deg < 0):
@@ -212,18 +213,6 @@ def _weight_theta(ra, rb, theta: np.ndarray) -> np.ndarray:
     return _power(2.0 * np.sin(half) ** 2, ra) * _power(2.0 * np.cos(half) ** 2, rb)
 
 
-def _theta_grid(ra: float, rb: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform theta-grid of ``size`` points on [0, pi] and the weight on it."""
-    theta = np.linspace(0.0, np.pi, size)
-    wgrid = _weight_theta(ra, rb, theta)
-    # exact endpoint zeros: float cos(pi/2) rounding would otherwise leak through
-    if ra > 0.0:
-        wgrid[0] = 0.0
-    if rb > 0.0:
-        wgrid[-1] = 0.0
-    return theta, wgrid
-
-
 # the geometric tail of a sampling grid reaches about this close to an endpoint
 _TAIL_END = 1e-18
 
@@ -242,30 +231,27 @@ def _untied(w: np.ndarray, f: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _tail_grid(ra: float, rb: float, size: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Uniform theta-grid with geometric endpoint tails: (theta, weight, step).
+def _tail_grid(ra: float, rb: float, size: int) -> np.ndarray:
+    """Uniform theta-grid of ``size`` points on [0, pi], with geometric endpoint tails.
 
-    The grid of :func:`_theta_grid`, with step ``pi / (size - 1)``, plus a
-    geometric tail ``step * 2^-k``, from ``step / 2`` down to about
-    ``_TAIL_END``, at each endpoint where the weight vanishes.  There a
-    weighted polynomial can peak in a boundary hump narrower than one step;
-    the tail samples that hump.  Toward pi the tail stops at ulp(pi): below
-    it ``pi - u`` rounds onto pi or onto its neighbour, and tied points
-    would each count as a maximum.  For the same reason :func:`_untied`
-    drops the tail points where the weight stops changing, as on most of
-    the tail for an exponent below about 1e-16.
+    The uniform points have step ``pi / (size - 1)``.  At each endpoint
+    where the weight vanishes a geometric tail ``step * 2^-k`` adds points,
+    from ``step / 2`` down to about ``_TAIL_END``: there a weighted
+    polynomial can peak in a boundary hump narrower than one step, and the
+    tail samples that hump.  Toward pi the tail stops at ulp(pi): below it
+    ``pi - u`` rounds onto pi or onto its neighbour, and tied points would
+    each count as a maximum.  For the same reason :func:`_untied` drops the
+    tail points where the weight stops changing, as on most of the tail for
+    an exponent below about 1e-16.  The caller weighs the grid.
     """
-    theta, wgrid = _theta_grid(ra, rb, size)
     step = np.pi / (size - 1)
     u = step * 0.5 ** np.arange(1, 64)
     lo = u[u >= _TAIL_END][::-1] if ra > 0.0 else u[:0]
     hi = np.pi - u[u >= np.spacing(np.pi)] if rb > 0.0 else u[:0]
-    wlo, whi = _weight_theta(ra, rb, lo), _weight_theta(ra, rb, hi)
-    keep_lo = _untied(wlo, _weight_theta(ra, 0.0, lo))
-    keep_hi = _untied(whi[::-1], _weight_theta(0.0, rb, hi)[::-1])[::-1]
-    theta = np.concatenate((theta[:1], lo[keep_lo], theta[1:-1], hi[keep_hi], theta[-1:]))
-    wgrid = np.concatenate((wgrid[:1], wlo[keep_lo], wgrid[1:-1], whi[keep_hi], wgrid[-1:]))
-    return theta, wgrid, step
+    keep_lo = _untied(_weight_theta(ra, rb, lo), _weight_theta(ra, 0.0, lo))
+    keep_hi = _untied(_weight_theta(ra, rb, hi)[::-1], _weight_theta(0.0, rb, hi)[::-1])[::-1]
+    theta = np.linspace(0.0, np.pi, size)
+    return np.concatenate((theta[:1], lo[keep_lo], theta[1:-1], hi[keep_hi], theta[-1:]))
 
 
 def _tail_kind(ra: float, rb: float) -> tuple:
@@ -366,25 +352,6 @@ def _bracketed_newton(f, lo, hi, sign_lo, tol: float, max_steps: int, counts=Non
     return out
 
 
-def jacobi_zeros(p: JacobiParams, n: int) -> list[float]:
-    """The n simple zeros of P_n^{(alpha,beta)}, strictly increasing in (-1,1).
-
-    Brackets the sign changes of P_n on a uniform theta-grid of 20n + 100
-    points and refines each by bracketed Newton.
-    """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    grid = np.cos(np.linspace(0.0, np.pi, 20 * n + 100))[::-1]
-    vals = _jacobi(p.alpha, p.beta, n, grid, derivative=False)
-    flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if flip.size != n:
-        raise RuntimeError(f"zero bracketing found {flip.size} of {n} zeros for {p}")
-    x = _bracketed_newton(
-        lambda t: jacobi_eval(p, n, t), grid[flip], grid[flip + 1], np.sign(vals[flip]), 1e-15, 100
-    )
-    return [float(t) for t in x]
-
-
 def weighted_monic_jacobi_sup(w: WeightParams, n):
     """Sup over [-1,1] of the weight times |monic Jacobi polynomial| of degree n.
 
@@ -406,8 +373,9 @@ def weighted_monic_jacobi_sup(w: WeightParams, n):
 def _jacobi_sups(weights, deg: np.ndarray) -> np.ndarray:
     """:func:`weighted_monic_jacobi_sup` of each of ``weights`` at each of the degrees ``deg``, one row per weight.
 
+    Weights of one tail kind (:func:`_tail_kind`) share each degree's grid.
     Each weight's grids go through a recurrence of their own, so that only
-    one weight's grids are alive at a time, and the peaks of all weights
+    one weight's samples are alive at a time, and the peaks of all weights
     are polished together; each sup equals its single call bit for bit.
     """
     if np.any(deg < 0):
@@ -415,19 +383,30 @@ def _jacobi_sups(weights, deg: np.ndarray) -> np.ndarray:
     if not (len(weights) and deg.size):
         return np.empty((len(weights), deg.size))
     params = [weight_to_param(w) for w in weights]
-    best, peaks = np.empty((len(weights), deg.size)), []
+    best, peaks, grids = np.empty((len(weights), deg.size)), [], {}
+    ks = [int(k) for k in deg]
+    steps = np.pi / (50 * np.array(ks) + 499)
     for row, (w, p) in enumerate(zip(weights, params)):
-        scale = np.array([monic_scale(p, int(k)) for k in deg])
-        grids = [_tail_grid(w.rho_a, w.rho_b, 50 * int(k) + 500) for k in deg]
-        theta = np.concatenate([t for t, _, _ in grids])
-        sizes = np.array([t.size for t, _, _ in grids])
-        steps = np.array([step for _, _, step in grids])
+        scale = np.array([monic_scale(p, k) for k in ks])
+        # one grid per degree and tail kind, shared by the weights of that kind
+        kind = _tail_kind(w.rho_a, w.rho_b)
+        for k in ks:
+            if (k, kind) not in grids:
+                grids[k, kind] = _tail_grid(w.rho_a, w.rho_b, 50 * k + 500)
+        theta = np.concatenate([grids[k, kind] for k in ks])
+        sizes = np.array([grids[k, kind].size for k in ks])
         # degree index of each grid point, and the first and last point of each grid
         seg = np.repeat(np.arange(deg.size), sizes)
         last = np.cumsum(sizes) - 1
         first = last - sizes + 1
         vals = _jacobi(p.alpha, p.beta, deg[seg], np.cos(theta), derivative=False)
-        mag = np.concatenate([wt for _, wt, _ in grids]) * np.abs(scale[seg] * vals)
+        wgrid = _weight_theta(w.rho_a, w.rho_b, theta)
+        # exact zeros where the weight vanishes: rounding cos(pi / 2) would leak through at pi
+        if w.rho_a > 0.0:
+            wgrid[first] = 0.0
+        if w.rho_b > 0.0:
+            wgrid[last] = 0.0
+        mag = wgrid * np.abs(scale[seg] * vals)
         best[row] = np.maximum(mag[first], mag[last])
         inner = np.ones(theta.size, dtype=bool)
         inner[first] = inner[last] = False

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from widomlab.bounds import asymptote, weight_sup_bound
-from widomlab.minimax import _grid_size, solve, solve_many
-from widomlab.special import WeightParams, _tail_kind
+from widomlab.minimax import _batches, solve, solve_many
+from widomlab.special import WeightParams
 
 __all__ = [
     "CLASSIFICATIONS",
@@ -43,18 +43,6 @@ _OUTER_R2 = 1.184 / 8.0
 
 # relative tolerance below which a step of a Widom sequence counts as flat
 _CLASSIFY_TOL = 1e-9
-
-# a lockstep batch holds at most _SCAN_BATCH (weight, degree) problems, and more
-# than one only while its arrays hold at most _BATCH_COSINES entries (8 MB): one
-# grid cosine matrix per distinct grid, which problems of one degree and tail
-# kind share, and _PROBLEM_ROWS * (n + 1)^2 for each problem's own arrays (9 to
-# 10 traced at n = 100 and 150).  That is 64 problems up to n = 36 on at most
-# three grids, a sequence's degrees one at a time from n = 112, and any
-# problems one at a time from n = 143; fixed sizes keep a scan's work items the
-# same for any worker count
-_SCAN_BATCH = 64
-_PROBLEM_ROWS = 10
-_BATCH_COSINES = 2**20
 
 
 @dataclass(frozen=True)
@@ -184,35 +172,12 @@ def _sequence(w: WeightParams, values) -> WidomSequence:
 
 
 def widom_sequence(w: WeightParams, n_max: int) -> WidomSequence:
-    """Compute ``W_1 .. W_{n_max}`` in the lockstep batches of a scan and classify the sequence.
+    """Compute ``W_1 .. W_{n_max}`` in the lockstep batches of :func:`solve_many` and classify the sequence.
 
     A solver failure raises the error of the first failing degree, and no later batch is solved.
     """
     _check_n_max(n_max)
-    return _sequence(w, _widoms(_scan_batches([w], n_max)))
-
-
-def _batches(problems: list[tuple[WeightParams, int]]) -> list[tuple[list, list[int]]]:
-    """Split (weight, degree) ``problems``, in order, into the (weights, degrees) of lockstep batches."""
-    tasks, entries, grids = [], 0, set()
-    for w, n in problems:
-        grid = (n, _tail_kind(w.rho_a, w.rho_b))
-        # the problem's own arrays, and the grid's matrix unless the batch holds it
-        cost = _PROBLEM_ROWS * (n + 1) ** 2 + (grid not in grids) * _grid_size(n) * (n + 1)
-        if not tasks or len(tasks[-1][0]) == _SCAN_BATCH or entries + cost > _BATCH_COSINES:
-            tasks.append(([], []))
-            entries, grids = 0, set()
-            cost = _PROBLEM_ROWS * (n + 1) ** 2 + _grid_size(n) * (n + 1)
-        tasks[-1][0].append(w)
-        tasks[-1][1].append(n)
-        entries += cost
-        grids.add(grid)
-    return tasks
-
-
-def _scan_batches(weights: list[WeightParams], n_max: int) -> list[tuple[list, list[int]]]:
-    """The lockstep batches that solve each of ``weights`` at n = 1..n_max, degree after degree."""
-    return _batches([(w, n) for n in range(1, n_max + 1) for w in weights])
+    return _sequence(w, _widoms(_batches([(w, n) for n in range(1, n_max + 1)])))
 
 
 def _solve_batch(task: tuple[list[WeightParams], list[int]]) -> list:
@@ -269,14 +234,13 @@ def scan(
     monic minimizer ``p(x)`` to ``(-1)**n p(-x)``, so ``W_n(a, b) = W_n(b, a)``.
     Only the ``resolution * (resolution + 1) / 2`` cells with
     ``rho_a <= rho_b`` are solved, each at every degree 1..n_max.  These
-    (cell, degree) problems go degree after degree in fixed batches of up
-    to 64, fewer at high degree, each solved in one lockstep Remez loop
-    (:func:`widomlab.minimax.solve_many` with one degree per weight), and
-    with ``workers > 1`` the batches run in a process pool.  Each cell
-    equals its own ``widom_sequence``, which goes through the same batches,
-    bit for bit, whatever the batching or the worker count, since
-    ``solve_many`` solves each problem as it would alone; a cell keeps the
-    error of its first failed degree.
+    (cell, degree) problems go degree after degree into the lockstep
+    batches of :func:`widomlab.minimax.solve_many`, up to 64 problems, fewer
+    at high degree, and with ``workers > 1`` the batches run in a process
+    pool.  Each cell equals its own ``widom_sequence`` bit for bit, whatever
+    the batching or the worker count, since ``solve_many`` solves each
+    problem as it would alone; a cell keeps the error of its first failed
+    degree.
     Every cell with ``rho_a > rho_b`` copies the values, label and error of
     its twin.
     Results are gathered by grid index, so the classification matrix is
@@ -294,7 +258,7 @@ def scan(
     triangle = [(i_a, i_b) for i_b in range(resolution) for i_a in range(i_b + 1)]
     weights = [WeightParams(points[i_a], points[i_b]) for i_a, i_b in triangle]
     start = time.perf_counter()
-    tasks = _scan_batches(weights, n_max)
+    tasks = _batches([(w, n) for n in range(1, n_max + 1) for w in weights])
     if workers > 1:
         # imported here: a serial scan does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -340,9 +304,9 @@ def continuity_probe(w: WeightParams, delta: float, n: int) -> float:
 
     Perturbations that would push an exponent negative are skipped, so the
     probe is well defined on the boundary of the parameter quadrant.  ``w``
-    and its perturbations are solved in the lockstep batches of a scan, as
-    one batch, which builds one grid cosine matrix, up to n = 112 where no
-    exponent is 0 or within ``delta`` of it.
+    and its perturbations go through one :func:`solve_many` call, one batch
+    with one grid cosine matrix up to n = 112 where no exponent is 0 or
+    within ``delta`` of it.
     """
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
@@ -352,5 +316,5 @@ def continuity_probe(w: WeightParams, delta: float, n: int) -> float:
     steps = ((delta, 0.0), (-delta, 0.0), (0.0, delta), (0.0, -delta))
     moved = [(w.rho_a + da, w.rho_b + db) for da, db in steps]
     weights = [w] + [WeightParams(ra, rb) for ra, rb in moved if ra >= 0.0 and rb >= 0.0]
-    base, *others = _widoms(_batches([(v, n) for v in weights]))
+    base, *others = _widoms([(weights, [n] * len(weights))])
     return max((abs(v - base) for v in others), default=0.0)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from widomlab import special
 from widomlab.cli import main
 from widomlab.minimax import ExchangeError, solve
 from widomlab.special import WeightParams
@@ -152,6 +153,15 @@ def test_verify_commands_pass(capsys):
     assert main(["verify", "bounds", "--n-max", "200", "--samples", "3"]) == 0
     assert main(["verify", "circle", "--n-max", "1"]) == 0
     assert main(["verify", "jacobi", "--n-max", "4", "--samples", "2"]) == 0
+
+
+def test_verify_jacobi_builds_each_grid_once(monkeypatch, capsys):
+    # the default sweep: 25 weights at n = 1..20, on 20 degrees times 4 tail
+    # kinds (each exponent 0 or not) of grids
+    built, tail_grid = [], special._tail_grid
+    monkeypatch.setattr(special, "_tail_grid", lambda *args: built.append(args) or tail_grid(*args))
+    assert main(["verify", "jacobi"]) == 0
+    assert len(built) == 80
 
 
 # the json documents of each sweep, byte for byte: batching a sweep over

@@ -30,7 +30,7 @@ from widomlab.minimax import (
     solve_many,
     weight_eval,
 )
-from widomlab.special import WeightParams, _tail_grid, _theta_grid, _weight_theta
+from widomlab.special import WeightParams, _tail_grid, _weight_theta
 
 
 def dense_weighted_max(w: WeightParams, poly: MonicPolynomial, samples: int = 200001) -> float:
@@ -280,6 +280,18 @@ def test_ragged_solve_many_is_each_single_solve(max_iter):
         solve_many(weights, [0] + degrees[1:])
 
 
+def test_solve_many_caps_its_batches(monkeypatch):
+    # from n = 143 each problem is a lockstep batch of its own, so a long list
+    # of weights holds one problem's arrays at a time; each result is its
+    # single solve's, in every bit
+    weights = [WeightParams(0.1 * i, 0.3) for i in range(1, 6)]
+    alone = [_bits(_alone(w, 150, 60)) for w in weights]
+    batches, lockstep = [], minimax._lockstep
+    monkeypatch.setattr(minimax, "_lockstep", lambda ws, *args: batches.append(len(ws)) or lockstep(ws, *args))
+    assert [_bits(out) for out in solve_many(weights, 150)] == alone
+    assert batches == [1] * 5
+
+
 def test_batch_weight_is_each_weight_alone():
     # one numpy power over the per-point exponents gives each point what its
     # exponent gives it as a number, except at 0.5 and 2, where a number
@@ -310,14 +322,14 @@ def test_grid_cosines_equal_plain_cosines(ra, rb):
     # hold, bit for bit, the cosines of their own points; sizes on either
     # side of the smallest grid that looks for such runs, and above it
     for size in (230, 4 * minimax._RUN - 1, 4 * minimax._RUN, 2400, _grid_size(150), 4097):
-        theta = _tail_grid(ra, rb, size)[0]
+        theta = _tail_grid(ra, rb, size)
         for n in (1, 2, 7, 60, 151):
             assert np.array_equal(_grid_cosines(theta, n), np.cos(np.outer(theta, np.arange(n + 1))))
 
 
 def test_grid_cosines_compute_a_quarter_less_on_a_large_grid(monkeypatch):
     # at n = 150 a fifth of the matrix is copied, not computed (0.784 computed)
-    theta = _tail_grid(0.3, 0.6, _grid_size(150))[0]
+    theta = _tail_grid(0.3, 0.6, _grid_size(150))
     computed, cos = [], np.cos
     monkeypatch.setattr(np, "cos", lambda x, **kw: computed.append(x.size) or cos(x, **kw))
     _grid_cosines(theta, 150)
@@ -542,9 +554,9 @@ def test_endpoint_hump_inside_the_first_cell_is_found(ra, rb, n):
     w = WeightParams(ra, rb)
     poly = solve(w, n).poly
     side = -1 if rb > 0.0 else 1
-    theta, wgrid, step = _tail_grid(ra, rb, 30 * n + 200)
-    cos_k = _grid_cosines(theta, n)
-    ae = np.abs(wgrid * (cos_k @ poly.full_cheb_coeffs()))
+    grids = minimax._Grids(minimax._Cells([w], n), [30 * n + 200]).join(np.array([0]))
+    theta, step = grids.theta, grids.step[0]
+    ae = np.abs(grids.errors(poly.full_cheb_coeffs()[None]))
     peak = theta[np.nonzero((ae[1:-1] >= ae[:-2]) & (ae[1:-1] >= ae[2:]))[0] + 1]
     assert np.any(np.minimum(peak, np.pi - peak) < 0.75 * step)
     dist, found = _endpoint_extremum(w, poly, side)
@@ -574,14 +586,24 @@ def test_tied_tail_points_are_not_refined(monkeypatch, ra, rb, n):
 @pytest.mark.parametrize("ra, rb", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.3), (0.5, 1e-300)])
 @pytest.mark.parametrize("size", [230, 501, 12200])
 def test_remez_grid_is_the_uniform_grid_plus_endpoint_tails(ra, rb, size):
-    theta, wgrid, step = _tail_grid(ra, rb, size)
+    theta = _tail_grid(ra, rb, size)
     assert np.all(np.diff(theta) > 0.0)
     assert theta[-1] == np.pi
-    uniform, wuniform = _theta_grid(ra, rb, size)
-    assert step == uniform[1]
-    # the uniform points and their weights, bit for bit, between the tails
+    uniform = np.linspace(0.0, np.pi, size)
+    step = uniform[1]
+    # the uniform points, bit for bit, between the tails
     at = np.searchsorted(theta, uniform)
-    assert np.array_equal(theta[at], uniform) and np.array_equal(wgrid[at], wuniform)
+    assert np.array_equal(theta[at], uniform)
+    # the solver's grid weighs each point as the weight alone does, with exact
+    # zeros at the ends where it vanishes
+    grids = minimax._Grids(minimax._Cells([WeightParams(ra, rb)], 1), [size]).join(np.array([0]))
+    assert np.array_equal(grids.theta, theta) and grids.step[0] == step
+    weight = _weight_theta(ra, rb, theta)
+    if ra > 0.0:
+        weight[0] = 0.0
+    if rb > 0.0:
+        weight[-1] = 0.0
+    assert np.array_equal(grids.weight, weight)
     lo_tail = theta[(theta > 0.0) & (theta < step)]
     hi_tail = theta[(theta > uniform[-2]) & (theta < np.pi)]
     if ra == 0.0:

@@ -11,7 +11,7 @@ import pytest
 from widomlab.bounds import weight_sup_bound
 from widomlab.minimax import solve
 from widomlab.oracle import _GRID, brute_minimax
-from widomlab.special import WeightParams, _theta_grid
+from widomlab.special import WeightParams, _weight_theta
 
 
 def test_brute_unweighted_degree_one():
@@ -81,7 +81,9 @@ def test_brute_value_brackets_the_remez_norm():
         n = i % 4
         nodes, value = brute_minimax(w, n)
         assert len(nodes) == n and nodes == sorted(nodes)
-        theta, wgrid = _theta_grid(w.rho_a, w.rho_b, _GRID)
+        theta = np.linspace(0.0, np.pi, _GRID)
+        wgrid = _weight_theta(w.rho_a, w.rho_b, theta)
+        wgrid[[0, -1]] *= [w.rho_a == 0.0, w.rho_b == 0.0]  # exact zeros where it vanishes
         if n == 0:
             assert value == float(np.max(wgrid))
             assert value <= weight_sup_bound(w) * (1.0 + 1e-12)

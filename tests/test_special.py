@@ -1,10 +1,10 @@
-"""Tests for Jacobi evaluation, normalization, zeros, and weighted sups."""
+"""Tests for Jacobi evaluation, normalization, and weighted sups."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import roots_jacobi
+from numpy.polynomial.chebyshev import chebroots
 
 from widomlab import minimax, special
 from widomlab.special import (
@@ -13,7 +13,6 @@ from widomlab.special import (
     _bracketed_newton,
     _polish_peaks,
     jacobi_eval,
-    jacobi_zeros,
     log_gamma,
     monic_scale,
     param_to_weight,
@@ -98,6 +97,9 @@ def test_jacobi_eval_per_point_degrees_match_per_degree_calls():
     # degrees broadcast against a scalar point
     v, d = jacobi_eval(p, np.array([4, 0, 2]), 0.25)
     assert v.tolist() == [jacobi_eval(p, k, 0.25)[0] for k in (4, 0, 2)]
+    # no degrees, as for weighted_monic_jacobi_sup and m_bound
+    v, d = jacobi_eval(p, [], 0.25)
+    assert v.shape == d.shape == (0,)
     with pytest.raises(ValueError):
         jacobi_eval(p, np.array([1, -1]), x[0, :2])
 
@@ -147,38 +149,6 @@ def test_monic_scale_matches_recurrence_leading_coefficient():
         assert abs(monic_scale(JacobiParams(a, b), n) * lead - 1.0) < 1e-12
 
 
-def test_jacobi_zeros_explicit_cases():
-    assert jacobi_zeros(JacobiParams(0.0, 0.0), 1) == [0.0]
-    z = jacobi_zeros(JacobiParams(0.5, -0.5), 1)
-    assert len(z) == 1 and abs(z[0] - (-0.5)) < 1e-14
-    z = jacobi_zeros(JacobiParams(0.0, 0.0), 2)
-    root = 0.5773502691896258  # sqrt(1/3)
-    assert abs(z[0] + root) < 1e-13 and abs(z[1] - root) < 1e-13
-
-
-def test_jacobi_zeros_validity_grid():
-    for a in (-0.75, -0.25, 0.25, 1.0):
-        for b in (-0.6, 0.0, 1.0):
-            p = JacobiParams(a, b)
-            for n in (1, 4, 13, 30):
-                z = np.array(jacobi_zeros(p, n))
-                assert z.shape == (n,)
-                assert np.all(np.diff(z) > 0)
-                assert np.all(np.abs(z) < 1.0)
-                v, d = jacobi_eval(p, n, z)
-                assert np.max(np.abs(v)) <= 1e-10
-                assert np.min(np.abs(d)) > 0.0  # simple zeros
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 20, 100, 200])
-def test_jacobi_zeros_match_scipy(n):
-    exponents = (-0.99, -0.5, 0.0, 1.0, 5.0)
-    for a in exponents:
-        for b in exponents:
-            z = np.array(jacobi_zeros(JacobiParams(a, b), n))
-            assert np.max(np.abs(z - roots_jacobi(n, a, b)[0])) <= 1e-13, (a, b)
-
-
 def test_bracketed_newton_keeps_an_exact_zero():
     # Newton from -0.25 lands on 0.0 exactly, where f vanishes
     x = _bracketed_newton(
@@ -218,14 +188,15 @@ def test_bracketed_newton_stops_once_converged(monkeypatch):
     monkeypatch.setattr(special, "_bracketed_newton", counting)
     monkeypatch.setattr(minimax, "_bracketed_newton", counting)
 
-    p = JacobiParams(0.3, -0.2)
-    z = np.array(jacobi_zeros(p, 200))
-    assert len(counts) == 1 and counts[0] <= 8
-    assert np.max(np.abs(z - roots_jacobi(200, p.alpha, p.beta)[0])) <= 1e-15
-
-    # one certified extremum step: a single _refine_newton call, no hump search
+    # root mode: the roots of a solution, one bracket per reference gap
     w = WeightParams(0.3, 0.4)
     sol = minimax.solve(w, 8)
+    counts.clear()
+    roots = np.array(sol.roots())
+    assert len(counts) == 1 and counts[0] <= 8
+    assert np.max(np.abs(roots - np.sort(chebroots(sol.poly.full_cheb_coeffs()).real))) <= 1e-14
+
+    # one certified extremum step: a single _refine_newton call, no hump search
     counts.clear()
     minimax.error_extrema(w, sol.poly, 500)
     assert len(counts) == 1 and counts[0] <= 8
@@ -265,11 +236,6 @@ def test_polish_peaks_finds_maxima_between_grid_points():
     steps = np.full(idx.size, grid[1])
     assert np.array_equal(_polish_peaks(f, grid[idx], y[idx], steps, 30, 0.5), top)
     assert np.all(steps == grid[1])
-
-
-def test_jacobi_zeros_rejects_degree_zero():
-    with pytest.raises(ValueError):
-        jacobi_zeros(JacobiParams(0.0, 0.0), 0)
 
 
 def test_weighted_sup_classical_kinds():

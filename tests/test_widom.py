@@ -108,25 +108,25 @@ def test_widom_sequence_solves_no_batch_past_its_first_error(monkeypatch):
     monkeypatch.setattr(widom, "solve_many", failing_solve_many)
     with pytest.raises(ConvergenceError, match="^forced at 1$"):
         widom_sequence(WeightParams(0.3, 0.6), 400)
-    assert called == [widom._scan_batches([WeightParams(0.3, 0.6)], 400)[0][1]]
+    assert called == [minimax._batches([(WeightParams(0.3, 0.6), n) for n in range(1, 401)])[0][1]]
 
 
 def test_batches_bound_their_cosine_matrices():
     # every problem once, in order; more than one to a batch only within the
     # cosine budget, so a long sequence holds few degrees' matrices at once
     w = WeightParams(0.3, 0.6)
-    batches = widom._scan_batches([w], 400)
+    batches = minimax._batches([(w, n) for n in range(1, 401)])
     assert [n for _, degrees in batches for n in degrees] == list(range(1, 401))
     for weights, degrees in batches:
-        assert weights == [w] * len(degrees) and len(degrees) <= widom._SCAN_BATCH
+        assert weights == [w] * len(degrees) and len(degrees) <= minimax._BATCH_PROBLEMS
         entries = sum((30 * n + 200) * (n + 1) for n in degrees)
-        assert len(degrees) == 1 or entries <= widom._BATCH_COSINES
+        assert len(degrees) == 1 or entries <= minimax._BATCH_COSINES
     assert [len(d) for _, d in batches if d[0] >= 112] == [1] * 289
     # at low degree the problem count alone splits a scan's problems
     weights = [WeightParams(a / 10, 0.5) for a in range(10)]
     problems = [(v, n) for n in range(1, 11) for v in weights]
     expected = [tuple(zip(*problems[c : c + 64])) for c in range(0, 100, 64)]
-    assert [tuple(map(tuple, b)) for b in widom._scan_batches(weights, 10)] == expected
+    assert [tuple(map(tuple, b)) for b in minimax._batches(problems)] == expected
 
 
 def test_batches_charge_each_grid_once():
@@ -135,13 +135,13 @@ def test_batches_charge_each_grid_once():
     cost = lambda n: (30 * n + 200) * (n + 1)  # noqa: E731
     one_grid = [WeightParams(0.3 + 1e-3 * i, 0.6) for i in range(5)]
     for n in (100, 112):
-        assert [len(b[0]) for b in widom._batches([(v, n) for v in one_grid])] == [5]
-        assert cost(n) + 5 * widom._PROBLEM_ROWS * (n + 1) ** 2 <= widom._BATCH_COSINES
-    assert [len(b[0]) for b in widom._batches([(v, 113) for v in one_grid])] == [4, 1]
-    assert [len(b[0]) for b in widom._batches([(v, 143) for v in one_grid])] == [1] * 5
+        assert [len(b[0]) for b in minimax._batches([(v, n) for v in one_grid])] == [5]
+        assert cost(n) + 5 * minimax._PROBLEM_ROWS * (n + 1) ** 2 <= minimax._BATCH_COSINES
+    assert [len(b[0]) for b in minimax._batches([(v, 113) for v in one_grid])] == [4, 1]
+    assert [len(b[0]) for b in minimax._batches([(v, 143) for v in one_grid])] == [1] * 5
     # a weight that vanishes at other ends, or an exponent below 1e-14, has a grid of its own
     for other in (WeightParams(0.0, 0.6), WeightParams(0.3, 0.0), WeightParams(1e-15, 0.6)):
-        batches = widom._batches([(v, 100) for v in one_grid[:2] + [other] + one_grid[2:]])
+        batches = minimax._batches([(v, 100) for v in one_grid[:2] + [other] + one_grid[2:]])
         assert [len(b[0]) for b in batches] == [3, 3]
 
 
@@ -155,7 +155,16 @@ def test_tail_kind_keys_the_grid(ra, rb, size):
     # weights of one tail kind have one grid, point for point
     same = [1.0 if r > 0.0 else 0.0 for r in (ra, rb)]
     assert _tail_kind(ra, rb) == _tail_kind(*same)
-    assert np.array_equal(_tail_grid(ra, rb, size)[0], _tail_grid(*same, size)[0])
+    assert np.array_equal(_tail_grid(ra, rb, size), _tail_grid(*same, size))
+
+
+def test_scan_builds_each_grid_once_per_batch(monkeypatch):
+    # the 4x4 scan to n = 10 solves 100 problems in two batches, on 32
+    # distinct grid keys: degree and tail kind, and degree 7 in both batches
+    built, tail_grid = [], minimax._tail_grid
+    monkeypatch.setattr(minimax, "_tail_grid", lambda *args: built.append(args) or tail_grid(*args))
+    scan(rho_range=(0.0, 0.8), resolution=4, n_max=10)
+    assert len(built) == 32
 
 
 def test_widom_sequence_bounded_by_asymptote_small_parameters():

@@ -29,12 +29,12 @@ factors and roots where both dumps solved, and per set the number of records
 that are bit-identical in every field.  Both dumps must come from the same
 version of this script, since it decides which fields a record holds.
 
-The scan set is solved a second time as ``widom.scan`` batches it (the
-``rho_a <= rho_b`` cells of each grid, at n = 1..SCAN_N_MAX, through
-``minimax.solve_many`` with one degree per weight), and the pool set as one
-ragged ``solve_many`` batch.  The summary reports, per set, how many of these
-batch records are bit-identical to the single solves (``batch``); a SRC whose
-``solve_many`` takes one degree only has no batch records.  The pool set is
+The scan and pool sets are solved a second time, each set in one
+``minimax.solve_many`` call with one degree per weight, which cuts it into
+lockstep batches as that SRC does: the scan set as ``widom.scan`` orders it
+(the ``rho_a <= rho_b`` cells of each grid, degree after degree up to
+SCAN_N_MAX), the pool set as listed.  The summary reports, per set, how many
+of these batch records are bit-identical to the single solves (``batch``).  The pool set is
 also solved once more through ``minimax.solve``, in reverse degree order, and
 the summary reports how many of these records are bit-identical to the first
 ones (``reordered``): a solver that carries state from one call to the next
@@ -127,25 +127,23 @@ def _record(checks, group: str, ra: float, rb: float, n: int, sol) -> dict:
     return rec
 
 
-def _batches(wl, workloads) -> list[tuple[str, list, list[int]]]:
-    """(set, weights, degrees) of each batch: the scan set as widom.scan batches it, the pool as one."""
-    out = []
+def _batch_sets(wl, workloads) -> list[tuple[str, list, list[int]]]:
+    """(set, weights, degrees) of each set's one solve_many call, the scan set as widom.scan orders it."""
+    scan = []
     for (lo, hi), res in workloads.SCAN_GRIDS:
         grid = [float(v) for v in np.linspace(lo, hi, res)]
         triangle = [wl.special.WeightParams(grid[a], grid[b]) for b in range(res) for a in range(b + 1)]
-        for weights, degrees in wl.widom._scan_batches(triangle, workloads.SCAN_N_MAX):
-            out.append(("scan", weights, degrees))
+        scan += [(w, n) for n in range(1, workloads.SCAN_N_MAX + 1) for w in triangle]
     pool = [(ra, rb, n) for group, ra, rb, n in _points(workloads) if group == "pool"]
-    weights = [wl.special.WeightParams(float(ra), float(rb)) for ra, rb, _ in pool]
-    out.append(("pool", weights, [int(n) for _, _, n in pool]))
-    return out
+    pool = [(wl.special.WeightParams(float(ra), float(rb)), int(n)) for ra, rb, n in pool]
+    return [(group, [w for w, _ in p], [n for _, n in p]) for group, p in (("scan", scan), ("pool", pool))]
 
 
 def batch_identical(wl, checks, workloads, records: list[dict]) -> dict:
     """Per set, the batch records equal in every field to the single solve's record."""
     single = {_key(r): r for r in records}
     same = {}
-    for group, weights, degrees in _batches(wl, workloads):
+    for group, weights, degrees in _batch_sets(wl, workloads):
         outs = wl.minimax.solve_many(weights, degrees)
         tally = same.setdefault(group, [0, 0])
         for w, n, sol in zip(weights, degrees, outs):
@@ -245,8 +243,7 @@ def main(argv=None) -> int:
     for group, ra, rb, n in _points(workloads):
         records.append(_survey_one(widomlab, checks, group, float(ra), float(rb), int(n)))
     result = {"src": str(args.src), "summary": summarize(records)}
-    if hasattr(widomlab.widom, "_scan_batches"):
-        result["batch"] = batch_identical(widomlab, checks, workloads, records)
+    result["batch"] = batch_identical(widomlab, checks, workloads, records)
     result["reordered"] = reordered_identical(widomlab, checks, records)
     if args.against:
         other = json.loads(args.against.read_text())["records"]
