@@ -114,7 +114,7 @@ class ChebyshevSolution:
     the solver's theta-space iterate: E is the largest |w p| its extremum
     step found and h its levelled error on the reference.  A re-check of
     |w p| at the returned float reference can read higher, since rounding
-    cos(theta) moves the error near the endpoints: 8.95e-13 against 4.22e-13
+    cos(theta) moves the error near the endpoints: 9.70e-13 against 5.23e-13
     at (0.78, 0.03, 200).
     """
 
@@ -447,8 +447,35 @@ def _grid_size(n):
 
 def _grid_key(w: WeightParams, n: int, size: int) -> tuple:
     """The problems at degree n on grids of ``size`` uniform points with one key share one
-    theta-grid (it depends on the weight through :func:`special._tail_kind`) and cosine matrix."""
+    theta-grid (it depends on the weight through :func:`special._tail_kind`) and its cosines."""
     return size, n, _tail_kind(w.rho_a, w.rho_b)
+
+
+# from this degree a grid's uniform points take one real FFT per problem, not a
+# cosine matrix: a batch there holds few problems, and one transform costs less
+# than building the matrix (39 MB at n = 400).  Below it a matrix shared by the
+# problems of a batch costs less than a transform of each
+_FFT_DEGREE = 143
+
+
+class _Transform:
+    """p = sum c_k cos(k theta) at degree n on a grid of ``size`` uniform points and its tails.
+
+    The uniform points pi j / (size - 1) take the DCT-I of the n + 1
+    coefficients, the real part of one FFT of length 2 (size - 1) per
+    problem; the tail points, about 90 at most, take plain cosine rows, one
+    gemv per problem.  A problem's values do not depend on the others.
+    """
+
+    def __init__(self, theta: np.ndarray, size: int, n: int):
+        self.length = 2 * (size - 1)
+        self.uniform = np.isin(theta, np.linspace(0.0, np.pi, size))
+        self.tail = np.cos(np.multiply.outer(theta[~self.uniform], np.arange(n + 1.0)))
+
+    def __call__(self, coefs: np.ndarray, out: np.ndarray) -> None:
+        """Write the values of the series ``coefs``, one per row, into the rows of ``out``."""
+        out[:, self.uniform] = np.fft.rfft(coefs, n=self.length).real
+        out[:, ~self.uniform] = np.matmul(self.tail, coefs[..., None])[..., 0]
 
 
 def _grid_cosines(theta: np.ndarray, degree: int) -> np.ndarray:
@@ -483,7 +510,8 @@ _RUN = 256
 
 class _Grids:
     """The Remez grids of a batch of problems, ``sizes[i]`` uniform points for problem i,
-    end to end and grouped by key, with one theta-grid and cosine matrix per :func:`_grid_key`.
+    end to end and grouped by key, with one theta-grid per :func:`_grid_key` and its
+    cosine matrix, or from degree :data:`_FFT_DEGREE` on its :class:`_Transform`.
 
     :meth:`join` keeps those of the problems ``cells`` for the elementwise
     steps: ``theta`` and ``weight`` at each point, the ``first`` and ``last``
@@ -498,7 +526,8 @@ class _Grids:
             kind.append(keys.setdefault(_grid_key(w, n, size), len(keys)))
             if kind[-1] == len(thetas):  # the first problem of its key
                 thetas.append(_tail_grid(w.rho_a, w.rho_b, size))
-                self.cosines.append(_grid_cosines(thetas[-1], n))
+                fft = n >= _FFT_DEGREE
+                self.cosines.append(_Transform(thetas[-1], size, n) if fft else _grid_cosines(thetas[-1], n))
         self.kind, self.step = np.array(kind), np.pi / (sizes - 1)
         self.open = (cells.ra == 0.0, cells.rb == 0.0)
         self.order = np.argsort(self.kind, kind="stable")
@@ -522,7 +551,7 @@ class _Grids:
         self.ends = (cells[self.open[0][cells]], cells[self.open[1][cells]])
         self.inner = np.ones(self.end[-1] + 1, dtype=bool)
         self.inner[self.first[cells]] = self.inner[self.end] = False
-        # each cosine matrix with the problems whose grid it samples
+        # each cosine matrix or transform with the problems whose grid it samples
         self.runs, r0 = [], 0
         for kind, group in groupby(self.kind[cells].tolist()):
             r1 = r0 + len(list(group))
@@ -531,11 +560,17 @@ class _Grids:
         return self
 
     def errors(self, coefs: np.ndarray) -> np.ndarray:
-        """The weighted error w p of each problem on its grid: one gemv each, stacked per grid."""
+        """The weighted error w p of each problem on its grid: one gemv each, stacked per
+        grid, or one transform each."""
         out, at = np.empty(self.theta.size), 0
         for cos_k, run in self.runs:
-            part = out[at : at + run.size * cos_k.shape[0]].reshape(run.size, -1, 1)
-            np.matmul(cos_k, np.ascontiguousarray(coefs[run, : cos_k.shape[1]])[..., None], out=part)
+            points = self.size[run[0]]
+            part = out[at : at + run.size * points].reshape(run.size, points)
+            if isinstance(cos_k, _Transform):
+                cos_k(np.ascontiguousarray(coefs[run, : cos_k.tail.shape[1]]), part)
+            else:
+                c = np.ascontiguousarray(coefs[run, : cos_k.shape[1]])
+                np.matmul(cos_k, c[..., None], out=part[..., None])
             at += part.size
         out *= self.weight
         return out
@@ -728,6 +763,9 @@ def _degrees(count: int, n, tolerance: float, max_iter: int) -> list[int]:
     degrees = np.asarray(n)
     if np.any(degrees < 1):
         raise ValueError("degree must be at least 1")
+    real = degrees.astype(float)
+    if not np.all(np.isfinite(real) & (real == np.round(real))):
+        raise ValueError("degree must be an integer")
     if degrees.ndim and degrees.shape != (count,):
         raise ValueError("give one degree, or one degree per weight")
     if tolerance <= 0.0 or max_iter < 1:
@@ -737,13 +775,21 @@ def _degrees(count: int, n, tolerance: float, max_iter: int) -> list[int]:
 
 # a lockstep batch holds at most _BATCH_PROBLEMS problems, and more than one only
 # while its arrays hold at most _BATCH_COSINES entries (8 MB): a cosine matrix per
-# grid key, and _PROBLEM_ROWS * (n + 1)^2 for each problem's own arrays (9 to 10
-# traced at n = 100 and 150).  That is 64 problems up to n = 36 on at most three
-# grids, a sequence's degrees one at a time from n = 112, and any problems one at
-# a time from n = 143; fixed sizes keep a scan's work items the same for any worker count
+# grid key below _FFT_DEGREE (from there a key holds only its tail rows, about 90
+# at most, which the next term covers), and _PROBLEM_ROWS * (n + 1)^2 for each
+# problem's own arrays (9 to 10 traced at n = 100 and 150).  That is 64 problems
+# up to n = 36 on at most three grids, a sequence's degrees one at a time from
+# n = 112 to 142 and 4 to 2 at a time up to n = 228, and problems of one degree on
+# one grid 5 at a time at n = 143, down to 2 at n = 227; fixed sizes keep a scan's
+# work items the same for any worker count
 _BATCH_PROBLEMS = 64
 _PROBLEM_ROWS = 10
 _BATCH_COSINES = 2**20
+
+
+def _grid_cost(n: int) -> int:
+    """The entries of the cosine matrix that a grid key at degree n holds."""
+    return _grid_size(n) * (n + 1) if n < _FFT_DEGREE else 0
 
 
 def _batches(problems) -> list[tuple[list, list[int]]]:
@@ -752,11 +798,11 @@ def _batches(problems) -> list[tuple[list, list[int]]]:
     for w, n in problems:
         key = _grid_key(w, n, _grid_size(n))
         # the problem's own arrays, and its grid's matrix unless the batch holds it
-        cost = _PROBLEM_ROWS * (n + 1) ** 2 + (key not in keys) * _grid_size(n) * (n + 1)
+        cost = _PROBLEM_ROWS * (n + 1) ** 2 + (key not in keys) * _grid_cost(n)
         if not tasks or len(tasks[-1][0]) == _BATCH_PROBLEMS or entries + cost > _BATCH_COSINES:
             tasks.append(([], []))
             entries, keys = 0, set()
-            cost = _PROBLEM_ROWS * (n + 1) ** 2 + _grid_size(n) * (n + 1)
+            cost = _PROBLEM_ROWS * (n + 1) ** 2 + _grid_cost(n)
         tasks[-1][0].append(w)
         tasks[-1][1].append(n)
         entries += cost

@@ -3,6 +3,7 @@
 import math
 import pickle
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -146,6 +147,18 @@ def test_solve_validates_arguments():
         solve(WeightParams(0.0, 0.0), 3, tolerance=-1.0)
 
 
+def test_non_integral_degrees_are_rejected():
+    # a degree is not truncated: 2.7 once solved n = 2; integral floats and numpy ints still work
+    w = WeightParams(0.3, 0.4)
+    for n in (2.7, math.nan, math.inf):
+        with pytest.raises(ValueError, match="integer"):
+            solve(w, n)
+    with pytest.raises(ValueError, match="integer"):
+        solve_many([w, w], [2.5, 3.0])
+    assert solve(w, 3.0).poly == solve(w, np.int64(3)).poly == solve(w, 3).poly
+    assert [s.poly.degree for s in solve_many([w, w], [2.0, np.int32(3)])] == [2, 3]
+
+
 def test_solve_nonconvergence_carries_best_iterate():
     with pytest.raises(ConvergenceError) as info:
         solve(WeightParams(0.9, 0.2), 12, max_iter=1)
@@ -281,15 +294,15 @@ def test_ragged_solve_many_is_each_single_solve(max_iter):
 
 
 def test_solve_many_caps_its_batches(monkeypatch):
-    # from n = 143 each problem is a lockstep batch of its own, so a long list
-    # of weights holds one problem's arrays at a time; each result is its
-    # single solve's, in every bit
+    # at n = 150 a grid holds no cosine matrix, and a batch holds the arrays of
+    # at most four problems, so a long list of weights runs in batches of four;
+    # each result is its single solve's, in every bit
     weights = [WeightParams(0.1 * i, 0.3) for i in range(1, 6)]
     alone = [_bits(_alone(w, 150, 60)) for w in weights]
     batches, lockstep = [], minimax._lockstep
     monkeypatch.setattr(minimax, "_lockstep", lambda ws, *args: batches.append(len(ws)) or lockstep(ws, *args))
     assert [_bits(out) for out in solve_many(weights, 150)] == alone
-    assert batches == [1] * 5
+    assert batches == [4, 1]
 
 
 def test_batch_weight_is_each_weight_alone():
@@ -334,6 +347,71 @@ def test_grid_cosines_compute_a_quarter_less_on_a_large_grid(monkeypatch):
     monkeypatch.setattr(np, "cos", lambda x, **kw: computed.append(x.size) or cos(x, **kw))
     _grid_cosines(theta, 150)
     assert 0.75 < sum(computed) / (theta.size * 151) < 0.8
+
+
+def _joined_grids(weights, n):
+    return minimax._Grids(minimax._Cells(weights, n), _grid_size(n)).join(np.arange(len(weights)))
+
+
+# open ends, each end vanishing, both, and an exponent below 1e-14 (a key of its own)
+@pytest.mark.parametrize("ra, rb", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.6), (0.78, 0.03), (1e-17, 0.3)])
+@pytest.mark.parametrize("n", [minimax._FFT_DEGREE, 400])
+def test_fft_grid_errors_match_the_cosine_matrix(ra, rb, n):
+    # from _FFT_DEGREE on, the uniform points take one real FFT, a DCT-I at
+    # the exact angles pi j k / (size - 1); the matrix rounds each argument
+    # k theta.  Measured in units of sum |c_k|: the two differ by up to
+    # 1.4e-14 at n = 400, and the FFT is within 4.1e-16 of long-double sums
+    w, rng = WeightParams(ra, rb), np.random.default_rng(int(1e3 * (ra + rb)) + n)
+    grids = _joined_grids([w], n)
+    (transform,) = grids.cosines
+    assert isinstance(transform, minimax._Transform)
+    assert transform.tail.shape == (grids.theta.size - _grid_size(n), n + 1)
+    for c in (rng.uniform(-1.0, 1.0, n + 1), rng.standard_normal(n + 1) * 0.9 ** np.arange(n + 1)):
+        scale = np.abs(c).sum()
+        ref = grids.weight * (np.cos(np.outer(grids.theta, np.arange(n + 1))) @ c)
+        assert np.all(np.abs(grids.errors(c[None]) - ref) <= 3e-14 * scale * grids.weight)
+        values = np.empty((1, grids.theta.size))
+        transform(c[None], values)
+        size = _grid_size(n)
+        j = np.arange(0, size, 7)
+        jk = (np.outer(j, np.arange(n + 1)) % (2 * size - 2)).astype(np.longdouble)
+        exact = np.cos(np.arccos(np.longdouble(-1.0)) * jk / (size - 1)) @ c.astype(np.longdouble)
+        assert float(np.abs(values[0, transform.uniform][j] - exact).max()) <= 1e-15 * scale
+
+
+def test_fft_batch_rows_equal_each_problem_alone():
+    # a batch transforms its problems of one key together, and each row is
+    # that problem's transform alone, bit for bit, tail points included
+    n = minimax._FFT_DEGREE + 7
+    weights = [WeightParams(ra, rb) for ra, rb in ((0.3, 0.6), (0.0, 0.6), (0.5, 0.1), (1e-17, 0.3))]
+    coefs = np.random.default_rng(8).uniform(-1.0, 1.0, (len(weights), n + 1))
+    batch = _joined_grids(weights, n)
+    assert len(batch.cosines) == 3
+    got = np.split(batch.errors(coefs), np.cumsum(batch.size[batch.cells])[:-1])
+    for i, e in zip(batch.cells, got):
+        assert np.array_equal(e, _joined_grids([weights[i]], n).errors(coefs[i][None]))
+
+
+def test_fft_takes_over_from_the_matrix_at_its_degree(monkeypatch):
+    # one degree below _FFT_DEGREE builds the grid's matrix, at it none is built
+    built, grid_cosines = [], minimax._grid_cosines
+    monkeypatch.setattr(minimax, "_grid_cosines", lambda theta, m: built.append(m) or grid_cosines(theta, m))
+    w, n = WeightParams(0.3, 0.6), minimax._FFT_DEGREE
+    below, at = _joined_grids([w], n - 1), _joined_grids([w], n)
+    assert built == [n - 1]
+    assert isinstance(below.cosines[0], np.ndarray) and isinstance(at.cosines[0], minimax._Transform)
+
+
+def test_a_solve_at_n_400_holds_no_cosine_matrix():
+    # the grid's matrix alone would be 39 MB; the solve peaked at 45 MB with it
+    tracemalloc.start()
+    try:
+        sol = solve(WeightParams(0.262, 0.199), 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.levelling_defect <= 1e-12
+    assert peak < 10e6
 
 
 def _recorded_rows(monkeypatch, w, n):

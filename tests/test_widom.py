@@ -113,15 +113,21 @@ def test_widom_sequence_solves_no_batch_past_its_first_error(monkeypatch):
 
 def test_batches_bound_their_cosine_matrices():
     # every problem once, in order; more than one to a batch only within the
-    # cosine budget, so a long sequence holds few degrees' matrices at once
-    w = WeightParams(0.3, 0.6)
+    # budget, so a long sequence holds few degrees' matrices and arrays at
+    # once; from _FFT_DEGREE on a grid holds no matrix, and a few degrees
+    # share a batch again up to n = 227
+    w, fft = WeightParams(0.3, 0.6), minimax._FFT_DEGREE
     batches = minimax._batches([(w, n) for n in range(1, 401)])
     assert [n for _, degrees in batches for n in degrees] == list(range(1, 401))
     for weights, degrees in batches:
         assert weights == [w] * len(degrees) and len(degrees) <= minimax._BATCH_PROBLEMS
-        entries = sum((30 * n + 200) * (n + 1) for n in degrees)
+        own = sum(minimax._PROBLEM_ROWS * (n + 1) ** 2 for n in degrees)
+        entries = own + sum((30 * n + 200) * (n + 1) for n in degrees if n < fft)
         assert len(degrees) == 1 or entries <= minimax._BATCH_COSINES
-    assert [len(d) for _, d in batches if d[0] >= 112] == [1] * 289
+    assert [len(d) for _, d in batches if 112 <= d[0] < fft] == [1] * (fft - 112)
+    shared = [len(d) for _, d in batches if d[0] >= fft]
+    assert shared[:5] == [4] * 5 and shared == sorted(shared, reverse=True)
+    assert max(d[0] for _, d in batches if len(d) > 1) == 227
     # at low degree the problem count alone splits a scan's problems
     weights = [WeightParams(a / 10, 0.5) for a in range(10)]
     problems = [(v, n) for n in range(1, 11) for v in weights]
@@ -138,7 +144,13 @@ def test_batches_charge_each_grid_once():
         assert [len(b[0]) for b in minimax._batches([(v, n) for v in one_grid])] == [5]
         assert cost(n) + 5 * minimax._PROBLEM_ROWS * (n + 1) ** 2 <= minimax._BATCH_COSINES
     assert [len(b[0]) for b in minimax._batches([(v, 113) for v in one_grid])] == [4, 1]
-    assert [len(b[0]) for b in minimax._batches([(v, 143) for v in one_grid])] == [1] * 5
+    assert [len(b[0]) for b in minimax._batches([(v, 142) for v in one_grid])] == [2, 2, 1]
+    # from _FFT_DEGREE on a grid holds its tail rows only, and the batch charges
+    # the problems' own arrays: five at n = 143, two up to n = 227
+    assert minimax._FFT_DEGREE == 143
+    assert [len(b[0]) for b in minimax._batches([(v, 143) for v in one_grid])] == [5]
+    assert [len(b[0]) for b in minimax._batches([(v, 227) for v in one_grid])] == [2, 2, 1]
+    assert [len(b[0]) for b in minimax._batches([(v, 228) for v in one_grid])] == [1] * 5
     # a weight that vanishes at other ends, or an exponent below 1e-14, has a grid of its own
     for other in (WeightParams(0.0, 0.6), WeightParams(0.3, 0.0), WeightParams(1e-15, 0.6)):
         batches = minimax._batches([(v, 100) for v in one_grid[:2] + [other] + one_grid[2:]])

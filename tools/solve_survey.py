@@ -22,8 +22,11 @@ iterate) is re-checked in x by the bench's ``checks.recertify``: ``certified``
 means a returned solution whose re-checked defect is at most 1e-12, and
 ``wrong`` lists the returned solutions whose re-check tripped (signs that
 do not alternate, an overshoot above 1e-12 or a defect above 1e-9), and
-``wrong_best`` the solver errors whose best iterate tripped it.  OUT gets the records and a
-summary as JSON.  With ``--against`` the summary also compares with a second
+``wrong_best`` the solver errors whose best iterate tripped it.  The summary
+also gives per set the largest re-checked defect among certified records and
+where it is (``margin``): how close the set's closest certificate sits to
+the 1e-12 gate.  OUT gets the records and a summary as JSON.  With
+``--against`` the summary also compares with a second
 dump: the certificates lost and gained, the relative drift of the Widom
 factors and roots where both dumps solved, and per set the number of records
 that are bit-identical in every field.  Both dumps must come from the same
@@ -184,11 +187,21 @@ def _max_rel(one: list[str], two: list[str], scale: float = 0.0) -> float:
 GROUPS = ("scan", "pool", "weights", "tiny", "stall")
 
 
+def _margin(records: list[dict]) -> dict | None:
+    """The largest re-checked defect among the certified ``records``, and its record."""
+    certified = [r for r in records if r["certified"]]
+    if not certified:
+        return None
+    worst = max(certified, key=lambda r: r["recheck"]["defect"])
+    return {"defect": worst["recheck"]["defect"], "at": _label(_key(worst))}
+
+
 def summarize(records: list[dict]) -> dict:
     out = {}
     for group in GROUPS:
         recs = [r for r in records if r["group"] == group]
         out[group] = {
+            "margin": _margin(recs),
             "solves": len(recs),
             "certified": sum(r["certified"] for r in recs),
             "returned": sum(r["outcome"] == "solved" for r in recs),
