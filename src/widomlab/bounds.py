@@ -243,6 +243,8 @@ def verify_coeff_lemma(samples: int, tol: float = 1e-12) -> BoundReport:
     """
     if samples < 2:
         raise ValueError("need at least 2 samples per axis")
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     grid = np.linspace(-0.5, 0.5, samples)
     alpha, beta = np.meshgrid(grid, grid, indexing="ij")
     tri = beta <= alpha
@@ -303,6 +305,8 @@ def verify_m_monotone(
         raise ValueError("n_max must be at least 2")
     if samples < 2:
         raise ValueError("need at least 2 samples per axis")
+    if not math.isfinite(limit_tol):
+        raise ValueError("limit_tol must be finite")
     grid = np.linspace(-0.5, 0.5, samples)
     step_tol = 1e-11
     offenders: list[str] = []

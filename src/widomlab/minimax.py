@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
@@ -101,7 +100,7 @@ class MonicPolynomial:
         return npcheb.cheb2poly(self.full_cheb_coeffs())
 
     def __call__(self, x):
-        val, _, _ = _cheb_eval_012(self.full_cheb_coeffs(), np.asarray(x, dtype=float))
+        val, _ = _cheb_eval_01(self.full_cheb_coeffs(), np.asarray(x, dtype=float))
         return float(val) if np.ndim(x) == 0 else val
 
 
@@ -146,9 +145,9 @@ class ChebyshevSolution:
         coef = self.poly.full_cheb_coeffs()
         xref = np.asarray(self.reference)
         lo, hi = xref[:-1], xref[1:]
-        sign_lo = np.sign(_cheb_eval_012(coef, lo)[0])
+        sign_lo = np.sign(_cheb_eval_01(coef, lo)[0])
         roots = _bracketed_newton(
-            lambda x: _cheb_eval_012(coef, x)[:2], lo, hi, sign_lo, 1e-16, 100
+            lambda x: _cheb_eval_01(coef, x), lo, hi, sign_lo, 1e-16, 100
         )
         return tuple(float(r) for r in roots)
 
@@ -167,23 +166,20 @@ def weight_eval(w: WeightParams, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _cheb_eval_012(coef, x):
-    """Value, first, and second derivative of a Chebyshev series: fused Clenshaw."""
+def _cheb_eval_01(coef, x):
+    """Value and first derivative of a Chebyshev series: fused Clenshaw."""
     x = np.asarray(x, dtype=float)
     n = len(coef) - 1
-    b1 = b2 = b1p = b2p = b1pp = b2pp = np.zeros_like(x)
+    b1 = b2 = b1p = b2p = np.zeros_like(x)
     tx = 2.0 * x
     for k in range(n, 0, -1):
         b = coef[k] + tx * b1 - b2
         bp = 2.0 * b1 + tx * b1p - b2p
-        bpp = 4.0 * b1p + tx * b1pp - b2pp
         b2, b1 = b1, b
         b2p, b1p = b1p, bp
-        b2pp, b1pp = b1pp, bpp
     p = coef[0] + x * b1 - b2
     dp = b1 + x * b1p - b2p
-    ddp = 2.0 * b1p + x * b1pp - b2pp
-    return p, dp, ddp
+    return p, dp
 
 
 # theta-split quantum: on [0, pi] round(theta / q) < 2^40, so k * round(theta / q) * q
@@ -451,67 +447,45 @@ def _grid_key(w: WeightParams, n: int, size: int) -> tuple:
     return size, n, _tail_kind(w.rho_a, w.rho_b)
 
 
-# from this degree a grid's uniform points take one real FFT per problem, not a
-# cosine matrix: a batch there holds few problems, and one transform costs less
-# than building the matrix (39 MB at n = 400).  Below it a matrix shared by the
-# problems of a batch costs less than a transform of each
+# from this degree a grid's uniform points take one real FFT per problem, not
+# cosine rows: a batch there holds few problems, and one transform costs less
+# than building the rows (39 MB at n = 400).  Below it rows shared by the
+# problems of a batch cost less than a transform of each
 _FFT_DEGREE = 143
 
 
 class _Transform:
     """p = sum c_k cos(k theta) at degree n on a grid of ``size`` uniform points and its tails.
 
-    The uniform points pi j / (size - 1) take the DCT-I of the n + 1
-    coefficients, the real part of one FFT of length 2 (size - 1) per
-    problem; the tail points, about 90 at most, take plain cosine rows, one
-    gemv per problem.  A problem's values do not depend on the others.
+    Below :data:`_FFT_DEGREE` every grid point takes its plain cosine row,
+    one gemv per problem.  From there the uniform points pi j / (size - 1)
+    take the DCT-I of the n + 1 coefficients, the real part of one FFT of
+    length 2 (size - 1) per problem, and only the tail points, about 90 at
+    most, take cosine rows.  A problem's values do not depend on the others.
     """
 
     def __init__(self, theta: np.ndarray, size: int, n: int):
-        self.length = 2 * (size - 1)
-        self.uniform = np.isin(theta, np.linspace(0.0, np.pi, size))
-        self.tail = np.cos(np.multiply.outer(theta[~self.uniform], np.arange(n + 1.0)))
+        self.fft = n >= _FFT_DEGREE
+        if self.fft:
+            self.length = 2 * (size - 1)
+            self.uniform = np.isin(theta, np.linspace(0.0, np.pi, size))
+            theta = theta[~self.uniform]
+        self.rows = np.multiply.outer(theta, np.arange(n + 1.0))
+        np.cos(self.rows, out=self.rows)  # in place: at n = 142 the rows are 5.2 MB
 
     def __call__(self, coefs: np.ndarray, out: np.ndarray) -> None:
         """Write the values of the series ``coefs``, one per row, into the rows of ``out``."""
+        if not self.fft:
+            np.matmul(self.rows, coefs[..., None], out=out[..., None])
+            return
         out[:, self.uniform] = np.fft.rfft(coefs, n=self.length).real
-        out[:, ~self.uniform] = np.matmul(self.tail, coefs[..., None])[..., 0]
-
-
-def _grid_cosines(theta: np.ndarray, degree: int) -> np.ndarray:
-    """cos(k theta) for k <= degree, one row per point of the ascending grid ``theta``.
-
-    A run of rows whose points double exactly onto every other point further
-    up takes its even columns from those points' rows: 2m * theta and
-    m * (2 theta) are one exact product, so they round to one argument.  On
-    the uniform grid the top half goes first and each run below it is half
-    the one before, down to _RUN rows: 0.78 of the cosines are computed at n = 150.
-    """
-    cos_k = np.multiply.outer(theta, np.arange(degree + 1.0))  # in place: at n = 400 it is 39 MB
-    done = theta.size
-    if done >= 4 * _RUN:  # on a smaller grid the runs are too short to pay for finding them
-        twice = np.searchsorted(theta, 2.0 * theta)
-        low = int(np.searchsorted(twice, done))  # the rows whose double is off the grid
-        np.cos(cos_k[low:], out=cos_k[low:])
-        while low != done:
-            done, low = low, int(np.searchsorted(twice, low))
-            src = np.s_[twice[low] : twice[low] + 2 * (done - low) : 2]
-            if done - low < _RUN or not np.array_equal(theta[src], 2.0 * theta[low:done]):
-                break
-            np.cos(cos_k[low:done, 1::2], out=cos_k[low:done, 1::2])
-            cos_k[low:done, ::2] = cos_k[src, : degree // 2 + 1]
-    np.cos(cos_k[:done], out=cos_k[:done])
-    return cos_k
-
-
-# the shortest run of grid rows that takes its even columns from rows further up
-_RUN = 256
+        out[:, ~self.uniform] = np.matmul(self.rows, coefs[..., None])[..., 0]
 
 
 class _Grids:
     """The Remez grids of a batch of problems, ``sizes[i]`` uniform points for problem i,
     end to end and grouped by key, with one theta-grid per :func:`_grid_key` and its
-    cosine matrix, or from degree :data:`_FFT_DEGREE` on its :class:`_Transform`.
+    :class:`_Transform`.
 
     :meth:`join` keeps those of the problems ``cells`` for the elementwise
     steps: ``theta`` and ``weight`` at each point, the ``first`` and ``last``
@@ -521,16 +495,17 @@ class _Grids:
 
     def __init__(self, cells: _Cells, sizes):
         sizes = np.broadcast_to(sizes, cells.deg.shape)
-        kind, keys, thetas, self.cosines = [], {}, [], []
+        kind, keys, thetas, transforms = [], {}, [], []
         for w, size, n in zip(cells.weights, sizes.tolist(), cells.deg.tolist()):
             kind.append(keys.setdefault(_grid_key(w, n, size), len(keys)))
             if kind[-1] == len(thetas):  # the first problem of its key
                 thetas.append(_tail_grid(w.rho_a, w.rho_b, size))
-                fft = n >= _FFT_DEGREE
-                self.cosines.append(_Transform(thetas[-1], size, n) if fft else _grid_cosines(thetas[-1], n))
+                transforms.append(_Transform(thetas[-1], size, n))
         self.kind, self.step = np.array(kind), np.pi / (sizes - 1)
         self.open = (cells.ra == 0.0, cells.rb == 0.0)
         self.order = np.argsort(self.kind, kind="stable")
+        # each key's transform with its problems, ascending
+        self.keys = list(zip(transforms, np.split(self.order, np.cumsum(np.bincount(self.kind))[:-1])))
         self.size = np.array([thetas[k].size for k in self.kind])
         self.all_theta = np.concatenate([thetas[k] for k in self.kind[self.order]])
         counts = self.size[self.order]
@@ -541,7 +516,9 @@ class _Grids:
         self.all_weight[end[~self.open[1][self.order]]] = 0.0
 
     def join(self, live: np.ndarray) -> "_Grids":
-        on = np.isin(self.order, live)
+        alive = np.zeros(self.kind.size, dtype=bool)
+        alive[live] = True
+        on = alive[self.order]
         self.cells = cells = self.order[on]
         points = np.repeat(on, self.size[self.order])
         self.theta, self.weight = self.all_theta[points], self.all_weight[points]
@@ -551,26 +528,17 @@ class _Grids:
         self.ends = (cells[self.open[0][cells]], cells[self.open[1][cells]])
         self.inner = np.ones(self.end[-1] + 1, dtype=bool)
         self.inner[self.first[cells]] = self.inner[self.end] = False
-        # each cosine matrix or transform with the problems whose grid it samples
-        self.runs, r0 = [], 0
-        for kind, group in groupby(self.kind[cells].tolist()):
-            r1 = r0 + len(list(group))
-            self.runs.append((self.cosines[kind], cells[r0:r1]))
-            r0 = r1
+        # each key's transform with its problems still live
+        self.runs = [(t, run[alive[run]]) for t, run in self.keys if alive[run].any()]
         return self
 
     def errors(self, coefs: np.ndarray) -> np.ndarray:
-        """The weighted error w p of each problem on its grid: one gemv each, stacked per
-        grid, or one transform each."""
+        """The weighted error w p of each problem on its grid, by its key's transform."""
         out, at = np.empty(self.theta.size), 0
-        for cos_k, run in self.runs:
+        for transform, run in self.runs:
             points = self.size[run[0]]
             part = out[at : at + run.size * points].reshape(run.size, points)
-            if isinstance(cos_k, _Transform):
-                cos_k(np.ascontiguousarray(coefs[run, : cos_k.tail.shape[1]]), part)
-            else:
-                c = np.ascontiguousarray(coefs[run, : cos_k.shape[1]])
-                np.matmul(cos_k, c[..., None], out=part[..., None])
+            transform(np.ascontiguousarray(coefs[run, : transform.rows.shape[1]]), part)
             at += part.size
         out *= self.weight
         return out
@@ -768,15 +736,15 @@ def _degrees(count: int, n, tolerance: float, max_iter: int) -> list[int]:
         raise ValueError("degree must be an integer")
     if degrees.ndim and degrees.shape != (count,):
         raise ValueError("give one degree, or one degree per weight")
-    if tolerance <= 0.0 or max_iter < 1:
-        raise ValueError("tolerance and max_iter must be positive")
+    if not 0.0 < tolerance < np.inf or max_iter < 1:
+        raise ValueError("tolerance must be positive and finite, and max_iter positive")
     return np.broadcast_to(degrees.astype(int), (count,)).tolist()
 
 
 # a lockstep batch holds at most _BATCH_PROBLEMS problems, and more than one only
-# while its arrays hold at most _BATCH_COSINES entries (8 MB): a cosine matrix per
-# grid key below _FFT_DEGREE (from there a key holds only its tail rows, about 90
-# at most, which the next term covers), and _PROBLEM_ROWS * (n + 1)^2 for each
+# while its arrays hold at most _BATCH_COSINES entries (8 MB): the cosine rows of
+# each grid key below _FFT_DEGREE (from there a key holds only its tail rows, about
+# 90 at most, which the next term covers), and _PROBLEM_ROWS * (n + 1)^2 for each
 # problem's own arrays (9 to 10 traced at n = 100 and 150).  That is 64 problems
 # up to n = 36 on at most three grids, a sequence's degrees one at a time from
 # n = 112 to 142 and 4 to 2 at a time up to n = 228, and problems of one degree on
@@ -788,7 +756,7 @@ _BATCH_COSINES = 2**20
 
 
 def _grid_cost(n: int) -> int:
-    """The entries of the cosine matrix that a grid key at degree n holds."""
+    """The entries of the cosine rows that a grid key at degree n holds."""
     return _grid_size(n) * (n + 1) if n < _FFT_DEGREE else 0
 
 
@@ -797,7 +765,7 @@ def _batches(problems) -> list[tuple[list, list[int]]]:
     tasks, entries, keys = [], 0, set()
     for w, n in problems:
         key = _grid_key(w, n, _grid_size(n))
-        # the problem's own arrays, and its grid's matrix unless the batch holds it
+        # the problem's own arrays, and its grid's cosine rows unless the batch holds them
         cost = _PROBLEM_ROWS * (n + 1) ** 2 + (key not in keys) * _grid_cost(n)
         if not tasks or len(tasks[-1][0]) == _BATCH_PROBLEMS or entries + cost > _BATCH_COSINES:
             tasks.append(([], []))

@@ -305,11 +305,11 @@ def continuity_probe(w: WeightParams, delta: float, n: int) -> float:
     Perturbations that would push an exponent negative are skipped, so the
     probe is well defined on the boundary of the parameter quadrant.  ``w``
     and its perturbations go through one :func:`solve_many` call, one batch
-    with one grid cosine matrix up to n = 112 where no exponent is 0 or
+    with one grid's cosine rows up to n = 112 where no exponent is 0 or
     within ``delta`` of it.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError("delta must be nonnegative and finite")
     if delta == 0.0:
         return 0.0
     _check_degree(n)

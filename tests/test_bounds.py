@@ -189,6 +189,21 @@ def test_coeff_lemma_report():
         verify_coeff_lemma(1)
 
 
+
+def test_coeff_lemma_rejects_a_non_finite_tolerance():
+    # every comparison against NaN is false, so a NaN tolerance once passed the lemma
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            verify_coeff_lemma(50, tol)
+
+
+def test_m_monotone_rejects_a_non_finite_limit_tolerance():
+    # a NaN limit_tol once passed the sweep that limit_tol=1e-4 fails at 48 points
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            verify_m_monotone(1000, 9, tol)
+
+
 def test_coeff_lemma_names_a_positive_interior_point(monkeypatch):
     real = bounds._c_coeffs
 

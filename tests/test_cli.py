@@ -77,6 +77,15 @@ def test_solve_exit_codes(capsys):
     assert "solver failure" in err
 
 
+
+def test_non_finite_tolerances_exit_1(capsys):
+    # a NaN --tol once stalled the solver and exited 2, as a solver failure
+    assert main(["solve", "--rho-a", "0.3", "--rho-b", "0.6", "--degree", "8", "--tol", "nan"]) == 1
+    assert main(["verify", "bounds", "--n-max", "200", "--samples", "3", "--limit-tol", "nan"]) == 1
+    assert main(["verify", "coeffs", "--samples", "25", "--tol", "nan"]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "solve" in capsys.readouterr().out

@@ -19,9 +19,8 @@ from widomlab.minimax import (
     DegeneracyError,
     ExchangeError,
     MonicPolynomial,
-    _cheb_eval_012,
+    _cheb_eval_01,
     _cos_sin_k,
-    _grid_cosines,
     _grid_size,
     _theta_eval,
     error_extrema,
@@ -145,6 +144,16 @@ def test_solve_validates_arguments():
         solve(WeightParams(0.0, 0.0), 0)
     with pytest.raises(ValueError):
         solve(WeightParams(0.0, 0.0), 3, tolerance=-1.0)
+
+
+def test_non_finite_tolerances_are_rejected():
+    # a NaN tolerance once stalled into ConvergenceError ("defect 1.101e-15 > nan"),
+    # and an infinite one returned after one iteration at defect 0.357
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            solve(WeightParams(0.3, 0.6), 8, tolerance=tol)
+        with pytest.raises(ValueError, match="finite"):
+            solve_many([WeightParams(0.3, 0.6)], 8, tolerance=tol)
 
 
 def test_non_integral_degrees_are_rejected():
@@ -331,22 +340,14 @@ def test_batch_weight_is_each_weight_alone():
     "ra, rb", [(0.3, 0.6), (0.0, 0.4), (0.0, 0.0), (0.78, 0.03), (1e-17, 0.3), (0.0, 1e-300)]
 )
 def test_grid_cosines_equal_plain_cosines(ra, rb):
-    # the rows that take their even columns from the rows of doubled points
-    # hold, bit for bit, the cosines of their own points; sizes on either
-    # side of the smallest grid that looks for such runs, and above it
-    for size in (230, 4 * minimax._RUN - 1, 4 * minimax._RUN, 2400, _grid_size(150), 4097):
+    # below _FFT_DEGREE a key's transform holds, bit for bit, the plain cosine
+    # row of every grid point, on small grids and large ones
+    for size in (230, 1023, 1024, 2400, _grid_size(150), 4097):
         theta = _tail_grid(ra, rb, size)
-        for n in (1, 2, 7, 60, 151):
-            assert np.array_equal(_grid_cosines(theta, n), np.cos(np.outer(theta, np.arange(n + 1))))
-
-
-def test_grid_cosines_compute_a_quarter_less_on_a_large_grid(monkeypatch):
-    # at n = 150 a fifth of the matrix is copied, not computed (0.784 computed)
-    theta = _tail_grid(0.3, 0.6, _grid_size(150))
-    computed, cos = [], np.cos
-    monkeypatch.setattr(np, "cos", lambda x, **kw: computed.append(x.size) or cos(x, **kw))
-    _grid_cosines(theta, 150)
-    assert 0.75 < sum(computed) / (theta.size * 151) < 0.8
+        for n in (1, 2, 7, 60, 142):
+            transform = minimax._Transform(theta, size, n)
+            assert not transform.fft
+            assert np.array_equal(transform.rows, np.cos(np.outer(theta, np.arange(n + 1))))
 
 
 def _joined_grids(weights, n):
@@ -363,9 +364,9 @@ def test_fft_grid_errors_match_the_cosine_matrix(ra, rb, n):
     # 1.4e-14 at n = 400, and the FFT is within 4.1e-16 of long-double sums
     w, rng = WeightParams(ra, rb), np.random.default_rng(int(1e3 * (ra + rb)) + n)
     grids = _joined_grids([w], n)
-    (transform,) = grids.cosines
-    assert isinstance(transform, minimax._Transform)
-    assert transform.tail.shape == (grids.theta.size - _grid_size(n), n + 1)
+    ((transform, _),) = grids.keys
+    assert transform.fft
+    assert transform.rows.shape == (grids.theta.size - _grid_size(n), n + 1)
     for c in (rng.uniform(-1.0, 1.0, n + 1), rng.standard_normal(n + 1) * 0.9 ** np.arange(n + 1)):
         scale = np.abs(c).sum()
         ref = grids.weight * (np.cos(np.outer(grids.theta, np.arange(n + 1))) @ c)
@@ -386,20 +387,21 @@ def test_fft_batch_rows_equal_each_problem_alone():
     weights = [WeightParams(ra, rb) for ra, rb in ((0.3, 0.6), (0.0, 0.6), (0.5, 0.1), (1e-17, 0.3))]
     coefs = np.random.default_rng(8).uniform(-1.0, 1.0, (len(weights), n + 1))
     batch = _joined_grids(weights, n)
-    assert len(batch.cosines) == 3
+    assert len(batch.keys) == 3
     got = np.split(batch.errors(coefs), np.cumsum(batch.size[batch.cells])[:-1])
     for i, e in zip(batch.cells, got):
         assert np.array_equal(e, _joined_grids([weights[i]], n).errors(coefs[i][None]))
 
 
-def test_fft_takes_over_from_the_matrix_at_its_degree(monkeypatch):
-    # one degree below _FFT_DEGREE builds the grid's matrix, at it none is built
-    built, grid_cosines = [], minimax._grid_cosines
-    monkeypatch.setattr(minimax, "_grid_cosines", lambda theta, m: built.append(m) or grid_cosines(theta, m))
+def test_fft_takes_over_from_the_matrix_at_its_degree():
+    # one degree below _FFT_DEGREE the transform holds the rows of every grid
+    # point and no FFT; at it, the rows of the tail points only
     w, n = WeightParams(0.3, 0.6), minimax._FFT_DEGREE
     below, at = _joined_grids([w], n - 1), _joined_grids([w], n)
-    assert built == [n - 1]
-    assert isinstance(below.cosines[0], np.ndarray) and isinstance(at.cosines[0], minimax._Transform)
+    ((rows, _),), ((fft, _),) = below.keys, at.keys
+    assert not rows.fft and rows.rows.shape == (below.theta.size, n)
+    assert fft.fft and fft.rows.shape == (at.theta.size - _grid_size(n), n + 1)
+    assert 0 < fft.rows.shape[0] == np.count_nonzero(~fft.uniform)
 
 
 def test_a_solve_at_n_400_holds_no_cosine_matrix():
@@ -582,13 +584,15 @@ _THETAS = np.array([1e-18, 1e-6, 1.234, np.pi - 1e-6])
 @pytest.mark.parametrize("n", [1, 10, 100, 400])
 def test_theta_eval_matches_clenshaw_by_the_chain_rule(n):
     # p_theta = -sin(t) p'(x) and p_thetatheta = sin(t)^2 p''(x) - cos(t) p'(x),
-    # each within 1e-12 of a bound on its terms (measured: 8.6e-14 at n = 400,
-    # from the rounding of x = cos(t) that the x-space side carries)
+    # each within 1e-12 of a bound on its terms (measured: 1.6e-13 at n = 400,
+    # from the rounding of x = cos(t) that the x-space side carries); p'' is
+    # numpy's series derivative, p and p' the solver's Clenshaw
     coef = np.random.default_rng(n).standard_normal(n + 1)
     k = np.arange(n + 1)
     p, pt, ptt = _theta_eval(coef[None], *_cos_sin_k(_THETAS, n), [_THETAS.size], np.array([n + 1]))
     x, s = np.cos(_THETAS), np.sin(_THETAS)
-    q, dq, ddq = _cheb_eval_012(coef, x)
+    q, dq = _cheb_eval_01(coef, x)
+    ddq = np.polynomial.chebyshev.chebval(x, np.polynomial.chebyshev.chebder(coef, 2))
     a1, a2, a4 = (np.sum(k**j * np.abs(coef)) for j in (0, 2, 4))
     assert np.all(np.abs(p - q) <= 1e-12 * a1)
     assert np.all(np.abs(pt + s * dq) <= 1e-12 * s * a2)

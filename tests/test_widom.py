@@ -337,6 +337,13 @@ def test_continuity_probe_values():
         continuity_probe(WeightParams(0.5, 0.5), -1.0, 3)
 
 
+def test_continuity_probe_rejects_a_non_finite_delta():
+    # a NaN delta once skipped every perturbation and returned 0.0
+    for delta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            continuity_probe(WeightParams(0.3, 0.6), delta, 3)
+
+
 @pytest.mark.parametrize("ra, rb", [(0.3, 0.6), (0.0, 0.0), (0.0, 0.4), (5e-5, 0.2)])
 def test_continuity_probe_is_the_max_over_its_widom_factors(ra, rb):
     # one lockstep batch of w and its perturbations, bit for bit the single
@@ -353,7 +360,7 @@ def test_continuity_probe_is_the_max_over_its_widom_factors(ra, rb):
 
 def test_continuity_probe_builds_its_grid_once(monkeypatch):
     # at n = 100 the probe's five weights share one grid and go into one
-    # batch, which builds its cosine matrix once; the result is that of the
+    # batch, which builds its transform once; the result is that of the
     # five solves made one at a time
     w, delta, n = WeightParams(0.3, 0.6), 1e-3, 100
     expected = [
@@ -361,8 +368,8 @@ def test_continuity_probe_builds_its_grid_once(monkeypatch):
         for da, db in ((0.0, 0.0), (delta, 0.0), (-delta, 0.0), (0.0, delta), (0.0, -delta))
     ]
     built = []
-    grid_cosines = minimax._grid_cosines
-    monkeypatch.setattr(minimax, "_grid_cosines", lambda theta, m: built.append(m) or grid_cosines(theta, m))
+    transform = minimax._Transform
+    monkeypatch.setattr(minimax, "_Transform", lambda theta, size, m: built.append(m) or transform(theta, size, m))
     got = continuity_probe(w, delta, n)
     assert got.hex() == max(abs(v - expected[0]) for v in expected[1:]).hex()
     assert built == [n]

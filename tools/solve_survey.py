@@ -4,7 +4,7 @@
 
 SRC is the root of a checkout; its ``src/widomlab`` is the package surveyed.
 The points come from this checkout's ``bench/workloads.py`` (read, never
-written) plus two fixed sets of weights:
+written) plus fixed sets of weights:
 
 - ``scan``: both bench scan grids at n = 1..SCAN_N_MAX;
 - ``pool``: the CERTIFIED and FAILED ``high_degree`` pool points and SLOW_SOLVE;
@@ -13,7 +13,9 @@ written) plus two fixed sets of weights:
   0.01, where the error can peak in a boundary hump inside the first cell of
   the solver's grid;
 - ``stall``: the points in STALL, where the cheap phase once plateaued above
-  its hand-over gate, so that a survey covers the exit from the cheap phase.
+  its hand-over gate, so that a survey covers the exit from the cheap phase;
+- ``mid``: the weights in MID at n = WEIGHTS_N_MAX + 1 .. MID_N_MAX, the
+  degrees below the grid FFT that no other set reaches.
 
 Every record holds the outcome (``solved`` or the solver error's type and
 message) and, as ``float.hex`` strings, the norm, Widom factor, levelling
@@ -60,6 +62,8 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 WEIGHTS = ((1.0, 1.0), (0.5, 0.5), (0.25, 0.75), (0.0, 1.0), (0.75, 0.25), (1.5, 0.5), (0.1, 0.1), (2.0, 0.5))
 TINY = ((0.0, 0.004), (0.001, 0.3), (1e-6, 1e-6))
 WEIGHTS_N_MAX = 100
+MID = ((0.25, 0.75), (0.1, 0.1))
+MID_N_MAX = 142
 # two cells of the 250x250 scan grid over [0, 0.8]^2
 STALL = (
     (0.00321285140562249, 0.14779116465863454, 7),
@@ -79,6 +83,7 @@ def _points(workloads) -> list[tuple[str, float, float, int]]:
     for group, weights in (("weights", WEIGHTS), ("tiny", TINY)):
         points += [(group, ra, rb, n) for ra, rb in weights for n in range(1, WEIGHTS_N_MAX + 1)]
     points += [("stall", ra, rb, n) for ra, rb, n in STALL]
+    points += [("mid", ra, rb, n) for ra, rb in MID for n in range(WEIGHTS_N_MAX + 1, MID_N_MAX + 1)]
     return points
 
 
@@ -184,7 +189,7 @@ def _max_rel(one: list[str], two: list[str], scale: float = 0.0) -> float:
     return worst
 
 
-GROUPS = ("scan", "pool", "weights", "tiny", "stall")
+GROUPS = ("scan", "pool", "weights", "tiny", "stall", "mid")
 
 
 def _margin(records: list[dict]) -> dict | None:
