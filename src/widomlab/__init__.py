@@ -20,6 +20,7 @@ from widomlab.bounds import (
     verify_coeff_lemma,
     verify_m_monotone,
     weight_sup_bound,
+    weighted_monic_jacobi_sup,
 )
 from widomlab.circle import (
     CircleFunction,
@@ -46,7 +47,6 @@ from widomlab.special import (
     monic_scale,
     param_to_weight,
     weight_to_param,
-    weighted_monic_jacobi_sup,
 )
 from widomlab.widom import (
     ScanCell,

@@ -1,4 +1,4 @@
-"""Bernstein-type bounds for weighted Jacobi sup-norms.
+"""Bernstein-type bounds for weighted Jacobi sup-norms, and the sup-norms themselves.
 
 Centerpiece is the quantity
 
@@ -10,7 +10,8 @@ q = max(alpha, beta), which dominates the weighted sup of the monic Jacobi
 polynomial for alpha, beta in [-1/2, 1/2] and increases to 2^{1-rho_a-rho_b}.
 The module also carries the Chow--Gatteschi--Wong right-hand side, the ratio
 function f with f(n) = M_{n+1}/M_n, and the sign analysis of the quadratic
-numerator coefficients c_0, c_1, c_2 of (log f)'.
+numerator coefficients c_0, c_1, c_2 of (log f)', and the weighted sup of the
+monic Jacobi polynomial that M_n bounds, by the solver's certified extremum step.
 """
 
 from __future__ import annotations
@@ -20,7 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from widomlab.special import JacobiParams, WeightParams, log_gamma
+from widomlab.minimax import _batches, _certified_extrema
+from widomlab.special import (
+    JacobiParams,
+    WeightParams,
+    _jacobi,
+    _whole_degrees,
+    log_gamma,
+    monic_scale,
+    weight_to_param,
+)
 
 __all__ = [
     "BoundReport",
@@ -33,6 +43,7 @@ __all__ = [
     "cgw_rhs",
     "asymptote",
     "weight_sup_bound",
+    "weighted_monic_jacobi_sup",
 ]
 
 
@@ -121,15 +132,11 @@ def m_bound(p: JacobiParams, n):
     M_n; each entry equals the value of its scalar call.
     """
     _check_square(p)
-    if not np.ndim(n):
-        if n < 1:
-            raise ValueError("degree must be at least 1")
-        q, s, x, lg = p.q, p.alpha + p.beta, float(n), math.lgamma
+    ns = _whole_degrees(n, 1)
+    if not ns.ndim:
+        q, s, x, lg = p.q, p.alpha + p.beta, float(ns), math.lgamma
         h = x + 0.5 * (s + 1.0)
         return math.exp(_log_m(q, s, lg(x + q + 1.0), lg(x + s + 1.0), lg(h), lg(x + 0.5 * s + 1.0), math.log(h)))
-    ns = np.asarray(n)
-    if ns.size and ns.min() < 1:
-        raise ValueError("degree must be at least 1")
     return _m_bounds([p], ns.ravel())[0].reshape(ns.shape)
 
 
@@ -139,8 +146,7 @@ def m_bound_raw(p: JacobiParams, n: int) -> float:
     Gamma(q+1) 2^{2n+(a+b+1)/2} C(n+q, n) / [ sqrt(pi) (n+(a+b+1)/2)^{q+1/2} C(2n+a+b, n) ].
     """
     _check_square(p)
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    n = int(_whole_degrees(n, 1))
     a, b = p.alpha, p.beta
     q, s = p.q, a + b
     log_binom1 = log_gamma(n + q + 1.0) - log_gamma(n + 1.0) - log_gamma(q + 1.0)
@@ -342,8 +348,7 @@ def verify_m_monotone(
 def cgw_rhs(p: JacobiParams, n: int) -> float:
     """Chow--Gatteschi--Wong bound: Gamma(q+1)/Gamma(1/2) C(n+q,n) (n+(a+b+1)/2)^{-q-1/2}."""
     _check_square(p)
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    n = int(_whole_degrees(n, 1))
     q, s = p.q, p.alpha + p.beta
     return math.exp(
         log_gamma(n + q + 1.0)
@@ -373,3 +378,60 @@ def weight_sup_bound(w: WeightParams) -> float:
     if rb > 0.0:
         out *= (2.0 * rb / s) ** rb
     return out
+
+
+def weighted_monic_jacobi_sup(w: WeightParams, n):
+    """Sup over [-1,1] of the weight times |monic Jacobi polynomial| of degree n.
+
+    The largest |w p| that the certified extremum step of
+    :func:`minimax.solve` finds on the solver's grid: grid local maxima of
+    |w p| refined by bracketed Newton, a boundary hump inside the first cell
+    included, and the endpoints where the weight does not vanish.  ``n`` is
+    a degree, for a float, or a sequence of degrees, for an array of sups,
+    each equal to its scalar call.  Degrees are whole numbers of at least 0.
+    """
+    degrees = _whole_degrees(n, 0)
+    sups = _jacobi_sups([w], degrees.ravel())[0]
+    return float(sups[0]) if degrees.ndim == 0 else sups.reshape(degrees.shape)
+
+
+def _jacobi_sups(weights, ns) -> np.ndarray:
+    """:func:`weighted_monic_jacobi_sup` of each of ``weights`` (rows) at each of the degrees ``ns`` (columns).
+
+    The Chebyshev series of the monic P_k is the DCT-I of its values at the
+    k + 1 Chebyshev--Lobatto points, the real part of one FFT of length 2k:
+    one recurrence per weight evaluates the points of all degrees, and one
+    FFT per degree takes the rows of all weights.  The extremum steps run
+    degree after degree in the batches of :func:`minimax._batches`; each sup
+    equals its single call bit for bit.
+    """
+    deg = _whole_degrees(ns, 0)
+    if not (len(weights) and deg.size):
+        return np.empty((len(weights), deg.size))
+    ks = np.unique(deg)
+    sups = np.empty((ks.size, len(weights)))
+    # x_j = cos(pi j / k) for j = 0..k, in the sine form that is symmetric about 0
+    points = np.concatenate([np.sin(np.pi * np.arange(k, -k - 1, -2) / (2 * max(k, 1))) for k in ks])
+    own, start = np.repeat(ks, ks + 1), np.cumsum(ks + 1) - (ks + 1)
+    # each weight's values at the points of each degree, then each degree's series in their place
+    table = np.empty((len(weights), points.size))
+    for row, w in zip(table, weights):
+        p = weight_to_param(w)
+        scale = np.repeat([monic_scale(p, k) for k in ks.tolist()], ks + 1)
+        row[:] = scale * _jacobi(p.alpha, p.beta, own, points, derivative=False)
+    for k, at in zip(ks.tolist(), start.tolist()):
+        if k:
+            f = table[:, at : at + k + 1]
+            f[:] = np.fft.rfft(np.concatenate((f, f[:, -2:0:-1]), axis=1)).real / k
+            f[:, [0, k]] *= 0.5
+    problems = [(w, k) for k in ks.tolist() for w in weights]
+    flat, done = sups.reshape(-1), 0
+    for batch, degrees in _batches(problems):
+        coefs = np.zeros((len(batch), max(degrees) + 1))
+        for i, k in enumerate(degrees):
+            at = start[(done + i) // len(weights)]
+            coefs[i, : k + 1] = table[(done + i) % len(weights), at : at + k + 1]
+        extrema = _certified_extrema(batch, degrees, coefs)
+        flat[done : done + len(batch)] = [np.abs(e).max() for _, e in extrema]
+        done += len(batch)
+    return sups.T[:, np.searchsorted(ks, deg)]

@@ -19,13 +19,14 @@ import numpy as np
 
 from widomlab.bounds import (
     PropertyViolation,
+    _jacobi_sups,
     _m_bounds,
     verify_coeff_lemma,
     verify_m_monotone,
 )
 from widomlab.circle import _erdos_lax_checks, verify_cn_relation
 from widomlab.minimax import ConvergenceError, DegeneracyError, ExchangeError, solve
-from widomlab.special import WeightParams, _jacobi_sups, weight_to_param
+from widomlab.special import WeightParams, weight_to_param
 from widomlab.widom import _DISC_CENTER, _INNER_R2, widom_sequence
 from widomlab.widom import scan as grid_scan
 

@@ -25,6 +25,7 @@ from widomlab.special import (
     _tail_grid,
     _tail_kind,
     _weight_theta,
+    _whole_degrees,
 )
 
 __all__ = [
@@ -645,17 +646,34 @@ def error_extrema(w: WeightParams, poly: MonicPolynomial, grid: int) -> list[tup
     """
     if grid < 10 * max(poly.degree, 1):
         raise ValueError("grid must be at least 10 times the degree")
-    cells, one = _Cells([w], poly.degree), np.array([0])
-    grids = _Grids(cells, [grid]).join(one)
-    coefs = poly.full_cheb_coeffs()[None]
-    e = grids.errors(coefs)
-    ae = np.abs(e)
-    floor = np.array([1e-15 * float(np.max(ae))])
-    _, kt, ke, found, *_ = _extremum_step(cells, grids, coefs, e, ae, grids.peaks(ae), one, one == 0, floor)
-    if found[0] < poly.degree + 1:
-        raise ExchangeError(f"found {found[0]} alternations, need {poly.degree + 1}; grid too coarse")
+    ((kt, ke),) = _certified_extrema([w], [poly.degree], poly.full_cheb_coeffs()[None], [grid])
+    if kt.size < poly.degree + 1:
+        raise ExchangeError(f"found {kt.size} alternations, need {poly.degree + 1}; grid too coarse")
     # theta ascending is x descending; report by increasing x
     return [(float(np.cos(t)), float(v)) for t, v in zip(kt[::-1], ke[::-1])]
+
+
+def _certified_extrema(weights, degrees, coefs, sizes=None) -> list:
+    """The certified extremum step of :func:`solve` on the series ``coefs[i]`` of ``weights[i]`` at ``degrees[i]``.
+
+    Each problem's grid has ``sizes[i]`` uniform points, the solver's
+    :func:`_grid_size` by default, and its step ignores errors below 1e-15
+    times its largest |e| on that grid.  Returns, in the order of
+    ``weights``, the (theta, e) that the step keeps of each problem, by
+    ascending theta; no problem's result depends on the others.
+    """
+    cells = _Cells(weights, degrees)
+    every = np.arange(cells.deg.size)
+    grids = _Grids(cells, _grid_size(cells.deg) if sizes is None else sizes).join(every)
+    e = grids.errors(coefs)
+    ae = np.abs(e)
+    floor = np.empty(every.size)
+    floor[grids.cells] = 1e-15 * np.maximum.reduceat(ae, grids.first[grids.cells])
+    order, kt, ke, found, *_ = _extremum_step(cells, grids, coefs, e, ae, grids.peaks(ae), every, every >= 0, floor)
+    out, cuts = [None] * every.size, np.cumsum(found)[:-1]
+    for i, t, v in zip(order.tolist(), np.split(kt, cuts), np.split(ke, cuts)):
+        out[i] = (t, v)
+    return out
 
 
 def exchange(reference, extrema) -> list[float]:
@@ -728,17 +746,12 @@ def solve_many(
 
 def _degrees(count: int, n, tolerance: float, max_iter: int) -> list[int]:
     """The degree of each of ``count`` problems, from one degree or one per problem; checks the arguments."""
-    degrees = np.asarray(n)
-    if np.any(degrees < 1):
-        raise ValueError("degree must be at least 1")
-    real = degrees.astype(float)
-    if not np.all(np.isfinite(real) & (real == np.round(real))):
-        raise ValueError("degree must be an integer")
+    degrees = _whole_degrees(n, 1)
     if degrees.ndim and degrees.shape != (count,):
         raise ValueError("give one degree, or one degree per weight")
     if not 0.0 < tolerance < np.inf or max_iter < 1:
         raise ValueError("tolerance must be positive and finite, and max_iter positive")
-    return np.broadcast_to(degrees.astype(int), (count,)).tolist()
+    return np.broadcast_to(degrees, (count,)).tolist()
 
 
 # a lockstep batch holds at most _BATCH_PROBLEMS problems, and more than one only

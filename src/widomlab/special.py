@@ -1,9 +1,12 @@
-"""Jacobi polynomials: evaluation, monic normalization, and weighted sups.
+"""Jacobi polynomials: evaluation and monic normalization, and the weight in theta.
 
 Conventions follow Szego: P_n^{(alpha,beta)} is orthogonal on [-1,1] for the
 measure (1-x)^alpha (1+x)^beta dx, normalized by P_n(1) = C(n+alpha, n).
 The sup-norm side works with the weight (1-x)^rho_a (1+x)^rho_b, linked to
-the L2 parameters by rho = alpha/2 + 1/4 (and the same for beta).
+the L2 parameters by rho = alpha/2 + 1/4 (and the same for beta).  The
+module also holds the tailed theta-grid and the root and peak refiners that
+the solver and the circle layer build on; the weighted sups of the monic
+Jacobi polynomials are in :mod:`widomlab.bounds`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ __all__ = [
     "weight_to_param",
     "jacobi_eval",
     "monic_scale",
-    "weighted_monic_jacobi_sup",
 ]
 
 
@@ -75,7 +77,7 @@ def weight_to_param(w: WeightParams) -> JacobiParams:
 
 
 def _recurrence_terms(a, b, k: int):
-    """Coefficients of a_k P_k = (b_k + c_k x) P_{k-1} - d_k P_{k-2}; numbers, or arrays of per-point parameters."""
+    """Coefficients of a_k P_k = (b_k + c_k x) P_{k-1} - d_k P_{k-2}."""
     s = a + b
     ak = 2.0 * k * (k + s) * (2.0 * k + s - 2.0)
     bk = (2.0 * k + s - 1.0) * (a * a - b * b)
@@ -96,19 +98,8 @@ def jacobi_eval(p: JacobiParams, n, x):
     return _jacobi(p.alpha, p.beta, n, x, derivative=True)
 
 
-def _tail(c, start: int):
-    # a per-point parameter from the point ``start`` on; a number stays as it is
-    return c[start:] if np.ndim(c) else c
-
-
-def _jacobi(a, b, n, x, derivative: bool):
-    """The recurrence of :func:`jacobi_eval`: values, and derivatives if ``derivative``.
-
-    ``a`` and ``b`` are numbers, or arrays of per-point parameters broadcast
-    against x and ``n``; an array runs the same arithmetic on each point
-    that a number runs on all of them, so each point gets what its own
-    parameters give it alone.
-    """
+def _jacobi(a: float, b: float, n, x, derivative: bool):
+    """The recurrence of :func:`jacobi_eval`: values, and derivatives if ``derivative``."""
     deg = np.asarray(n)
     if deg.size == 0:  # np.asarray([]) is a float array
         deg = deg.astype(int)
@@ -117,18 +108,12 @@ def _jacobi(a, b, n, x, derivative: bool):
     if np.any(deg < 0):
         raise ValueError("degree must be nonnegative")
     xs = np.asarray(x, dtype=float)
-    per_point = np.ndim(a) > 0 or np.ndim(b) > 0
-    scalar = xs.ndim == 0 and deg.ndim == 0 and not per_point
-    if per_point:
-        xs, deg, a, b = np.broadcast_arrays(np.atleast_1d(xs), deg, a, b)
-    else:
-        xs, deg = np.broadcast_arrays(np.atleast_1d(xs), deg)
+    scalar = xs.ndim == 0 and deg.ndim == 0
+    xs, deg = np.broadcast_arrays(np.atleast_1d(xs), deg)
     shape = xs.shape
     # points sorted by degree, so that step k runs on the suffix of degree >= k
     order = np.argsort(deg, axis=None, kind="stable")
     xs, deg = xs.ravel()[order], deg.ravel()[order]
-    if per_point:
-        a, b = a.ravel()[order], b.ravel()[order]
     top = int(deg[-1]) if deg.size else 0
     cut = np.searchsorted(deg, np.arange(top + 2))
     v = np.empty(xs.size)
@@ -138,12 +123,11 @@ def _jacobi(a, b, n, x, derivative: bool):
         d[order[: cut[1]]] = 0.0
     if top > 0:
         x1 = xs[cut[1] :]
-        a1, b1 = _tail(a, cut[1]), _tail(b, cut[1])
         v0 = np.ones_like(x1)
-        v1 = 0.5 * ((a1 + b1 + 2.0) * x1 + (a1 - b1))
+        v1 = 0.5 * ((a + b + 2.0) * x1 + (a - b))
         if derivative:
             d0 = np.zeros_like(x1)
-            d1 = d0 + 0.5 * (a1 + b1 + 2.0)
+            d1 = np.full_like(x1, 0.5 * (a + b + 2.0))
         for k in range(2, top + 1):
             done = cut[k] - cut[k - 1]
             if done:  # store the points of degree k - 1 and drop them
@@ -152,7 +136,7 @@ def _jacobi(a, b, n, x, derivative: bool):
                 if derivative:
                     d[order[cut[k - 1] : cut[k]]] = d1[:done]
                     d0, d1 = d0[done:], d1[done:]
-            ak, bk, ck, dk = _recurrence_terms(_tail(a, cut[k]), _tail(b, cut[k]), k)
+            ak, bk, ck, dk = _recurrence_terms(a, b, k)
             t = bk + ck * xs[cut[k] :]
             v2 = (t * v1 - dk * v0) / ak
             if derivative:
@@ -169,10 +153,23 @@ def _jacobi(a, b, n, x, derivative: bool):
     return v.reshape(shape), d.reshape(shape)
 
 
+def _whole_degrees(n, least: int) -> np.ndarray:
+    """``n``, a degree or an array of degrees, as integers; each must be a whole number of at least ``least``.
+
+    Integral floats and numpy integers pass; 2.5, nan and inf raise ValueError.
+    """
+    deg = np.asarray(n)
+    if np.any(deg < least):
+        raise ValueError(f"degree must be at least {least}" if least else "degree must be nonnegative")
+    real = deg.astype(float)
+    if not np.all(np.isfinite(real) & (real == np.round(real))):
+        raise ValueError("degree must be an integer")
+    return deg.astype(int)
+
+
 def monic_scale(p: JacobiParams, n: int) -> float:
     """Factor turning P_n^{(alpha,beta)} monic: 2^n n! Gamma(n+a+b+1)/Gamma(2n+a+b+1)."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    n = int(_whole_degrees(n, 0))
     if n == 0:
         return 1.0
     s = p.alpha + p.beta
@@ -350,84 +347,3 @@ def _bracketed_newton(f, lo, hi, sign_lo, tol: float, max_steps: int, counts=Non
         prev, x = x, xn
     out[at] = x
     return out
-
-
-def weighted_monic_jacobi_sup(w: WeightParams, n):
-    """Sup over [-1,1] of the weight times |monic Jacobi polynomial| of degree n.
-
-    Samples the grid of :func:`_tail_grid`: a uniform theta-grid of 50n + 500
-    points, theta = arccos x, with a geometric tail toward each endpoint
-    where the weight vanishes, for a boundary hump inside the first cell.
-    Local maxima are refined by iterated 3-point parabolic interpolation, a
-    tail point with half its distance to the endpoint as the first step;
-    relative accuracy target 1e-9.  ``n`` may also be a sequence of degrees:
-    their grids are evaluated in one recurrence and their peaks polished
-    together, and the sups come back as an array, each equal to the sup at
-    its degree alone.
-    """
-    degrees = np.asarray(n)
-    sups = _jacobi_sups([w], np.atleast_1d(degrees).ravel())[0]
-    return float(sups[0]) if degrees.ndim == 0 else sups.reshape(degrees.shape)
-
-
-def _jacobi_sups(weights, deg: np.ndarray) -> np.ndarray:
-    """:func:`weighted_monic_jacobi_sup` of each of ``weights`` at each of the degrees ``deg``, one row per weight.
-
-    Weights of one tail kind (:func:`_tail_kind`) share each degree's grid.
-    Each weight's grids go through a recurrence of their own, so that only
-    one weight's samples are alive at a time, and the peaks of all weights
-    are polished together; each sup equals its single call bit for bit.
-    """
-    if np.any(deg < 0):
-        raise ValueError("degree must be nonnegative")
-    if not (len(weights) and deg.size):
-        return np.empty((len(weights), deg.size))
-    params = [weight_to_param(w) for w in weights]
-    best, peaks, grids = np.empty((len(weights), deg.size)), [], {}
-    ks = [int(k) for k in deg]
-    steps = np.pi / (50 * np.array(ks) + 499)
-    for row, (w, p) in enumerate(zip(weights, params)):
-        scale = np.array([monic_scale(p, k) for k in ks])
-        # one grid per degree and tail kind, shared by the weights of that kind
-        kind = _tail_kind(w.rho_a, w.rho_b)
-        for k in ks:
-            if (k, kind) not in grids:
-                grids[k, kind] = _tail_grid(w.rho_a, w.rho_b, 50 * k + 500)
-        theta = np.concatenate([grids[k, kind] for k in ks])
-        sizes = np.array([grids[k, kind].size for k in ks])
-        # degree index of each grid point, and the first and last point of each grid
-        seg = np.repeat(np.arange(deg.size), sizes)
-        last = np.cumsum(sizes) - 1
-        first = last - sizes + 1
-        vals = _jacobi(p.alpha, p.beta, deg[seg], np.cos(theta), derivative=False)
-        wgrid = _weight_theta(w.rho_a, w.rho_b, theta)
-        # exact zeros where the weight vanishes: rounding cos(pi / 2) would leak through at pi
-        if w.rho_a > 0.0:
-            wgrid[first] = 0.0
-        if w.rho_b > 0.0:
-            wgrid[last] = 0.0
-        mag = wgrid * np.abs(scale[seg] * vals)
-        best[row] = np.maximum(mag[first], mag[last])
-        inner = np.ones(theta.size, dtype=bool)
-        inner[first] = inner[last] = False
-        idx = np.nonzero(inner[1:-1] & (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]))[0] + 1
-        pk = seg[idx]
-        t = theta[idx]
-        # a tail point lies at most half a step from its endpoint
-        u = np.minimum(t, np.pi - t)
-        step = np.where(u < 0.75 * steps[pk], 0.5 * u, steps[pk])
-        peaks.append((np.full(idx.size, row), pk, t, mag[idx], step, scale[pk]))
-    rows, pk, t, y, step, scale = (np.concatenate(c) for c in zip(*peaks))
-    if t.size:
-        alpha = np.array([p.alpha for p in params])[rows]
-        beta = np.array([p.beta for p in params])[rows]
-        ra = np.array([w.rho_a for w in weights])[rows]
-        rb = np.array([w.rho_b for w in weights])[rows]
-
-        def eval_mag(t: np.ndarray) -> np.ndarray:
-            # even about theta = 0 and pi, so the polish may step past either end
-            v = _jacobi(alpha, beta, deg[pk], np.cos(t), derivative=False)
-            return _weight_theta(ra, rb, t) * np.abs(scale * v)
-
-        np.maximum.at(best, (rows, pk), _polish_peaks(eval_mag, t, y, step, 3, 0.25))
-    return best

@@ -19,6 +19,7 @@ from widomlab.bounds import (
     m_bound,
     verify_coeff_lemma,
     weight_sup_bound,
+    weighted_monic_jacobi_sup,
 )
 from widomlab.circle import erdos_lax_check, polya_szego_roots, verify_cn_relation
 from widomlab.oracle import brute_minimax
@@ -27,7 +28,6 @@ from widomlab.special import (
     JacobiParams,
     WeightParams,
     weight_to_param,
-    weighted_monic_jacobi_sup,
 )
 from widomlab.widom import continuity_probe, scan, widom_factor
 

@@ -20,15 +20,16 @@ from widomlab.bounds import (
     verify_coeff_lemma,
     verify_m_monotone,
     weight_sup_bound,
+    weighted_monic_jacobi_sup,
 )
 from widomlab.minimax import solve
 from widomlab.special import (
     JacobiParams,
     WeightParams,
+    jacobi_eval,
     monic_scale,
     param_to_weight,
     weight_to_param,
-    weighted_monic_jacobi_sup,
 )
 
 
@@ -56,6 +57,24 @@ def test_m_bound_domain_errors():
         m_bound(JacobiParams(0.0, -0.7), 3)
     with pytest.raises(ValueError):
         m_bound(JacobiParams(0.0, 0.0), 0)
+
+
+def test_m_bound_rejects_degrees_that_are_not_whole():
+    # nan once came back as nan and 2.5 as 1.3568; integral floats and numpy ints still work
+    p = JacobiParams(0.2, -0.3)
+    for n in (2.5, math.nan, math.inf, [1, math.nan], [1.0, 2.5]):
+        with pytest.raises(ValueError, match="integer"):
+            m_bound(p, n)
+    assert m_bound(p, 3.0) == m_bound(p, np.int64(3)) == m_bound(p, 3)
+    assert m_bound(p, [1.0, 3.0]).tolist() == m_bound(p, [1, 3]).tolist()
+
+
+def test_m_bound_raw_rejects_degrees_that_are_not_whole():
+    p = JacobiParams(0.2, -0.3)
+    for n in (2.5, math.nan):
+        with pytest.raises(ValueError, match="integer"):
+            m_bound_raw(p, n)
+    assert m_bound_raw(p, 3.0) == m_bound_raw(p, np.int64(3)) == m_bound_raw(p, 3)
 
 
 def test_m_bound_over_degrees_equals_scalar_calls():
@@ -246,14 +265,75 @@ def _trig_weighted_sup(p: JacobiParams, n: int) -> float:
     return conv * weighted_monic_jacobi_sup(w, n) / monic_scale(p, n)
 
 
+def test_cgw_rhs_rejects_degrees_that_are_not_whole():
+    p = JacobiParams(0.2, -0.3)
+    for n in (2.5, math.nan):
+        with pytest.raises(ValueError, match="integer"):
+            cgw_rhs(p, n)
+    assert cgw_rhs(p, 3.0) == cgw_rhs(p, np.int64(3)) == cgw_rhs(p, 3)
+
+
 def test_cgw_saturated_at_chebyshev_corners():
     for a in (-0.5, 0.5):
         for b in (-0.5, 0.5):
             p = JacobiParams(a, b)
-            for n in (1, 2, 5, 9):
+            for n in (1, 2, 5, 9, 100, 400):
                 rhs = cgw_rhs(p, n)
                 sup = _trig_weighted_sup(p, n)
                 assert abs(rhs - sup) <= 1e-9 * rhs
+
+
+@pytest.mark.parametrize("ra, rb, n", [(0.125, 0.375, 50), (0.3, 0.3, 4), (2.0, 0.5, 30)])
+def test_weighted_sup_against_mpmath(ra, rb, n):
+    # a second route: the grid peaks of w |P_n| from jacobi_eval, each refined in 30-digit
+    # arithmetic on mpmath.jacobi by golden-section search between its neighbours; all
+    # of them, since with rho = alpha / 2 + 1/4 they can agree to 1e-6
+    mpmath = pytest.importorskip("mpmath")
+    w = WeightParams(ra, rb)
+    p = weight_to_param(w)
+    theta = np.linspace(0.0, np.pi, 40 * n + 1)[1:-1]
+    x = np.cos(theta)
+    y = (1.0 - x) ** ra * (1.0 + x) ** rb * np.abs(jacobi_eval(p, n, x)[0])
+    peaks = np.nonzero((y[1:-1] >= y[:-2]) & (y[1:-1] >= y[2:]))[0] + 1
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(p.alpha), mpmath.mpf(p.beta)
+        s = a + b
+
+        def mag(t):
+            return (1 - t) ** ra * (1 + t) ** rb * abs(mpmath.jacobi(n, a, b, t))
+
+        def peak(lo, hi):
+            r = (mpmath.sqrt(5) - 1) / 2
+            c, d = hi - r * (hi - lo), lo + r * (hi - lo)
+            fc, fd = mag(c), mag(d)
+            # 40 steps shrink the bracket to 4e-9 of two grid cells, where |w P_n| is flat to about 1e-18
+            for _ in range(40):
+                if fc >= fd:
+                    hi, d, fd = d, c, fc
+                    c = hi - r * (hi - lo)
+                    fc = mag(c)
+                else:
+                    lo, c, fc = c, d, fd
+                    d = lo + r * (hi - lo)
+                    fd = mag(d)
+            return max(fc, fd)
+
+        best = max(peak(mpmath.mpf(x[i + 1]), mpmath.mpf(x[i - 1])) for i in peaks)
+        scale = mpmath.exp(
+            n * mpmath.log(2) + mpmath.loggamma(n + 1) + mpmath.loggamma(n + s + 1) - mpmath.loggamma(2 * n + s + 1)
+        )
+        want = float(scale * best)
+    assert abs(weighted_monic_jacobi_sup(w, n) - want) <= 1e-12 * want
+
+
+def test_weighted_sup_takes_degrees_by_the_rule_of_solve():
+    # 2.0 once raised TypeError, while solve(w, 2.0) works
+    w = WeightParams(0.3, 0.4)
+    assert weighted_monic_jacobi_sup(w, 2.0) == weighted_monic_jacobi_sup(w, np.int64(2)) == weighted_monic_jacobi_sup(w, 2)
+    assert weighted_monic_jacobi_sup(w, [0.0, 3.0]).tolist() == weighted_monic_jacobi_sup(w, [0, 3]).tolist()
+    for n in (2.5, math.nan, [1, 2.5]):
+        with pytest.raises(ValueError, match="integer"):
+            weighted_monic_jacobi_sup(w, n)
 
 
 def test_cgw_dominates_interior():

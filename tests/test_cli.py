@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from widomlab import special
+from widomlab import minimax
 from widomlab.cli import main
 from widomlab.minimax import ExchangeError, solve
 from widomlab.special import WeightParams
@@ -165,12 +165,14 @@ def test_verify_commands_pass(capsys):
 
 
 def test_verify_jacobi_builds_each_grid_once(monkeypatch, capsys):
-    # the default sweep: 25 weights at n = 1..20, on 20 degrees times 4 tail
-    # kinds (each exponent 0 or not) of grids
-    built, tail_grid = [], special._tail_grid
-    monkeypatch.setattr(special, "_tail_grid", lambda *args: built.append(args) or tail_grid(*args))
+    # the default sweep: 25 weights at n = 1..20, degree after degree in 8
+    # batches of at most 64 problems, on 20 degrees times 4 tail kinds (each
+    # exponent 0 or not) of grids; a batch builds each of its grids once, and
+    # the 7 degrees that two batches split take 11 grids twice
+    built, tail_grid = [], minimax._tail_grid
+    monkeypatch.setattr(minimax, "_tail_grid", lambda *args: built.append(args) or tail_grid(*args))
     assert main(["verify", "jacobi"]) == 0
-    assert len(built) == 80
+    assert len(built) == 91
 
 
 # the json documents of each sweep, byte for byte: batching a sweep over

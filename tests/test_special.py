@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebroots
 
-from widomlab import minimax, special
+from widomlab import bounds, minimax, special
 from widomlab.special import (
     JacobiParams,
     WeightParams,
@@ -17,8 +17,8 @@ from widomlab.special import (
     monic_scale,
     param_to_weight,
     weight_to_param,
-    weighted_monic_jacobi_sup,
 )
+from widomlab.bounds import weighted_monic_jacobi_sup
 
 
 def test_log_gamma_known_values():
@@ -132,6 +132,17 @@ def test_monic_scale_values():
     assert monic_scale(JacobiParams(0.3, -0.4), 0) == 1.0
     assert abs(monic_scale(JacobiParams(0.0, 0.0), 2) - 4.0 / 6.0) < 1e-15
     assert abs(monic_scale(JacobiParams(0.5, 0.5), 1) - 2.0 / 3.0) < 1e-15
+
+
+def test_monic_scale_rejects_degrees_that_are_not_whole():
+    # 2.5 once gave 0.5207, and nan failed inside log_gamma
+    p = JacobiParams(0.3, -0.4)
+    for n in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="integer"):
+            monic_scale(p, n)
+    with pytest.raises(ValueError, match="nonnegative"):
+        monic_scale(p, -1)
+    assert monic_scale(p, 3.0) == monic_scale(p, np.int64(3)) == monic_scale(p, 3)
 
 
 def test_monic_scale_matches_recurrence_leading_coefficient():
@@ -274,24 +285,11 @@ def test_weighted_sup_over_degrees_equals_per_degree_calls(ra, rb):
 
 
 def test_weighted_sups_over_weights_equal_each_weight_alone():
-    # the peaks of all weights are polished together, under per-point
+    # the peaks of all weights are refined together, under per-point
     # exponents; 0.5 and 2 cover the points that take numpy's sqrt and square
     rhos = (0.0, 0.125, 0.5, 1.0, 2.0, 0.004)
     weights = [WeightParams(ra, rb) for rb in rhos for ra in rhos]
     ns = np.arange(0, 13)
-    got = special._jacobi_sups(weights, ns)
+    got = bounds._jacobi_sups(weights, ns)
     for w, row in zip(weights, got):
         assert np.array_equal(row, weighted_monic_jacobi_sup(w, ns))
-
-
-def test_jacobi_recurrence_takes_per_point_parameters():
-    rng = np.random.default_rng(3)
-    a, b = rng.uniform(-0.9, 2.0, 50), rng.uniform(-0.9, 2.0, 50)
-    x, deg = rng.uniform(-1.0, 1.0, 50), rng.integers(0, 9, 50)
-    got = special._jacobi(a, b, deg, x, derivative=False)
-    for i in range(50):
-        v, _ = jacobi_eval(JacobiParams(a[i], b[i]), int(deg[i]), x[i])
-        assert got[i] == v
-    # two rows of points against one row of parameters, as the peak polish calls it
-    both = special._jacobi(a, b, deg, np.stack((x, -x)), derivative=False)
-    assert np.array_equal(both[0], got)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widomlab import minimax, widom
-from widomlab.bounds import asymptote, m_bound, weight_sup_bound
+from widomlab.bounds import asymptote, m_bound, weight_sup_bound, weighted_monic_jacobi_sup
 from widomlab.minimax import ConvergenceError, DegeneracyError, ExchangeError, solve
-from widomlab.special import WeightParams, _tail_grid, _tail_kind, weight_to_param, weighted_monic_jacobi_sup
+from widomlab.special import WeightParams, _tail_grid, _tail_kind, weight_to_param
 from widomlab.widom import (
     ScanCell,
     ScanResult,
