@@ -91,26 +91,19 @@ def _tabulate(fn, x: np.ndarray) -> np.ndarray:
     return table[np.searchsorted(values, x)]
 
 
-def _log_m(q, s, lga, lgb, lgc, lgd, log_half):
-    """log M_n from lgamma at n + q + 1, n + s + 1, h = n + (s + 1) / 2 and n + s / 2 + 1, and log h."""
-    return 0.5 * (1.0 - s) * _LN2 + lga + lgb - (q + 0.5) * log_half - lgc - lgd
-
-
 def _m_bounds(params, ns) -> np.ndarray:
     """M_n for each of ``params`` (rows) at each of the degrees ``ns`` (columns).
 
     Each log-Gamma and log term comes from ``math.lgamma`` and ``math.log``,
-    once per distinct argument of its term, the terms are summed by
-    :func:`_log_m`, and ``math.exp`` is taken per entry, since numpy's exp
-    rounds some entries differently: each entry equals the scalar call of
-    :func:`m_bound`.
+    once per distinct argument of its term, and ``math.exp`` is taken per
+    entry, since numpy's exp rounds some entries differently: an entry does
+    not depend on the other params or degrees.
     """
     n = np.asarray(ns, dtype=float)
     qs = sorted({p.q for p in params})
     ss = sorted({p.alpha + p.beta for p in params})
-    # each term's arguments at each of its distinct constants, added up in the
-    # order of the scalar formula; the Gamma arguments are positive for n >= 1
-    # on the square
+    # each term's arguments at each of its distinct constants; the Gamma
+    # arguments are positive for n >= 1 on the square
     half = [n + 0.5 * (s + 1.0) for s in ss]
     lga = dict(zip(qs, _tabulate(math.lgamma, np.array([n + q + 1.0 for q in qs]))))
     lgb = dict(zip(ss, _tabulate(math.lgamma, np.array([n + s + 1.0 for s in ss]))))
@@ -120,7 +113,7 @@ def _m_bounds(params, ns) -> np.ndarray:
     out = np.empty((len(params), n.size))
     for row, p in zip(out, params):
         q, s = p.q, p.alpha + p.beta
-        logm = _log_m(q, s, lga[q], lgb[s], lgc[s], lgd[s], logs[s])
+        logm = 0.5 * (1.0 - s) * _LN2 + lga[q] + lgb[s] - (q + 0.5) * logs[s] - lgc[s] - lgd[s]
         row[:] = list(map(math.exp, logm.tolist()))
     return out
 
@@ -133,11 +126,8 @@ def m_bound(p: JacobiParams, n):
     """
     _check_square(p)
     ns = _whole_degrees(n, 1)
-    if not ns.ndim:
-        q, s, x, lg = p.q, p.alpha + p.beta, float(ns), math.lgamma
-        h = x + 0.5 * (s + 1.0)
-        return math.exp(_log_m(q, s, lg(x + q + 1.0), lg(x + s + 1.0), lg(h), lg(x + 0.5 * s + 1.0), math.log(h)))
-    return _m_bounds([p], ns.ravel())[0].reshape(ns.shape)
+    m = _m_bounds([p], ns.ravel())[0]
+    return float(m[0]) if not ns.ndim else m.reshape(ns.shape)
 
 
 def m_bound_raw(p: JacobiParams, n: int) -> float:
@@ -399,38 +389,36 @@ def _jacobi_sups(weights, ns) -> np.ndarray:
     """:func:`weighted_monic_jacobi_sup` of each of ``weights`` (rows) at each of the degrees ``ns`` (columns).
 
     The Chebyshev series of the monic P_k is the DCT-I of its values at the
-    k + 1 Chebyshev--Lobatto points, the real part of one FFT of length 2k:
-    one recurrence per weight evaluates the points of all degrees, and one
-    FFT per degree takes the rows of all weights.  The extremum steps run
-    degree after degree in the batches of :func:`minimax._batches`; each sup
-    equals its single call bit for bit.
+    k + 1 Chebyshev--Lobatto points, the real part of one FFT of length 2k.
+    The extremum steps run degree after degree in the batches of
+    :func:`minimax._batches`.  A batch builds the series of each of its
+    degrees for all weights at once, by one recurrence over the rows of all
+    weights and one FFT, unless the batch before it ended on that degree,
+    and keeps no others.  Each sup equals its single call bit for bit.
     """
     deg = _whole_degrees(ns, 0)
     if not (len(weights) and deg.size):
         return np.empty((len(weights), deg.size))
     ks = np.unique(deg)
     sups = np.empty((ks.size, len(weights)))
-    # x_j = cos(pi j / k) for j = 0..k, in the sine form that is symmetric about 0
-    points = np.concatenate([np.sin(np.pi * np.arange(k, -k - 1, -2) / (2 * max(k, 1))) for k in ks])
-    own, start = np.repeat(ks, ks + 1), np.cumsum(ks + 1) - (ks + 1)
-    # each weight's values at the points of each degree, then each degree's series in their place
-    table = np.empty((len(weights), points.size))
-    for row, w in zip(table, weights):
-        p = weight_to_param(w)
-        scale = np.repeat([monic_scale(p, k) for k in ks.tolist()], ks + 1)
-        row[:] = scale * _jacobi(p.alpha, p.beta, own, points, derivative=False)
-    for k, at in zip(ks.tolist(), start.tolist()):
-        if k:
-            f = table[:, at : at + k + 1]
-            f[:] = np.fft.rfft(np.concatenate((f, f[:, -2:0:-1]), axis=1)).real / k
-            f[:, [0, k]] *= 0.5
+    params = [weight_to_param(w) for w in weights]
+    a, b = np.array([[p.alpha] for p in params]), np.array([[p.beta] for p in params])
     problems = [(w, k) for k in ks.tolist() for w in weights]
-    flat, done = sups.reshape(-1), 0
+    flat, done, series = sups.reshape(-1), 0, {}
     for batch, degrees in _batches(problems):
+        series = {k: f for k, f in series.items() if k in degrees}
+        for k in degrees:
+            if k not in series:
+                # x_j = cos(pi j / k) for j = 0..k, in the sine form that is symmetric about 0
+                x = np.sin(np.pi * np.arange(k, -k - 1, -2) / (2 * max(k, 1)))
+                f = np.array([[monic_scale(p, k)] for p in params]) * _jacobi(a, b, k, x, derivative=False)
+                if k:
+                    f = np.fft.rfft(np.concatenate((f, f[:, -2:0:-1]), axis=1)).real / k
+                    f[:, [0, k]] *= 0.5
+                series[k] = f
         coefs = np.zeros((len(batch), max(degrees) + 1))
         for i, k in enumerate(degrees):
-            at = start[(done + i) // len(weights)]
-            coefs[i, : k + 1] = table[(done + i) % len(weights), at : at + k + 1]
+            coefs[i, : k + 1] = series[k][(done + i) % len(weights)]
         extrema = _certified_extrema(batch, degrees, coefs)
         flat[done : done + len(batch)] = [np.abs(e).max() for _, e in extrema]
         done += len(batch)

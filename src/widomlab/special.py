@@ -76,8 +76,8 @@ def weight_to_param(w: WeightParams) -> JacobiParams:
     return JacobiParams(2.0 * w.rho_a - 0.5, 2.0 * w.rho_b - 0.5)
 
 
-def _recurrence_terms(a, b, k: int):
-    """Coefficients of a_k P_k = (b_k + c_k x) P_{k-1} - d_k P_{k-2}."""
+def _recurrence_terms(a, b, k):
+    """Coefficients of a_k P_k = (b_k + c_k x) P_{k-1} - d_k P_{k-2}, elementwise in a, b and k."""
     s = a + b
     ak = 2.0 * k * (k + s) * (2.0 * k + s - 2.0)
     bk = (2.0 * k + s - 1.0) * (a * a - b * b)
@@ -90,67 +90,42 @@ def jacobi_eval(p: JacobiParams, n, x):
     """P_n^{(alpha,beta)}(x) and its derivative by forward three-term recurrence.
 
     Accepts scalar or array x; returns a matching (value, derivative) pair.
-    ``n`` is a degree, or an integer array of per-point degrees broadcast
-    against x: one recurrence then runs to max(n), and each point keeps its
-    value and derivative at its own degree.  The arithmetic of a point does
-    not depend on the degrees of the others.
+    ``n`` is one degree, by the rule of :func:`minimax.solve`: a whole
+    number of at least 0, where integral floats and numpy integers pass and
+    2.5, nan or an array of degrees raise ValueError.
     """
-    return _jacobi(p.alpha, p.beta, n, x, derivative=True)
+    deg = _whole_degrees(n, 0)
+    if deg.ndim:
+        raise ValueError("jacobi_eval takes one degree, as solve does")
+    return _jacobi(p.alpha, p.beta, int(deg), x, derivative=True)
 
 
-def _jacobi(a: float, b: float, n, x, derivative: bool):
-    """The recurrence of :func:`jacobi_eval`: values, and derivatives if ``derivative``."""
-    deg = np.asarray(n)
-    if deg.size == 0:  # np.asarray([]) is a float array
-        deg = deg.astype(int)
-    if deg.dtype.kind not in "iu":
-        raise TypeError("degrees must be integers")
-    if np.any(deg < 0):
-        raise ValueError("degree must be nonnegative")
+def _jacobi(a, b, n: int, x, derivative: bool):
+    """The recurrence of :func:`jacobi_eval` at degree ``n``: values, and derivatives if ``derivative``.
+
+    ``a`` and ``b`` are numbers, or arrays that broadcast against ``x``, such
+    as a column of one exponent per weight against a row of points; each
+    point gets what its own exponents give it alone.
+    """
     xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0 and deg.ndim == 0
-    xs, deg = np.broadcast_arrays(np.atleast_1d(xs), deg)
-    shape = xs.shape
-    # points sorted by degree, so that step k runs on the suffix of degree >= k
-    order = np.argsort(deg, axis=None, kind="stable")
-    xs, deg = xs.ravel()[order], deg.ravel()[order]
-    top = int(deg[-1]) if deg.size else 0
-    cut = np.searchsorted(deg, np.arange(top + 2))
-    v = np.empty(xs.size)
-    v[order[: cut[1]]] = 1.0
-    if derivative:
-        d = np.empty(xs.size)
-        d[order[: cut[1]]] = 0.0
-    if top > 0:
-        x1 = xs[cut[1] :]
-        v0 = np.ones_like(x1)
-        v1 = 0.5 * ((a + b + 2.0) * x1 + (a - b))
-        if derivative:
-            d0 = np.zeros_like(x1)
-            d1 = np.full_like(x1, 0.5 * (a + b + 2.0))
-        for k in range(2, top + 1):
-            done = cut[k] - cut[k - 1]
-            if done:  # store the points of degree k - 1 and drop them
-                v[order[cut[k - 1] : cut[k]]] = v1[:done]
-                v0, v1 = v0[done:], v1[done:]
-                if derivative:
-                    d[order[cut[k - 1] : cut[k]]] = d1[:done]
-                    d0, d1 = d0[done:], d1[done:]
-            ak, bk, ck, dk = _recurrence_terms(a, b, k)
-            t = bk + ck * xs[cut[k] :]
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), xs.shape)
+    v, d = np.ones(shape), np.zeros(shape)
+    if n > 0:
+        v0, v1 = v, 0.5 * ((a + b + 2.0) * xs + (a - b))
+        d0, d1 = d, np.full(shape, 0.5 * (a + b + 2.0))
+        # the coefficients of steps 2..n, by step along the first axis
+        k = np.arange(2, n + 1).reshape((-1,) + (1,) * max(np.ndim(a), np.ndim(b)))
+        for ak, bk, ck, dk in zip(*_recurrence_terms(a, b, k)):
+            t = bk + ck * xs
             v2 = (t * v1 - dk * v0) / ak
             if derivative:
                 d2 = (ck * v1 + t * d1 - dk * d0) / ak
                 d0, d1 = d1, d2
             v0, v1 = v1, v2
-        v[order[cut[top] :]] = v1
-        if derivative:
-            d[order[cut[top] :]] = d1
-    if not derivative:
-        return float(v[0]) if scalar else v.reshape(shape)
-    if scalar:
-        return float(v[0]), float(d[0])
-    return v.reshape(shape), d.reshape(shape)
+        v, d = v1, d1
+    if not shape:
+        v, d = float(v), float(d)
+    return (v, d) if derivative else v
 
 
 def _whole_degrees(n, least: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for Jacobi evaluation, normalization, and weighted sups."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,25 +84,29 @@ def test_jacobi_eval_array_input():
         assert v[i] == vi and d[i] == di
 
 
-def test_jacobi_eval_per_point_degrees_match_per_degree_calls():
-    p = JacobiParams(0.3, -0.45)
+def test_jacobi_eval_takes_one_degree_by_the_rule_of_solve():
+    p = JacobiParams(0.1, 0.2)
+    want = jacobi_eval(p, 2, 0.3)
+    assert jacobi_eval(p, 2.0, 0.3) == jacobi_eval(p, np.int64(2), 0.3) == want
+    for bad in (2.5, math.nan, math.inf, -1):
+        with pytest.raises(ValueError):
+            jacobi_eval(p, bad, 0.3)
+    with pytest.raises(ValueError, match="one degree"):
+        jacobi_eval(p, np.array([1, 2]), np.array([0.3, 0.4]))
+
+
+def test_jacobi_recurrence_over_weights_equals_each_weight_alone():
+    # a column of exponents against a row of points, as the weighted sups run it
     rng = np.random.default_rng(3)
-    x = rng.uniform(-1.0, 1.0, (6, 7))
-    deg = rng.integers(0, 25, (6, 7))
-    v, d = jacobi_eval(p, deg, x)
-    assert v.shape == d.shape == x.shape
-    for k in np.unique(deg):
-        at = deg == k
-        vk, dk = jacobi_eval(p, int(k), x[at])
-        assert np.array_equal(v[at], vk) and np.array_equal(d[at], dk)
-    # degrees broadcast against a scalar point
-    v, d = jacobi_eval(p, np.array([4, 0, 2]), 0.25)
-    assert v.tolist() == [jacobi_eval(p, k, 0.25)[0] for k in (4, 0, 2)]
-    # no degrees, as for weighted_monic_jacobi_sup and m_bound
-    v, d = jacobi_eval(p, [], 0.25)
-    assert v.shape == d.shape == (0,)
-    with pytest.raises(ValueError):
-        jacobi_eval(p, np.array([1, -1]), x[0, :2])
+    a, b = rng.uniform(-0.9, 2.0, (2, 6, 1))
+    x = rng.uniform(-1.0, 1.0, 9)
+    for n in (0, 1, 2, 17):
+        v, d = special._jacobi(a, b, n, x, derivative=True)
+        assert v.shape == d.shape == (6, 9)
+        for i in range(6):
+            vi, di = jacobi_eval(JacobiParams(a[i, 0], b[i, 0]), n, x)
+            assert np.array_equal(v[i], vi) and np.array_equal(d[i], di)
+        assert np.array_equal(special._jacobi(a, b, n, x, derivative=False), v)
 
 
 def test_jacobi_eval_derivative_matches_finite_differences():
@@ -293,3 +298,19 @@ def test_weighted_sups_over_weights_equal_each_weight_alone():
     got = bounds._jacobi_sups(weights, ns)
     for w, row in zip(weights, got):
         assert np.array_equal(row, weighted_monic_jacobi_sup(w, ns))
+
+
+def test_weighted_sups_hold_the_series_of_one_batch_at_a_time(monkeypatch):
+    # with the extremum steps stubbed, what is left is the series stage; a table
+    # of every degree's series would alone be 9 * sum(k + 1) * 8 bytes = 1.46 MB
+    weights = [WeightParams(ra, rb) for rb in (0.0, 0.25, 0.5) for ra in (0.0, 0.25, 0.5)]
+    monkeypatch.setattr(bounds, "_certified_extrema", lambda batch, degrees, coefs: [(None, c) for c in coefs])
+    bounds._jacobi_sups(weights, range(3))  # numpy's FFT allocates on first use
+    tracemalloc.start()
+    try:
+        sups = bounds._jacobi_sups(weights, range(201))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sups.shape == (9, 201)
+    assert peak < 1e6

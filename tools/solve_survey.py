@@ -17,6 +17,11 @@ written) plus fixed sets of weights:
 - ``mid``: the weights in MID at n = WEIGHTS_N_MAX + 1 .. MID_N_MAX, the
   degrees below the grid FFT that no other set reaches.
 
+The ``sups`` set is not a set of solves: it holds ``bounds._jacobi_sups``,
+the weighted sups of the monic Jacobi polynomials, as ``float.hex`` strings,
+on 9x9 weights of [0, 1/2]^2 at n = 0..SUPS_GRID_N_MAX (``grid``) and on
+WEIGHTS and TINY at n = 0..SUPS_N_MAX (``weights``).
+
 Every record holds the outcome (``solved`` or the solver error's type and
 message) and, as ``float.hex`` strings, the norm, Widom factor, levelling
 defect, coefficients, reference and roots.  Each returned solution (and each error's best
@@ -31,8 +36,9 @@ the 1e-12 gate.  OUT gets the records and a summary as JSON.  With
 ``--against`` the summary also compares with a second
 dump: the certificates lost and gained, the relative drift of the Widom
 factors and roots where both dumps solved, and per set the number of records
-that are bit-identical in every field.  Both dumps must come from the same
-version of this script, since it decides which fields a record holds.
+that are bit-identical in every field, and per part of the ``sups`` set the
+number of bit-identical sups.  Both dumps must come from the same version of
+this script, since it decides which fields a record holds.
 
 The scan and pool sets are solved a second time, each set in one
 ``minimax.solve_many`` call with one degree per weight, which cuts it into
@@ -64,6 +70,8 @@ TINY = ((0.0, 0.004), (0.001, 0.3), (1e-6, 1e-6))
 WEIGHTS_N_MAX = 100
 MID = ((0.25, 0.75), (0.1, 0.1))
 MID_N_MAX = 142
+SUPS_GRID_N_MAX = 60
+SUPS_N_MAX = 40
 # two cells of the 250x250 scan grid over [0, 0.8]^2
 STALL = (
     (0.00321285140562249, 0.14779116465863454, 7),
@@ -172,6 +180,35 @@ def reordered_identical(wl, checks, records: list[dict]) -> str:
     return f"{same} of {len(again)}"
 
 
+def _sups(wl) -> list[dict]:
+    """The records of the ``sups`` set: per weight, its sups at each degree from 0."""
+    grid = [float(v) for v in np.linspace(0.0, 0.5, 9)]
+    parts = (
+        ("grid", [(ra, rb) for rb in grid for ra in grid], SUPS_GRID_N_MAX),
+        ("weights", WEIGHTS + TINY, SUPS_N_MAX),
+    )
+    records = []
+    for part, weights, n_max in parts:
+        sups = wl.bounds._jacobi_sups([wl.special.WeightParams(ra, rb) for ra, rb in weights], np.arange(n_max + 1))
+        for (ra, rb), row in zip(weights, sups):
+            records.append({"part": part, "rho_a": ra.hex(), "rho_b": rb.hex(), "sups": _hexes(row)})
+    return records
+
+
+def compare_sups(sups: list[dict], other: list[dict]) -> dict:
+    """Per part of the ``sups`` set, the sups equal to ``other``'s bit for bit, out of those both dumps hold."""
+    theirs = {(r["part"], r["rho_a"], r["rho_b"]): r["sups"] for r in other}
+    same = {}
+    for rec in sups:
+        old = theirs.get((rec["part"], rec["rho_a"], rec["rho_b"]))
+        if old is None:
+            continue
+        tally = same.setdefault(rec["part"], [0, 0])
+        tally[0] += sum(a == b for a, b in zip(rec["sups"], old))
+        tally[1] += min(len(rec["sups"]), len(old))
+    return {part: f"{a} of {b}" for part, (a, b) in same.items()}
+
+
 def _key(rec: dict) -> tuple:
     return rec["group"], rec["rho_a"], rec["rho_b"], rec["n"]
 
@@ -263,10 +300,12 @@ def main(argv=None) -> int:
     result = {"src": str(args.src), "summary": summarize(records)}
     result["batch"] = batch_identical(widomlab, checks, workloads, records)
     result["reordered"] = reordered_identical(widomlab, checks, records)
+    sups = _sups(widomlab)
     if args.against:
-        other = json.loads(args.against.read_text())["records"]
-        result["comparison"] = compare(records, other)
-    args.out.write_text(json.dumps({**result, "records": records}, indent=1) + "\n")
+        other = json.loads(args.against.read_text())
+        result["comparison"] = compare(records, other["records"])
+        result["comparison"]["sups"] = compare_sups(sups, other["sups"])
+    args.out.write_text(json.dumps({**result, "records": records, "sups": sups}, indent=1) + "\n")
     print(json.dumps(result, indent=1))
     return 0
 
