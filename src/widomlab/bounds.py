@@ -26,9 +26,9 @@ from widomlab.special import (
     JacobiParams,
     WeightParams,
     _jacobi,
+    _monic_scale,
     _whole_degrees,
     log_gamma,
-    monic_scale,
     weight_to_param,
 )
 
@@ -91,30 +91,50 @@ def _tabulate(fn, x: np.ndarray) -> np.ndarray:
     return table[np.searchsorted(values, x)]
 
 
+def _log_m(n, q, s, lgamma=math.lgamma, log=math.log):
+    """log M_n at the degree ``n`` and the constants q and s = alpha + beta.
+
+    ``lgamma`` and ``log`` take each term's argument: by default ``math``'s,
+    for a float ``n``; :func:`_m_bounds` passes tabulating ones for an array.
+    The Gamma arguments are positive for n >= 1 on the square.
+    """
+    half = n + 0.5 * (s + 1.0)
+    return (
+        0.5 * (1.0 - s) * _LN2
+        + lgamma(n + q + 1.0)
+        + lgamma(n + s + 1.0)
+        - (q + 0.5) * log(half)
+        - lgamma(half)
+        - lgamma(n + 0.5 * s + 1.0)
+    )
+
+
 def _m_bounds(params, ns) -> np.ndarray:
     """M_n for each of ``params`` (rows) at each of the degrees ``ns`` (columns).
 
     Each log-Gamma and log term comes from ``math.lgamma`` and ``math.log``,
-    once per distinct argument of its term, and ``math.exp`` is taken per
-    entry, since numpy's exp rounds some entries differently: an entry does
-    not depend on the other params or degrees.
+    once per distinct argument of each distinct argument array, which the
+    params with equal q or s share, and ``math.exp`` is taken per entry,
+    since numpy's exp rounds some entries differently: an entry equals
+    ``math.exp(_log_m(n, q, s))`` and does not depend on the other params or
+    degrees.
     """
     n = np.asarray(ns, dtype=float)
-    qs = sorted({p.q for p in params})
-    ss = sorted({p.alpha + p.beta for p in params})
-    # each term's arguments at each of its distinct constants; the Gamma
-    # arguments are positive for n >= 1 on the square
-    half = [n + 0.5 * (s + 1.0) for s in ss]
-    lga = dict(zip(qs, _tabulate(math.lgamma, np.array([n + q + 1.0 for q in qs]))))
-    lgb = dict(zip(ss, _tabulate(math.lgamma, np.array([n + s + 1.0 for s in ss]))))
-    lgc = dict(zip(ss, _tabulate(math.lgamma, np.array(half))))
-    lgd = dict(zip(ss, _tabulate(math.lgamma, np.array([n + 0.5 * s + 1.0 for s in ss]))))
-    logs = dict(zip(ss, _tabulate(math.log, np.array(half))))
+    tables = {}
+
+    def tabulated(fn):
+        def at(x: np.ndarray) -> np.ndarray:
+            key = (fn, x.tobytes())
+            if key not in tables:
+                tables[key] = _tabulate(fn, x)
+            return tables[key]
+
+        return at
+
+    lgamma, log = tabulated(math.lgamma), tabulated(math.log)
     out = np.empty((len(params), n.size))
     for row, p in zip(out, params):
-        q, s = p.q, p.alpha + p.beta
-        logm = 0.5 * (1.0 - s) * _LN2 + lga[q] + lgb[s] - (q + 0.5) * logs[s] - lgc[s] - lgd[s]
-        row[:] = list(map(math.exp, logm.tolist()))
+        row[:] = list(map(math.exp, _log_m(n, p.q, p.alpha + p.beta, lgamma, log).tolist()))
     return out
 
 
@@ -126,8 +146,9 @@ def m_bound(p: JacobiParams, n):
     """
     _check_square(p)
     ns = _whole_degrees(n, 1)
-    m = _m_bounds([p], ns.ravel())[0]
-    return float(m[0]) if not ns.ndim else m.reshape(ns.shape)
+    if not ns.ndim:
+        return math.exp(_log_m(float(ns), p.q, p.alpha + p.beta))
+    return _m_bounds([p], ns.ravel())[0].reshape(ns.shape)
 
 
 def m_bound_raw(p: JacobiParams, n: int) -> float:
@@ -411,7 +432,7 @@ def _jacobi_sups(weights, ns) -> np.ndarray:
             if k not in series:
                 # x_j = cos(pi j / k) for j = 0..k, in the sine form that is symmetric about 0
                 x = np.sin(np.pi * np.arange(k, -k - 1, -2) / (2 * max(k, 1)))
-                f = np.array([[monic_scale(p, k)] for p in params]) * _jacobi(a, b, k, x, derivative=False)
+                f = np.array([[_monic_scale(p, k)] for p in params]) * _jacobi(a, b, k, x, derivative=False)
                 if k:
                     f = np.fft.rfft(np.concatenate((f, f[:, -2:0:-1]), axis=1)).real / k
                     f[:, [0, k]] *= 0.5

@@ -47,6 +47,8 @@ class RealPolynomial:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError("coefficients must be finite")
         if len(self.coeffs) > 1 and self.coeffs[-1] == 0.0:
             raise ValueError("highest coefficient must be nonzero")
 
@@ -235,10 +237,12 @@ _ERDOS_LAX_GRID = 16384
 
 
 def erdos_lax_check(angles, exponents) -> tuple[float, float]:
-    """(max |F'| on the circle, (sum s_j)/2 * max |F|) for F = prod (z-zeta_j)^{s_j}.
+    """(max |F'| on the circle, (sum s_j)/2 * max |F|) for F = prod (z - exp(i a_j))^{s_j}.
 
-    The derivative modulus uses the logarithmic-derivative form away from the
-    zeros and an explicit product-rule expansion within distance 1e-3 of one.
+    The a_j are ``angles`` and the s_j ``exponents``, one per angle, finite,
+    each at least 1.  The moduli come in the closed real form of
+    :func:`_erdos_lax_moduli`, whose |F'| is 0 * inf = nan at a zero, so
+    the angle grid is offset to keep its samples off the zeros.
     """
     return _erdos_lax_checks([(angles, exponents)])[0]
 
@@ -248,67 +252,61 @@ def _erdos_lax_checks(checks) -> list[tuple[float, float]]:
 
     Each check samples its grid on its own, and the peaks of |F'| and |F| of
     all the checks go through one polish.  A check with fewer zeros than
-    the most has the rest at the origin with exponent 0: each adds an exact
+    the most has the rest at angle 0 with exponent 0: each adds an exact
     zero to every sum.
     """
-    exps = [np.asarray(s, dtype=float) for _, s in checks]
-    if any(np.any(s < 1.0) for s in exps):
-        raise ValueError("all exponents must be at least 1")
-    zk = np.zeros((len(checks), max(s.size for s in exps)), dtype=complex)
-    s = np.zeros(zk.shape)
-    for i, ((angles, _), si) in enumerate(zip(checks, exps)):
-        zk[i, : si.size], s[i, : si.size] = np.exp(1j * np.asarray(angles, dtype=float)), si
-    # offset grid so no sample collides with a zero of F
+    pairs = [(np.asarray(a, dtype=float), np.asarray(s, dtype=float)) for a, s in checks]
+    for ai, si in pairs:
+        if ai.shape != si.shape:
+            raise ValueError("give one exponent per angle")
+        if not (np.isfinite(ai).all() and np.isfinite(si).all()):
+            raise ValueError("angles and exponents must be finite")
+        if (si < 1.0).any():
+            raise ValueError("all exponents must be at least 1")
+    angles, s = np.zeros((2, len(pairs), max(si.size for _, si in pairs)))
+    for i, (ai, si) in enumerate(pairs):
+        angles[i, : si.size], s[i, : si.size] = ai, si
+    # offset so that zeros at multiples of the step, as 0 and pi, fall between samples
     phi = (np.arange(_ERDOS_LAX_GRID) + 0.31) * 2.0 * np.pi / _ERDOS_LAX_GRID
     # |F'| and then |F| of each check, one check at a time
-    samples = ((phi, m) for zr, sr in zip(zk, s) for m in _erdos_lax_moduli(phi, zr, sr))
+    samples = ((phi, m) for ar, sr in zip(angles, s) for m in _erdos_lax_moduli(phi, ar, sr))
 
     def bind(k):
-        zr, sr, want_d = zk[k // 2], s[k // 2], k % 2 == 0
+        ar, sr, want_d = angles[k // 2], s[k // 2], k % 2 == 0
 
         def moduli(p: np.ndarray) -> np.ndarray:
-            d, f = _erdos_lax_moduli(p, zr, sr)
+            d, f = _erdos_lax_moduli(p, ar, sr)
             return np.where(want_d, d, f)
 
         return moduli
 
     top = _circle_maxes(bind, samples).tolist()
-    return [(top[2 * i], 0.5 * float(np.sum(si)) * top[2 * i + 1]) for i, si in enumerate(exps)]
+    return [(top[2 * i], 0.5 * float(np.sum(si)) * top[2 * i + 1]) for i, (_, si) in enumerate(pairs)]
 
 
-def _erdos_lax_moduli(p: np.ndarray, zk: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|F'|, |F|) at the angles ``p``, elementwise, for F = prod (z - zk_j)^{s_j}.
+def _erdos_lax_moduli(p: np.ndarray, angles: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|F'|, |F|) at the angles ``p``, elementwise, for F = prod (z - exp(i a_j))^{s_j}.
 
-    ``zk`` and ``s`` hold the zeros and exponents along their last axis, for
-    every point, or one row per point along the last axis of ``p``.
+    ``angles`` and ``s`` hold the a_j and s_j along their last axis, for
+    every point, or one row per point along the last axis of ``p``.  With
+    u_j = (p - a_j)/2, |z - exp(i a_j)| = 2 |sin u_j| and
+    z F'/F = S/2 - (i/2) sum s_j cot u_j, S = sum s_j, so
+
+        |F| = exp(sum s_j log|2 sin u_j|),  |F'| = |F| hypot(S, sum s_j cot u_j) / 2,
+
+    in real arithmetic, with nothing that cancels next to a zero.  At a zero
+    itself |F| is 0 and the cotangent infinite, so |F'| is nan: sample off them.
     """
-    z = np.exp(1j * p)
-    # one zero at a time: only the points near a zero need the (points, m) matrices
-    logf = np.zeros_like(z)
-    dlogf = np.zeros_like(z)
-    logdist = np.full(z.shape, np.inf)
-    for j in range(zk.shape[-1]):
-        sj = s[..., j]
-        d = z - zk[..., j]
-        logd = np.log(d)
-        np.minimum(logdist, logd.real, out=logdist)
-        logd *= sj
-        logf += logd
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dlogf += sj / d
-    absf = np.exp(np.real(logf))
-    with np.errstate(invalid="ignore"):
-        absd = absf * np.abs(dlogf)
-    near = logdist < np.log(1e-3)
-    if np.any(near):
-        shape = z.shape + zk.shape[-1:]
-        zn, sn = np.broadcast_to(zk, shape)[near], np.broadcast_to(s, shape)[near]
-        zs, logfn = z[near], logf[near]
-        total = np.zeros_like(zs)
-        for j in range(shape[-1]):
-            total = total + sn[:, j] * np.exp(logfn - np.log(zs - zn[:, j]))
-        absd[near] = np.abs(total)
-    return absd, absf
+    logf, cot, total = np.zeros((3,) + np.broadcast_shapes(np.shape(p), angles.shape[:-1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(angles.shape[-1]):
+            u, sj = 0.5 * (p - angles[..., j]), s[..., j]
+            sin = np.sin(u)
+            logf += sj * np.log(2.0 * np.abs(sin))
+            cot += sj * (np.cos(u) / sin)
+            total += sj
+        absf = np.exp(logf)
+        return 0.5 * absf * np.hypot(total, cot), absf
 
 
 def polya_szego_combine(points) -> np.ndarray:

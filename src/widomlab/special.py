@@ -134,17 +134,21 @@ def _whole_degrees(n, least: int) -> np.ndarray:
     Integral floats and numpy integers pass; 2.5, nan and inf raise ValueError.
     """
     deg = np.asarray(n)
-    if np.any(deg < least):
+    if (deg < least).any():
         raise ValueError(f"degree must be at least {least}" if least else "degree must be nonnegative")
     real = deg.astype(float)
-    if not np.all(np.isfinite(real) & (real == np.round(real))):
+    if not (np.isfinite(real) & (real == np.floor(real))).all():
         raise ValueError("degree must be an integer")
     return deg.astype(int)
 
 
 def monic_scale(p: JacobiParams, n: int) -> float:
     """Factor turning P_n^{(alpha,beta)} monic: 2^n n! Gamma(n+a+b+1)/Gamma(2n+a+b+1)."""
-    n = int(_whole_degrees(n, 0))
+    return _monic_scale(p, int(_whole_degrees(n, 0)))
+
+
+def _monic_scale(p: JacobiParams, n: int) -> float:
+    """:func:`monic_scale` at a degree ``n`` that is already an int of at least 0, unchecked."""
     if n == 0:
         return 1.0
     s = p.alpha + p.beta

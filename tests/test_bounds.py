@@ -117,6 +117,19 @@ def test_m_bounds_over_the_grid_equal_each_weight_alone():
     assert m_bound(p, 10**6) == _m_bound_scalar(p, 10**6)
 
 
+def test_scalar_m_bound_equals_its_batch_entry():
+    # the scalar call takes math's functions at one degree and the batch its
+    # tables, both through one M_n expression: each entry bit for bit
+    rng = np.random.default_rng(29)
+    params = [JacobiParams(*ab) for ab in rng.uniform(-0.5, 0.5, (30, 2)).tolist()]
+    params += grid9()[::10]
+    ns = np.concatenate((np.arange(1, 21), rng.integers(21, 5000, 30)))
+    table = bounds._m_bounds(params, ns)
+    assert table.size >= 1500
+    for p, row in zip(params, table):
+        assert row.tolist() == [m_bound(p, n) for n in ns.tolist()]
+
+
 def test_m_bound_raw_form_agrees():
     rng = np.random.default_rng(3)
     for _ in range(40):

@@ -35,6 +35,13 @@ def test_circle_function_validation():
         CircleFunction(-0.5, 0.0, RealPolynomial((1.0,)))
 
 
+def test_real_polynomial_rejects_coefficients_that_are_not_finite():
+    # (nan, 1) once passed, and circle_sup of it gave -inf
+    for coeffs in ((math.nan, 1.0), (0.0, math.inf), (-math.inf,)):
+        with pytest.raises(ValueError, match="finite"):
+            RealPolynomial(coeffs)
+
+
 def test_circle_minimizer_degree_zero():
     c, i, defect = verify_cn_relation(WeightParams(0.5, 0.5), 0)
     assert abs(c - 1.0) < 1e-12 and abs(i - 1.0) < 1e-12 and defect < 1e-12
@@ -141,6 +148,42 @@ def test_erdos_lax_closed_forms():
     assert abs(lhs - 4.0) < 1e-9 and abs(rhs - 4.0) < 1e-9
     with pytest.raises(ValueError):
         erdos_lax_check([0.0], [0.5])
+
+
+def test_erdos_lax_rejects_inputs_that_are_not_finite_or_do_not_pair():
+    # each of these once gave (-inf, -inf), (-inf, nan) or numpy's broadcast error
+    for angles, exps in (([math.nan], [1.0]), ([math.inf], [1.0]), ([0.0], [math.inf]), ([0.0], [math.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            erdos_lax_check(angles, exps)
+    with pytest.raises(ValueError, match="one exponent per angle"):
+        erdos_lax_check([0.0, 1.0], [1.0])
+    with pytest.raises(ValueError, match="one exponent per angle"):
+        circle._erdos_lax_checks([([0.0], [1.0]), ([0.0], [1.0, 2.0])])
+
+
+def test_erdos_lax_moduli_against_mpmath_next_to_a_zero():
+    # |F| = prod |z - zeta_j|^{s_j} and |F'| = |F| |sum s_j / (z - zeta_j)| at 40
+    # digits, the float angles taken as exact: the old complex-log form lost
+    # 1.7e-4 of |F'| at 1e-12 from a zero, where z - zeta_j cancels
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(17)
+    offsets = np.array([1e-12, 1e-9, 1e-6, 1e-4, 1e-3])
+    worst = 0.0
+    for _ in range(30):
+        m = int(rng.integers(1, 6))
+        # away from 0 and 2 pi, so a point next to a zero does not wrap round
+        angles, exps = rng.uniform(0.2, 2.0 * np.pi - 0.2, m), rng.uniform(1.0, 3.0, m)
+        near = angles[int(rng.integers(m))] + np.concatenate((-offsets, offsets))
+        phi = np.concatenate((near, rng.uniform(0.0, 2.0 * np.pi, 10)))
+        absd, absf = circle._erdos_lax_moduli(phi, angles, exps)
+        with mpmath.workdps(40):
+            zeta = [mpmath.expj(mpmath.mpf(a)) for a in angles]
+            for x, d, f in zip(phi, absd, absf):
+                diffs = [mpmath.expj(mpmath.mpf(x)) - c for c in zeta]
+                want_f = mpmath.fprod(abs(w) ** mpmath.mpf(sj) for w, sj in zip(diffs, exps))
+                want_d = want_f * abs(mpmath.fsum(mpmath.mpf(sj) / w for w, sj in zip(diffs, exps)))
+                worst = max(worst, float(abs(f - want_f) / want_f), float(abs(d - want_d) / want_d))
+    assert worst <= 1e-13
 
 
 def test_erdos_lax_random_configurations():

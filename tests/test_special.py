@@ -300,6 +300,25 @@ def test_weighted_sups_over_weights_equal_each_weight_alone():
         assert np.array_equal(row, weighted_monic_jacobi_sup(w, ns))
 
 
+def test_weighted_sups_check_their_degrees_once(monkeypatch):
+    # the sweep scales each (weight, degree) by the unchecked monic_scale core;
+    # the public monic_scale ran the degree check on each of those calls
+    calls = []
+    check = special._whole_degrees
+
+    def counting(n, least):
+        calls.append(n)
+        return check(n, least)
+
+    monkeypatch.setattr(special, "_whole_degrees", counting)
+    monkeypatch.setattr(bounds, "_whole_degrees", counting)
+    weights = [WeightParams(ra, rb) for rb in (0.0, 0.25, 0.5) for ra in (0.0, 0.25, 0.5)]
+    bounds._jacobi_sups(weights, range(8))
+    assert len(calls) == 1
+    p = weight_to_param(weights[4])
+    assert special._monic_scale(p, 7) == monic_scale(p, 7) == monic_scale(p, 7.0)
+
+
 def test_weighted_sups_hold_the_series_of_one_batch_at_a_time(monkeypatch):
     # with the extremum steps stubbed, what is left is the series stage; a table
     # of every degree's series would alone be 9 * sum(k + 1) * 8 bytes = 1.46 MB
