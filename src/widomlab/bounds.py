@@ -27,6 +27,7 @@ from widomlab.special import (
     WeightParams,
     _jacobi,
     _monic_scale,
+    _sample_count,
     _whole_degrees,
     log_gamma,
     weight_to_param,
@@ -395,11 +396,13 @@ def weighted_monic_jacobi_sup(w: WeightParams, n):
     """Sup over [-1,1] of the weight times |monic Jacobi polynomial| of degree n.
 
     The largest |w p| that the certified extremum step of
-    :func:`minimax.solve` finds on the solver's grid: grid local maxima of
-    |w p| refined by bracketed Newton, a boundary hump inside the first cell
-    included, and the endpoints where the weight does not vanish.  ``n`` is
-    a degree, for a float, or a sequence of degrees, for an array of sups,
-    each equal to its scalar call.  Degrees are whole numbers of at least 0.
+    :func:`minimax.solve` finds on a grid of ``special._sample_count(n)`` =
+    10 n + 50 uniform points (the least that :func:`minimax.error_extrema`
+    accepts, plus 50) with its endpoint tails: grid local maxima of |w p|
+    refined by bracketed Newton, a boundary hump inside the first cell
+    included, and the endpoints where the weight does not vanish.  ``n`` is a
+    degree, for a float, or a sequence of degrees, for an array of sups, each
+    equal to its scalar call.  Degrees are whole numbers of at least 0.
     """
     degrees = _whole_degrees(n, 0)
     sups = _jacobi_sups([w], degrees.ravel())[0]
@@ -412,10 +415,11 @@ def _jacobi_sups(weights, ns) -> np.ndarray:
     The Chebyshev series of the monic P_k is the DCT-I of its values at the
     k + 1 Chebyshev--Lobatto points, the real part of one FFT of length 2k.
     The extremum steps run degree after degree in the batches of
-    :func:`minimax._batches`.  A batch builds the series of each of its
-    degrees for all weights at once, by one recurrence over the rows of all
-    weights and one FFT, unless the batch before it ended on that degree,
-    and keeps no others.  Each sup equals its single call bit for bit.
+    :func:`minimax._batches`, degree k on ``special._sample_count(k)``
+    uniform points.  A batch builds the series of each of its degrees for
+    all weights at once, by one recurrence over the rows of all weights and
+    one FFT, unless the batch before it ended on that degree, and keeps no
+    others.  Each sup equals its single call bit for bit.
     """
     deg = _whole_degrees(ns, 0)
     if not (len(weights) and deg.size):
@@ -440,7 +444,7 @@ def _jacobi_sups(weights, ns) -> np.ndarray:
         coefs = np.zeros((len(batch), max(degrees) + 1))
         for i, k in enumerate(degrees):
             coefs[i, : k + 1] = series[k][(done + i) % len(weights)]
-        extrema = _certified_extrema(batch, degrees, coefs)
+        extrema = _certified_extrema(batch, degrees, coefs, [_sample_count(k) for k in degrees])
         flat[done : done + len(batch)] = [np.abs(e).max() for _, e in extrema]
         done += len(batch)
     return sups.T[:, np.searchsorted(ks, deg)]

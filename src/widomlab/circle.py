@@ -25,7 +25,7 @@ from numpy.polynomial import polynomial as npp
 
 from widomlab.bounds import weight_sup_bound
 from widomlab.minimax import ChebyshevSolution, MonicPolynomial, solve_many
-from widomlab.special import WeightParams, _polish_peaks, _power
+from widomlab.special import WeightParams, _polish_peaks, _power, _sample_count
 
 __all__ = [
     "RealPolynomial",
@@ -167,7 +167,12 @@ def circle_sup(f: CircleFunction) -> float:
 
 
 def _circle_sups(fs) -> np.ndarray:
-    """:func:`circle_sup` of each of ``fs``, each sampled on its own grid and all polished together."""
+    """:func:`circle_sup` of each of ``fs``, each sampled on its own grid and all polished together.
+
+    A function of degree d with exponents e_plus and e_minus takes the
+    ``special._sample_count`` of its bandwidth d + e_plus + e_minus over the
+    period: 20 ceil(d + e_plus + e_minus) + 100 angles.
+    """
     if not fs:
         return np.empty(0)
     coeffs = np.zeros((len(fs), max(len(f.poly.coeffs) for f in fs)))
@@ -177,7 +182,7 @@ def _circle_sups(fs) -> np.ndarray:
 
     def samples():
         for f in fs:
-            size = max(4096, math.ceil(10 * (f.poly.degree + f.exp_plus + f.exp_minus + 4)))
+            size = _sample_count(f.poly.degree + f.exp_plus + f.exp_minus, period=True)
             phi = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
             yield phi, f.modulus_at_angle(phi)
 
@@ -233,16 +238,16 @@ def verify_cn_relation(w, n):
     return out[0] if single else out
 
 
-_ERDOS_LAX_GRID = 16384
-
-
 def erdos_lax_check(angles, exponents) -> tuple[float, float]:
     """(max |F'| on the circle, (sum s_j)/2 * max |F|) for F = prod (z - exp(i a_j))^{s_j}.
 
     The a_j are ``angles`` and the s_j ``exponents``, one per angle, finite,
-    each at least 1.  The moduli come in the closed real form of
-    :func:`_erdos_lax_moduli`, whose |F'| is 0 * inf = nan at a zero, so
-    the angle grid is offset to keep its samples off the zeros.
+    each at least 1; S = sum s_j must leave 2^S S, twice the most either
+    value can reach, below the largest double (S up to about 1014).  The
+    moduli take the ``special._sample_count`` of the bandwidth S over the
+    period, 20 ceil(S) + 100 angles, and are polished.  They come in the
+    closed real form of :func:`_erdos_lax_moduli`, whose |F'| is 0 * inf = nan
+    at a zero, so the angle grid is offset to keep its samples off the zeros.
     """
     return _erdos_lax_checks([(angles, exponents)])[0]
 
@@ -250,26 +255,38 @@ def erdos_lax_check(angles, exponents) -> tuple[float, float]:
 def _erdos_lax_checks(checks) -> list[tuple[float, float]]:
     """:func:`erdos_lax_check` of each (angles, exponents) pair of ``checks``, each equal to its single call.
 
-    Each check samples its grid on its own, and the peaks of |F'| and |F| of
-    all the checks go through one polish.  A check with fewer zeros than
-    the most has the rest at angle 0 with exponent 0: each adds an exact
-    zero to every sum.
+    Each check samples its own grid, and the peaks of |F'| and |F| of all
+    the checks go through one polish.  A check with fewer zeros than the
+    most has the rest at angle 0 with exponent 0: each adds an exact zero
+    to every sum.
     """
     pairs = [(np.asarray(a, dtype=float), np.asarray(s, dtype=float)) for a, s in checks]
-    for ai, si in pairs:
+    totals = [float(np.sum(si)) for _, si in pairs]
+    for (ai, si), total in zip(pairs, totals):
         if ai.shape != si.shape:
             raise ValueError("give one exponent per angle")
         if not (np.isfinite(ai).all() and np.isfinite(si).all()):
             raise ValueError("angles and exponents must be finite")
         if (si < 1.0).any():
             raise ValueError("all exponents must be at least 1")
+        # max |F| <= 2^S, so neither value exceeds 2^S S/2, and the peak
+        # filter and the polish form twice a sample
+        if si.size and total + math.log2(total) >= 1024.0:
+            raise ValueError(f"exponent sum {total:g} overflows: 2^S S must stay below the largest double")
+    if not pairs:
+        return []
     angles, s = np.zeros((2, len(pairs), max(si.size for _, si in pairs)))
     for i, (ai, si) in enumerate(pairs):
         angles[i, : si.size], s[i, : si.size] = ai, si
-    # offset so that zeros at multiples of the step, as 0 and pi, fall between samples
-    phi = (np.arange(_ERDOS_LAX_GRID) + 0.31) * 2.0 * np.pi / _ERDOS_LAX_GRID
-    # |F'| and then |F| of each check, one check at a time
-    samples = ((phi, m) for ar, sr in zip(angles, s) for m in _erdos_lax_moduli(phi, ar, sr))
+
+    def samples():
+        # |F'| and then |F| of each check, one check at a time
+        for ar, sr, total in zip(angles, s, totals):
+            size = _sample_count(total, period=True)
+            # offset so that zeros at multiples of the step, as 0 and pi, fall between samples
+            phi = (np.arange(size) + 0.31) * 2.0 * np.pi / size
+            for m in _erdos_lax_moduli(phi, ar, sr):
+                yield phi, m
 
     def bind(k):
         ar, sr, want_d = angles[k // 2], s[k // 2], k % 2 == 0
@@ -280,8 +297,8 @@ def _erdos_lax_checks(checks) -> list[tuple[float, float]]:
 
         return moduli
 
-    top = _circle_maxes(bind, samples).tolist()
-    return [(top[2 * i], 0.5 * float(np.sum(si)) * top[2 * i + 1]) for i, (_, si) in enumerate(pairs)]
+    top = _circle_maxes(bind, samples()).tolist()
+    return [(top[2 * i], 0.5 * total * top[2 * i + 1]) for i, total in enumerate(totals)]
 
 
 def _erdos_lax_moduli(p: np.ndarray, angles: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

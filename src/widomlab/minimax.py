@@ -657,8 +657,9 @@ def _certified_extrema(weights, degrees, coefs, sizes=None) -> list:
     """The certified extremum step of :func:`solve` on the series ``coefs[i]`` of ``weights[i]`` at ``degrees[i]``.
 
     Each problem's grid has ``sizes[i]`` uniform points, the solver's
-    :func:`_grid_size` by default, and its step ignores errors below 1e-15
-    times its largest |e| on that grid.  Returns, in the order of
+    :func:`_grid_size` by default (``bounds._jacobi_sups`` passes the
+    ``special._sample_count`` of each degree), and its step ignores errors below
+    1e-15 times its largest |e| on that grid.  Returns, in the order of
     ``weights``, the (theta, e) that the step keeps of each problem, by
     ascending theta; no problem's result depends on the others.
     """

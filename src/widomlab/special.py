@@ -192,6 +192,10 @@ def _weight_theta(ra, rb, theta: np.ndarray) -> np.ndarray:
 # the geometric tail of a sampling grid reaches about this close to an endpoint
 _TAIL_END = 1e-18
 
+# from this exponent on, the vanishing factor changes by at least 60 ulp from
+# one tail point to the next, so :func:`_untied` drops no tail point
+_TIES_BELOW = 1e-14
+
 
 def _untied(w: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Mask of the tail points to keep, given their weights ``w`` and vanishing factors ``f``.
@@ -218,27 +222,43 @@ def _tail_grid(ra: float, rb: float, size: int) -> np.ndarray:
     ``pi - u`` rounds onto pi or onto its neighbour, and tied points would
     each count as a maximum.  For the same reason :func:`_untied` drops the
     tail points where the weight stops changing, as on most of the tail for
-    an exponent below about 1e-16.  The caller weighs the grid.
+    an exponent below about 1e-16; a side whose exponent is at least
+    ``_TIES_BELOW`` keeps every point without that search.  The caller
+    weighs the grid.
     """
     step = np.pi / (size - 1)
     u = step * 0.5 ** np.arange(1, 64)
     lo = u[u >= _TAIL_END][::-1] if ra > 0.0 else u[:0]
     hi = np.pi - u[u >= np.spacing(np.pi)] if rb > 0.0 else u[:0]
-    keep_lo = _untied(_weight_theta(ra, rb, lo), _weight_theta(ra, 0.0, lo))
-    keep_hi = _untied(_weight_theta(ra, rb, hi)[::-1], _weight_theta(0.0, rb, hi)[::-1])[::-1]
+    if 0.0 < ra < _TIES_BELOW:
+        lo = lo[_untied(_weight_theta(ra, rb, lo), _weight_theta(ra, 0.0, lo))]
+    if 0.0 < rb < _TIES_BELOW:
+        hi = hi[_untied(_weight_theta(ra, rb, hi)[::-1], _weight_theta(0.0, rb, hi)[::-1])[::-1]]
     theta = np.linspace(0.0, np.pi, size)
-    return np.concatenate((theta[:1], lo[keep_lo], theta[1:-1], hi[keep_hi], theta[-1:]))
+    return np.concatenate((theta[:1], lo, theta[1:-1], hi, theta[-1:]))
 
 
 def _tail_kind(ra: float, rb: float) -> tuple:
     """A key that weights with one :func:`_tail_grid` of each size share.
 
     The grid depends on the exponents only through the ends where the weight
-    vanishes, except that an exponent below 1e-14 can drop tied tail points
-    (:func:`_untied`): from 1e-14 on, the vanishing factor changes by at least
-    60 ulp from one tail point to the next.  Such an exponent, or 0, is its own key.
+    vanishes, except that an exponent below ``_TIES_BELOW`` can drop tied
+    tail points (:func:`_untied`).  Such an exponent, or 0, is its own key.
     """
-    return (ra if ra < 1e-14 else True, rb if rb < 1e-14 else True)
+    return (ra if ra < _TIES_BELOW else True, rb if rb < _TIES_BELOW else True)
+
+
+def _sample_count(bandwidth: float, period: bool = False) -> int:
+    """The uniform samples that a sup takes of a function of ``bandwidth`` b:
+    ``10 ceil(b) + 50`` on [0, pi], and twice that on a full period if ``period``.
+
+    A function of bandwidth b has at most about b local maxima on [0, pi],
+    so each gets about 10 samples; the caller's refiner finds the peak
+    between two of them.  For b = n this is the least grid that
+    :func:`minimax.error_extrema` accepts, plus 50.
+    """
+    count = 10 * math.ceil(bandwidth) + 50
+    return 2 * count if period else count
 
 
 def _parabolic_shift(yl, y, yh, step):

@@ -217,7 +217,7 @@ def _erdos_lax_by_matrices(angles, exponents):
     # the (grid, m) matrix form that erdos_lax_check replaced, as a reference
     s = np.asarray(exponents, dtype=float)
     zk = np.exp(1j * np.asarray(angles, dtype=float))
-    grid = circle._ERDOS_LAX_GRID
+    grid = 16384  # the dense grid that every check once sampled
     phi = (np.arange(grid) + 0.31) * 2.0 * np.pi / grid
 
     def moduli(p):
@@ -250,10 +250,72 @@ def test_erdos_lax_matches_the_matrix_form():
         m = int(rng.integers(1, 6))
         configs.append((rng.uniform(0.0, 2.0 * np.pi, m), rng.uniform(1.0, 3.0, m)))
     for angles, exps in configs:
-        # the grid step is 3.8e-4, so some sample lies within 1e-3 of each zero
+        # the reference's grid step is 3.8e-4, so some sample lies within 1e-3 of each zero
         got = erdos_lax_check(angles, exps)
         want = _erdos_lax_by_matrices(angles, exps)
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_erdos_lax_rejects_an_exponent_sum_that_overflows():
+    # 2^S S/2 is the most |F'| and S/2 |F| can reach, and the peak filter
+    # doubles a sample; the first two once gave (-inf, -inf) with overflow warnings
+    for exps in ([1e6], [1e300], [1014.1], [507.0, 507.1]):
+        with pytest.raises(ValueError, match="overflows"):
+            erdos_lax_check([0.0] * len(exps), exps)
+    lhs, rhs = erdos_lax_check([0.0], [1014.0])
+    assert math.isfinite(lhs) and abs(lhs - rhs) <= 1e-14 * rhs
+
+
+def test_erdos_lax_checks_of_no_checks_are_empty():
+    # once max() of an empty sequence
+    assert circle._erdos_lax_checks([]) == []
+
+
+def _erdos_lax_dense(angles, exponents, grid=16384):
+    # both maxima from the dense offset grid that every check once sampled
+    a, s = np.asarray(angles, dtype=float), np.asarray(exponents, dtype=float)
+    phi = (np.arange(grid) + 0.31) * 2.0 * np.pi / grid
+    d, f = circle._erdos_lax_moduli(phi, a, s)
+
+    def bind(k):
+        return lambda p: np.where(k % 2 == 0, *circle._erdos_lax_moduli(p, a, s))
+
+    top = circle._circle_maxes(bind, [(phi, d), (phi, f)])
+    return float(top[0]), float(top[1])
+
+
+def test_erdos_lax_at_its_bandwidth_loses_no_peak():
+    # each check samples 20 ceil(S) + 100 angles; against 16384, with close
+    # pairs of zeros and exponents just above 1, whose |F'| peaks sharply
+    rng = np.random.default_rng(2602)
+    configs = []
+    for _ in range(150):
+        m = int(rng.integers(1, 7))
+        angles, exps = rng.uniform(0.0, 2.0 * np.pi, m), rng.uniform(1.0, 3.0, m)
+        if m > 1 and rng.random() < 0.3:
+            angles[1] = angles[0] + 10.0 ** rng.uniform(-3.0, math.log10(0.05))
+        if rng.random() < 0.3:
+            exps[0] = 1.0 + 10.0 ** rng.uniform(-6.0, math.log10(0.05))
+        configs.append((angles, exps))
+    worst = 0.0
+    for (angles, exps), (lhs, rhs) in zip(configs, circle._erdos_lax_checks(configs)):
+        d, f = _erdos_lax_dense(angles, exps)
+        worst = max(worst, abs(lhs - d) / d, abs(rhs / (0.5 * np.sum(exps)) - f) / f)
+    assert worst <= 5e-15
+
+
+def test_circle_sups_at_their_bandwidth_lose_no_peak():
+    # each lift samples 20 ceil(2n + 1 + e_plus + e_minus) + 100 angles; against
+    # 16384, on the verify weights and a lopsided one
+    fs = [
+        circle_minimizer_from_interval(w, solve(w, n))
+        for w in map(WeightParams, (0.5, 0.75, 1.0, 0.75, 0.6), (0.5, 0.75, 1.0, 1.25, 1.5))
+        for n in (*range(1, 13), 24)
+    ]
+    phi = np.linspace(0.0, 2.0 * np.pi, 16384, endpoint=False)
+    for f, got in zip(fs, circle._circle_sups(fs)):
+        (want,) = circle._circle_maxes(lambda k: f.modulus_at_angle, [(phi, f.modulus_at_angle(phi))])
+        assert abs(got - want) <= 5e-15 * want
 
 
 def test_polya_szego_explicit_cases():

@@ -175,6 +175,19 @@ def test_verify_jacobi_builds_each_grid_once(monkeypatch, capsys):
     assert len(built) == 91
 
 
+def test_verify_circle_samples_each_sup_at_its_bandwidth(monkeypatch, capsys):
+    # the default sweep: 16 lifts of degree 2n + 1 <= 7 at 20 b + 100 angles
+    # each (b = 2n + 1 + e_plus + e_minus), and 10 Erdos-Lax checks whose |F'|
+    # and |F| share 20 ceil(S) + 100; once 4096 a lift and 16384 a check, 393,216 in all
+    from widomlab import circle
+
+    sampled, peaks = [], circle._circle_peaks
+    monkeypatch.setattr(circle, "_circle_peaks", lambda y: sampled.append(y.size) or peaks(y))
+    assert main(["verify", "circle"]) == 0
+    assert len(sampled) == 16 + 2 * 10
+    assert sum(sampled) < 20000
+
+
 # the json documents of each sweep, byte for byte: batching a sweep over
 # degrees or weights must not move any digit of them
 GOLDEN = Path(__file__).with_name("golden")

@@ -254,6 +254,41 @@ def test_polish_peaks_finds_maxima_between_grid_points():
     assert np.all(steps == grid[1])
 
 
+def _tail_grid_searching_every_tail(ra, rb, size):
+    # the tail grid with the tie search run on every tail, whatever its exponent
+    step = np.pi / (size - 1)
+    u = step * 0.5 ** np.arange(1, 64)
+    lo = u[u >= special._TAIL_END][::-1] if ra > 0.0 else u[:0]
+    hi = np.pi - u[u >= np.spacing(np.pi)] if rb > 0.0 else u[:0]
+    keep_lo = special._untied(special._weight_theta(ra, rb, lo), special._weight_theta(ra, 0.0, lo))
+    keep_hi = special._untied(special._weight_theta(ra, rb, hi)[::-1], special._weight_theta(0.0, rb, hi)[::-1])
+    theta = np.linspace(0.0, np.pi, size)
+    return np.concatenate((theta[:1], lo[keep_lo], theta[1:-1], hi[keep_hi[::-1]], theta[-1:]))
+
+
+def test_tail_grid_searches_ties_only_below_their_exponent(monkeypatch):
+    # from 1e-14 on no tail point ties, so the search that costs four weight
+    # evaluations per grid runs only on a tail with a smaller exponent
+    rng = np.random.default_rng(4008)
+    draws = [(0.0, 1e-300), (1e-17, 0.3), (1e-14, 2e-15), (60.0, 1e-16)]
+    for _ in range(200):
+        ra, rb = 10.0 ** rng.uniform(-14.0, math.log10(60.0), 2)
+        draws.append((ra, rb) if rng.random() < 0.8 else (ra, 0.0))
+    sizes = rng.integers(20, 30000, len(draws)).tolist()
+    for (ra, rb), size in zip(draws, sizes):
+        assert np.array_equal(special._tail_grid(ra, rb, size), _tail_grid_searching_every_tail(ra, rb, size))
+    calls = []
+    weight = special._weight_theta
+    monkeypatch.setattr(special, "_weight_theta", lambda *args: calls.append(args) or weight(*args))
+    for ra, rb in ((0.3, 0.7), (1e-14, 60.0), (0.0, 0.5), (0.0, 0.0)):
+        special._tail_grid(ra, rb, 500)
+    assert calls == []
+    special._tail_grid(1e-16, 0.3, 500)
+    assert len(calls) == 2
+    special._tail_grid(1e-16, 1e-300, 500)
+    assert len(calls) == 6
+
+
 def test_weighted_sup_classical_kinds():
     # unweighted monic first kind: 2^{1-n}
     assert abs(weighted_monic_jacobi_sup(WeightParams(0.0, 0.0), 3) - 0.25) < 1e-9
@@ -300,6 +335,31 @@ def test_weighted_sups_over_weights_equal_each_weight_alone():
         assert np.array_equal(row, weighted_monic_jacobi_sup(w, ns))
 
 
+def test_weighted_sups_at_their_bandwidth_lose_no_peak(monkeypatch):
+    # degree k samples 10 k + 50 points; against the same step on the
+    # solver's 30 k + 200, within the series stage's own error
+    weights = [WeightParams(ra, rb) for rb in (0.0, 0.25, 0.5) for ra in (0.0, 0.125, 0.5)]
+    weights += [WeightParams(1.5, 0.2), WeightParams(3.0, 0.0), WeightParams(0.001, 0.3)]
+    ns = [*range(0, 41), 103, 150]
+    got = bounds._jacobi_sups(weights, ns)
+    dense = minimax._certified_extrema
+    monkeypatch.setattr(bounds, "_certified_extrema", lambda batch, degrees, coefs, sizes: dense(batch, degrees, coefs))
+    want = bounds._jacobi_sups(weights, ns)
+    assert np.max(np.abs(got - want) / want) <= 2e-13
+
+
+def test_weighted_sups_at_the_constant_corners_equal_their_closed_form():
+    # at the four corners w |P_k| is a Chebyshev polynomial of one of the four
+    # kinds, whose weighted sup is 2^{1 - rho_a - rho_b - k}; the DCT series
+    # stage is what misses it, by up to 1.13e-12 at k <= 200
+    corners = [WeightParams(ra, rb) for rb in (0.0, 0.5) for ra in (0.0, 0.5)]
+    ks = np.arange(1, 201)
+    got = bounds._jacobi_sups(corners, ks)
+    for w, row in zip(corners, got):
+        want = np.ldexp(2.0 ** (1.0 - w.rho_a - w.rho_b), -ks)
+        assert np.max(np.abs(row - want) / want) <= 2e-12
+
+
 def test_weighted_sups_check_their_degrees_once(monkeypatch):
     # the sweep scales each (weight, degree) by the unchecked monic_scale core;
     # the public monic_scale ran the degree check on each of those calls
@@ -323,7 +383,7 @@ def test_weighted_sups_hold_the_series_of_one_batch_at_a_time(monkeypatch):
     # with the extremum steps stubbed, what is left is the series stage; a table
     # of every degree's series would alone be 9 * sum(k + 1) * 8 bytes = 1.46 MB
     weights = [WeightParams(ra, rb) for rb in (0.0, 0.25, 0.5) for ra in (0.0, 0.25, 0.5)]
-    monkeypatch.setattr(bounds, "_certified_extrema", lambda batch, degrees, coefs: [(None, c) for c in coefs])
+    monkeypatch.setattr(bounds, "_certified_extrema", lambda batch, degrees, coefs, sizes: [(None, c) for c in coefs])
     bounds._jacobi_sups(weights, range(3))  # numpy's FFT allocates on first use
     tracemalloc.start()
     try:

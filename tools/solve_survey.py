@@ -37,8 +37,9 @@ the 1e-12 gate.  OUT gets the records and a summary as JSON.  With
 dump: the certificates lost and gained, the relative drift of the Widom
 factors and roots where both dumps solved, and per set the number of records
 that are bit-identical in every field, and per part of the ``sups`` set the
-number of bit-identical sups.  Both dumps must come from the same version of
-this script, since it decides which fields a record holds.
+number of bit-identical sups and their worst relative drift (``drift``, at
+the (rho_a, rho_b, n) given as ``at``).  Both dumps must come from the same
+version of this script, since it decides which fields a record holds.
 
 The scan and pool sets are solved a second time, each set in one
 ``minimax.solve_many`` call with one degree per weight, which cuts it into
@@ -196,17 +197,22 @@ def _sups(wl) -> list[dict]:
 
 
 def compare_sups(sups: list[dict], other: list[dict]) -> dict:
-    """Per part of the ``sups`` set, the sups equal to ``other``'s bit for bit, out of those both dumps hold."""
+    """Per part of the ``sups`` set, the sups equal to ``other``'s bit for bit, out of those
+    both dumps hold, and the worst relative drift between the two, with where it is."""
     theirs = {(r["part"], r["rho_a"], r["rho_b"]): r["sups"] for r in other}
     same = {}
     for rec in sups:
         old = theirs.get((rec["part"], rec["rho_a"], rec["rho_b"]))
         if old is None:
             continue
-        tally = same.setdefault(rec["part"], [0, 0])
+        tally = same.setdefault(rec["part"], [0, 0, 0.0, None])
         tally[0] += sum(a == b for a, b in zip(rec["sups"], old))
         tally[1] += min(len(rec["sups"]), len(old))
-    return {part: f"{a} of {b}" for part, (a, b) in same.items()}
+        for n, (a, b) in enumerate(zip(rec["sups"], old)):
+            drift = _max_rel([a], [b])
+            if drift > tally[2]:
+                tally[2:] = drift, f"({float.fromhex(rec['rho_a']):g}, {float.fromhex(rec['rho_b']):g}, {n})"
+    return {part: {"identical": f"{a} of {b}", "drift": d, "at": at} for part, (a, b, d, at) in same.items()}
 
 
 def _key(rec: dict) -> tuple:
