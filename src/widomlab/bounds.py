@@ -25,8 +25,6 @@ from widomlab.minimax import _batches, _certified_extrema
 from widomlab.special import (
     JacobiParams,
     WeightParams,
-    _jacobi,
-    _monic_scale,
     _sample_count,
     _whole_degrees,
     log_gamma,
@@ -396,11 +394,13 @@ def weighted_monic_jacobi_sup(w: WeightParams, n):
     """Sup over [-1,1] of the weight times |monic Jacobi polynomial| of degree n.
 
     The largest |w p| that the certified extremum step of
-    :func:`minimax.solve` finds on a grid of ``special._sample_count(n)`` =
-    10 n + 50 uniform points (the least that :func:`minimax.error_extrema`
-    accepts, plus 50) with its endpoint tails: grid local maxima of |w p|
-    refined by bracketed Newton, a boundary hump inside the first cell
-    included, and the endpoints where the weight does not vanish.  ``n`` is a
+    :func:`minimax.solve` finds in the Chebyshev series of p from the monic
+    three-term recurrence (:func:`_monic_step`), on a grid of
+    ``special._sample_count(n)`` = 10 n + 50 uniform points (the least that
+    :func:`minimax.error_extrema` accepts, plus 50) with its endpoint tails:
+    grid local maxima of |w p| refined by bracketed Newton, a boundary hump
+    inside the first cell included, and the endpoints where the weight does
+    not vanish.  ``n`` is a
     degree, for a float, or a sequence of degrees, for an array of sups, each
     equal to its scalar call.  Degrees are whole numbers of at least 0.
     """
@@ -412,14 +412,12 @@ def weighted_monic_jacobi_sup(w: WeightParams, n):
 def _jacobi_sups(weights, ns) -> np.ndarray:
     """:func:`weighted_monic_jacobi_sup` of each of ``weights`` (rows) at each of the degrees ``ns`` (columns).
 
-    The Chebyshev series of the monic P_k is the DCT-I of its values at the
-    k + 1 Chebyshev--Lobatto points, the real part of one FFT of length 2k.
     The extremum steps run degree after degree in the batches of
     :func:`minimax._batches`, degree k on ``special._sample_count(k)``
-    uniform points.  A batch builds the series of each of its degrees for
-    all weights at once, by one recurrence over the rows of all weights and
-    one FFT, unless the batch before it ended on that degree, and keeps no
-    others.  Each sup equals its single call bit for bit.
+    uniform points.  The Chebyshev series of the monic p_k come from
+    :func:`_monic_step`, one step per degree for all weights at once, run
+    forward as the batches ask for higher degrees; only p_k and p_{k-1} of
+    each weight are held.  Each sup equals its single call bit for bit.
     """
     deg = _whole_degrees(ns, 0)
     if not (len(weights) and deg.size):
@@ -429,22 +427,41 @@ def _jacobi_sups(weights, ns) -> np.ndarray:
     params = [weight_to_param(w) for w in weights]
     a, b = np.array([[p.alpha] for p in params]), np.array([[p.beta] for p in params])
     problems = [(w, k) for k in ks.tolist() for w in weights]
-    flat, done, series = sups.reshape(-1), 0, {}
+    flat, done = sups.reshape(-1), 0
+    # p_{k-1} and p_k of each weight, from p_{-1} = 0 and p_0 = 1
+    at, before, series = 0, np.zeros((len(weights), 0)), np.ones((len(weights), 1))
     for batch, degrees in _batches(problems):
-        series = {k: f for k, f in series.items() if k in degrees}
-        for k in degrees:
-            if k not in series:
-                # x_j = cos(pi j / k) for j = 0..k, in the sine form that is symmetric about 0
-                x = np.sin(np.pi * np.arange(k, -k - 1, -2) / (2 * max(k, 1)))
-                f = np.array([[_monic_scale(p, k)] for p in params]) * _jacobi(a, b, k, x, derivative=False)
-                if k:
-                    f = np.fft.rfft(np.concatenate((f, f[:, -2:0:-1]), axis=1)).real / k
-                    f[:, [0, k]] *= 0.5
-                series[k] = f
         coefs = np.zeros((len(batch), max(degrees) + 1))
         for i, k in enumerate(degrees):
-            coefs[i, : k + 1] = series[k][(done + i) % len(weights)]
+            for j in range(at, k):
+                before, series = series, _monic_step(a, b, j, series, before)
+            at = k
+            coefs[i, : k + 1] = series[(done + i) % len(weights)]
         extrema = _certified_extrema(batch, degrees, coefs, [_sample_count(k) for k in degrees])
         flat[done : done + len(batch)] = [np.abs(e).max() for _, e in extrema]
         done += len(batch)
     return sups.T[:, np.searchsorted(ks, deg)]
+
+
+def _monic_step(a, b, k: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The Chebyshev series of the monic Jacobi p_{k+1} = (x - a_k) p_k - b_k p_{k-1}.
+
+    ``p`` and ``q`` hold the series of p_k and p_{k-1}, one row per
+    exponent pair (alpha, beta) of the columns ``a`` and ``b``; x p comes
+    from x T_0 = T_1 and x T_j = (T_{j+1} + T_{j-1})/2.
+    """
+    s, m = a + b, 2 * k + a + b
+    # a_0 and b_1 in cancelled form, since s = 0 or -1 makes the general ones 0/0
+    ak = (b - a) / (s + 2.0) if k == 0 else (b * b - a * a) / (m * (m + 2.0))
+    if k < 2:
+        bk = k * 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + s) ** 2 * (3.0 + s))
+    else:
+        bk = 4.0 * k * (k + a) * (k + b) * (k + s) / (m * m * (m + 1.0) * (m - 1.0))
+    out = np.zeros((p.shape[0], k + 2))
+    out[:, 1:] = p
+    out[:, 1] += p[:, 0]
+    out[:, :k] += p[:, 1:]
+    out *= 0.5
+    out[:, : k + 1] -= ak * p
+    out[:, :k] -= bk * q
+    return out

@@ -557,9 +557,11 @@ def _extremum_step(cells: _Cells, grids: _Grids, coefs, e, ae, peaks, chosen, ce
     refined by bracketed Newton on the log-derivative where its problem's
     ``certify`` is set, or else by one parabolic step; the parabola needs a
     full step on either side, so a point next to a tail point keeps its grid
-    value in the cheap phase.  A point keeps its grid value where refinement
-    lowered |e|.  An endpoint is a candidate where the weight does not
-    vanish.  Returns ``chosen`` in the order it took them;
+    value in the cheap phase.  A point keeps its grid point where refinement
+    lowered |e| below the value there, which is then taken again on
+    compensated rows, as the refined value is: the grid's plain cos(k theta)
+    rows can round above a peak.  An endpoint is a candidate where the
+    weight does not vanish.  Returns ``chosen`` in the order it took them;
     :func:`_alternating` of their candidates, ignoring errors below each
     problem's ``floor``: the (theta, e) kept and their number per problem;
     the compensated cosine rows it computed at its refined points; and for
@@ -593,8 +595,15 @@ def _extremum_step(cells: _Cells, grids: _Grids, coefs, e, ae, peaks, chosen, ce
         cos_k, _ = rows(tr, np.arange(idx.size))
     else:
         cos_k, _ = _cos_sin_k(tr, top)
-    er = cells.weight(tr, order, sizes) * _gemv_blocks(cos_k, sizes, coefs[order], cells.deg[order] + 1)
-    worse = np.abs(er) < ae[idx]
+    widths = cells.deg[order] + 1
+    er = cells.weight(tr, order, sizes) * _gemv_blocks(cos_k, sizes, coefs[order], widths)
+    eg = e[idx]
+    worse = np.abs(er) < np.abs(eg)
+    if worse.any():
+        counts = np.bincount(np.repeat(np.arange(order.size), sizes)[worse], minlength=order.size)
+        rows = _cos_sin_k(theta[idx[worse]], top)[0]
+        eg[worse] = grids.weight[idx[worse]] * _gemv_blocks(rows, counts, coefs[order], widths)
+        worse = np.abs(er) < np.abs(eg)
     tm = np.where(worse, theta[idx], tr)
     # an open grid end is a candidate where |e| does not rise inward; the
     # candidates at theta = 0 come first and those at pi last, to lead and close their ties
@@ -603,7 +612,7 @@ def _extremum_step(cells: _Cells, grids: _Grids, coefs, e, ae, peaks, chosen, ce
     seg = rank[np.concatenate((low[lows], own, high[highs]))]
     low, high = a[lows], b[highs]
     t = np.concatenate((theta[low], tm, theta[high]))
-    ev = np.concatenate((e[low], np.where(worse, e[idx], er), e[high]))
+    ev = np.concatenate((e[low], np.where(worse, eg, er), e[high]))
     row = np.full(t.size, -1)
     row[low.size : low.size + tm.size] = np.where(tm == tr, np.arange(tm.size), -1)
     kt, ke, found, keep = _alternating(seg, t, ev, floor[order], order.size)

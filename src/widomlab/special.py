@@ -6,7 +6,9 @@ The sup-norm side works with the weight (1-x)^rho_a (1+x)^rho_b, linked to
 the L2 parameters by rho = alpha/2 + 1/4 (and the same for beta).  The
 module also holds the tailed theta-grid and the root and peak refiners that
 the solver and the circle layer build on; the weighted sups of the monic
-Jacobi polynomials are in :mod:`widomlab.bounds`.
+Jacobi polynomials are in :mod:`widomlab.bounds`, which builds their
+Chebyshev series by the monic recurrence on coefficients, not by
+:func:`jacobi_eval`.
 """
 
 from __future__ import annotations
@@ -76,18 +78,8 @@ def weight_to_param(w: WeightParams) -> JacobiParams:
     return JacobiParams(2.0 * w.rho_a - 0.5, 2.0 * w.rho_b - 0.5)
 
 
-def _recurrence_terms(a, b, k):
-    """Coefficients of a_k P_k = (b_k + c_k x) P_{k-1} - d_k P_{k-2}, elementwise in a, b and k."""
-    s = a + b
-    ak = 2.0 * k * (k + s) * (2.0 * k + s - 2.0)
-    bk = (2.0 * k + s - 1.0) * (a * a - b * b)
-    ck = (2.0 * k + s - 2.0) * (2.0 * k + s - 1.0) * (2.0 * k + s)
-    dk = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + s)
-    return ak, bk, ck, dk
-
-
 def jacobi_eval(p: JacobiParams, n, x):
-    """P_n^{(alpha,beta)}(x) and its derivative by forward three-term recurrence.
+    """P_n^{(alpha,beta)}(x) and its derivative by forward three-term recurrence in x.
 
     Accepts scalar or array x; returns a matching (value, derivative) pair.
     ``n`` is one degree, by the rule of :func:`minimax.solve`: a whole
@@ -97,35 +89,21 @@ def jacobi_eval(p: JacobiParams, n, x):
     deg = _whole_degrees(n, 0)
     if deg.ndim:
         raise ValueError("jacobi_eval takes one degree, as solve does")
-    return _jacobi(p.alpha, p.beta, int(deg), x, derivative=True)
-
-
-def _jacobi(a, b, n: int, x, derivative: bool):
-    """The recurrence of :func:`jacobi_eval` at degree ``n``: values, and derivatives if ``derivative``.
-
-    ``a`` and ``b`` are numbers, or arrays that broadcast against ``x``, such
-    as a column of one exponent per weight against a row of points; each
-    point gets what its own exponents give it alone.
-    """
+    a, b, s = p.alpha, p.beta, p.alpha + p.beta
     xs = np.asarray(x, dtype=float)
-    shape = np.broadcast_shapes(np.shape(a), np.shape(b), xs.shape)
-    v, d = np.ones(shape), np.zeros(shape)
-    if n > 0:
-        v0, v1 = v, 0.5 * ((a + b + 2.0) * xs + (a - b))
-        d0, d1 = d, np.full(shape, 0.5 * (a + b + 2.0))
-        # the coefficients of steps 2..n, by step along the first axis
-        k = np.arange(2, n + 1).reshape((-1,) + (1,) * max(np.ndim(a), np.ndim(b)))
-        for ak, bk, ck, dk in zip(*_recurrence_terms(a, b, k)):
+    v, d = np.ones_like(xs), np.zeros_like(xs)
+    if deg > 0:
+        v0, v = v, 0.5 * ((s + 2.0) * xs + (a - b))
+        d0, d = d, np.full_like(xs, 0.5 * (s + 2.0))
+        # a_k P_k = (b_k + c_k x) P_{k-1} - d_k P_{k-2}
+        for k in range(2, int(deg) + 1):
+            ak = 2.0 * k * (k + s) * (2.0 * k + s - 2.0)
+            bk = (2.0 * k + s - 1.0) * (a * a - b * b)
+            ck = (2.0 * k + s - 2.0) * (2.0 * k + s - 1.0) * (2.0 * k + s)
+            dk = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + s)
             t = bk + ck * xs
-            v2 = (t * v1 - dk * v0) / ak
-            if derivative:
-                d2 = (ck * v1 + t * d1 - dk * d0) / ak
-                d0, d1 = d1, d2
-            v0, v1 = v1, v2
-        v, d = v1, d1
-    if not shape:
-        v, d = float(v), float(d)
-    return (v, d) if derivative else v
+            v0, v, d0, d = v, (t * v - dk * v0) / ak, d, (ck * v + t * d - dk * d0) / ak
+    return (v, d) if xs.ndim else (float(v), float(d))
 
 
 def _whole_degrees(n, least: int) -> np.ndarray:
@@ -144,11 +122,7 @@ def _whole_degrees(n, least: int) -> np.ndarray:
 
 def monic_scale(p: JacobiParams, n: int) -> float:
     """Factor turning P_n^{(alpha,beta)} monic: 2^n n! Gamma(n+a+b+1)/Gamma(2n+a+b+1)."""
-    return _monic_scale(p, int(_whole_degrees(n, 0)))
-
-
-def _monic_scale(p: JacobiParams, n: int) -> float:
-    """:func:`monic_scale` at a degree ``n`` that is already an int of at least 0, unchecked."""
+    n = int(_whole_degrees(n, 0))
     if n == 0:
         return 1.0
     s = p.alpha + p.beta

@@ -803,6 +803,21 @@ def test_error_extrema_half_exponent():
     assert abs(vals[1] - math.sqrt(2.0) / 2.0) < 1e-9
 
 
+def test_certified_extrema_take_grid_points_on_compensated_rows():
+    # the monic series at (0.5, 0) is 2^{-k} times the Dirichlet kernel, so w p is
+    # sqrt(2) 2^{-k} sin((k + 1/2) theta); at k = 103 a point of the default grid
+    # sits on the peak 189 pi / 207, where plain cos(k theta) rows read 2.35e-13 high
+    w = WeightParams(0.5, 0.0)
+    worst = 0.0
+    for k in range(1, 201):
+        coef = np.full(k + 1, 2.0 ** (1 - k))
+        coef[0] = 2.0**-k
+        ((_, e),) = minimax._certified_extrema([w], [k], coef[None])
+        want = np.ldexp(math.sqrt(2.0), -k)
+        worst = max(worst, abs(np.abs(e).max() - want) / want)
+    assert worst <= 5e-14
+
+
 def test_error_extrema_rejects_coarse_grid():
     with pytest.raises(ValueError):
         error_extrema(WeightParams(0.0, 0.0), MonicPolynomial(5, (0.0,) * 5), 20)

@@ -95,20 +95,6 @@ def test_jacobi_eval_takes_one_degree_by_the_rule_of_solve():
         jacobi_eval(p, np.array([1, 2]), np.array([0.3, 0.4]))
 
 
-def test_jacobi_recurrence_over_weights_equals_each_weight_alone():
-    # a column of exponents against a row of points, as the weighted sups run it
-    rng = np.random.default_rng(3)
-    a, b = rng.uniform(-0.9, 2.0, (2, 6, 1))
-    x = rng.uniform(-1.0, 1.0, 9)
-    for n in (0, 1, 2, 17):
-        v, d = special._jacobi(a, b, n, x, derivative=True)
-        assert v.shape == d.shape == (6, 9)
-        for i in range(6):
-            vi, di = jacobi_eval(JacobiParams(a[i, 0], b[i, 0]), n, x)
-            assert np.array_equal(v[i], vi) and np.array_equal(d[i], di)
-        assert np.array_equal(special._jacobi(a, b, n, x, derivative=False), v)
-
-
 def test_jacobi_eval_derivative_matches_finite_differences():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -350,19 +336,19 @@ def test_weighted_sups_at_their_bandwidth_lose_no_peak(monkeypatch):
 
 def test_weighted_sups_at_the_constant_corners_equal_their_closed_form():
     # at the four corners w |P_k| is a Chebyshev polynomial of one of the four
-    # kinds, whose weighted sup is 2^{1 - rho_a - rho_b - k}; the DCT series
-    # stage is what misses it, by up to 1.13e-12 at k <= 200
+    # kinds, whose weighted sup is 2^{1 - rho_a - rho_b - k}; the series of the
+    # monic recurrence miss it by at most 4.1e-14 at k <= 200, where the DCT
+    # of values at the Chebyshev--Lobatto points missed by 1.13e-12
     corners = [WeightParams(ra, rb) for rb in (0.0, 0.5) for ra in (0.0, 0.5)]
     ks = np.arange(1, 201)
     got = bounds._jacobi_sups(corners, ks)
     for w, row in zip(corners, got):
         want = np.ldexp(2.0 ** (1.0 - w.rho_a - w.rho_b), -ks)
-        assert np.max(np.abs(row - want) / want) <= 2e-12
+        assert np.max(np.abs(row - want) / want) <= 3e-13
 
 
 def test_weighted_sups_check_their_degrees_once(monkeypatch):
-    # the sweep scales each (weight, degree) by the unchecked monic_scale core;
-    # the public monic_scale ran the degree check on each of those calls
+    # one check of the degrees for the whole sweep, none per (weight, degree)
     calls = []
     check = special._whole_degrees
 
@@ -375,8 +361,6 @@ def test_weighted_sups_check_their_degrees_once(monkeypatch):
     weights = [WeightParams(ra, rb) for rb in (0.0, 0.25, 0.5) for ra in (0.0, 0.25, 0.5)]
     bounds._jacobi_sups(weights, range(8))
     assert len(calls) == 1
-    p = weight_to_param(weights[4])
-    assert special._monic_scale(p, 7) == monic_scale(p, 7) == monic_scale(p, 7.0)
 
 
 def test_weighted_sups_hold_the_series_of_one_batch_at_a_time(monkeypatch):
@@ -384,7 +368,6 @@ def test_weighted_sups_hold_the_series_of_one_batch_at_a_time(monkeypatch):
     # of every degree's series would alone be 9 * sum(k + 1) * 8 bytes = 1.46 MB
     weights = [WeightParams(ra, rb) for rb in (0.0, 0.25, 0.5) for ra in (0.0, 0.25, 0.5)]
     monkeypatch.setattr(bounds, "_certified_extrema", lambda batch, degrees, coefs, sizes: [(None, c) for c in coefs])
-    bounds._jacobi_sups(weights, range(3))  # numpy's FFT allocates on first use
     tracemalloc.start()
     try:
         sups = bounds._jacobi_sups(weights, range(201))
@@ -393,3 +376,73 @@ def test_weighted_sups_hold_the_series_of_one_batch_at_a_time(monkeypatch):
         tracemalloc.stop()
     assert sups.shape == (9, 201)
     assert peak < 1e6
+
+
+def _sweep_series(monkeypatch, w, ns) -> dict:
+    """The series of each degree that the sweep of ``w`` over ``ns`` hands to its extremum steps."""
+    series = {}
+
+    def record(batch, degrees, coefs, sizes):
+        series.update((k, c[: k + 1]) for k, c in zip(degrees, coefs))
+        return [(None, c) for c in coefs]
+
+    monkeypatch.setattr(bounds, "_certified_extrema", record)
+    bounds._jacobi_sups([w], ns)
+    return series
+
+
+def test_monic_series_at_the_first_kind_are_exact(monkeypatch):
+    # at (0, 0) p_k = 2^{1-k} T_k, and a_k = 0 and b_k = 1/4 from k = 2 on are exact
+    series = _sweep_series(monkeypatch, WeightParams(0.0, 0.0), range(401))
+    for k in range(1, 401):
+        want = np.zeros(k + 1)
+        want[k] = 2.0 ** (1 - k)
+        assert series[k].tobytes() == want.tobytes()
+
+
+def test_monic_series_match_the_recurrence_in_40_digits(monkeypatch):
+    # alpha + beta = 0 here, where a_0 takes its cancelled form
+    mpmath = pytest.importorskip("mpmath")
+    w, n = WeightParams(0.125, 0.375), 200
+    got = _sweep_series(monkeypatch, w, [n])[n]
+    p = weight_to_param(w)
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(p.alpha), mpmath.mpf(p.beta)
+        s, zero = a + b, mpmath.mpf(0)
+        before, series = [], [mpmath.mpf(1)]
+        for k in range(n):
+            m = 2 * k + s
+            ak = (b - a) / (s + 2) if k == 0 else (b * b - a * a) / (m * (m + 2))
+            if k < 2:
+                bk = k * 4 * (1 + a) * (1 + b) / ((2 + s) ** 2 * (3 + s))
+            else:
+                bk = 4 * k * (k + a) * (k + b) * (k + s) / (m * m * (m + 1) * (m - 1))
+            new = [zero] * (k + 2)
+            for j, c in enumerate(series):
+                new[j + 1] += c if j == 0 else c / 2
+                if j:
+                    new[j - 1] += c / 2
+                new[j] -= ak * c
+            for j, c in enumerate(before):
+                new[j] -= bk * c
+            before, series = series, new
+        want = np.array([float(c) for c in series])
+        scale = float(sum(abs(c) for c in series))
+    assert np.max(np.abs(got - want)) <= 4e-16 * scale
+
+
+def test_weighted_sups_step_each_degree_once(monkeypatch):
+    # the series of each degree come from the one before it: one step per
+    # degree up to the highest, not k steps for degree k
+    steps = []
+    step = bounds._monic_step
+
+    def counting(a, b, k, p, q):
+        steps.append(k)
+        return step(a, b, k, p, q)
+
+    monkeypatch.setattr(bounds, "_monic_step", counting)
+    monkeypatch.setattr(bounds, "_certified_extrema", lambda batch, degrees, coefs, sizes: [(None, c) for c in coefs])
+    weights = [WeightParams(ra, rb) for rb in (0.0, 0.25, 0.5) for ra in (0.0, 0.25, 0.5)]
+    bounds._jacobi_sups(weights, [17, 3, 120, 40, 3, 0])
+    assert steps == list(range(120))

@@ -20,7 +20,10 @@ written) plus fixed sets of weights:
 The ``sups`` set is not a set of solves: it holds ``bounds._jacobi_sups``,
 the weighted sups of the monic Jacobi polynomials, as ``float.hex`` strings,
 on 9x9 weights of [0, 1/2]^2 at n = 0..SUPS_GRID_N_MAX (``grid``) and on
-WEIGHTS and TINY at n = 0..SUPS_N_MAX (``weights``).
+WEIGHTS and TINY at n = 0..SUPS_N_MAX (``weights``).  At the four constant
+corners, rho_a and rho_b each 0 or 1/2, the sup at n >= 1 is
+``2^{1-rho_a-rho_b-n}`` in closed form; per part the summary gives the worst
+relative miss of those it holds (``corners``, at the (rho_a, rho_b, n) given as ``at``).
 
 Every record holds the outcome (``solved`` or the solver error's type and
 message) and, as ``float.hex`` strings, the norm, Widom factor, levelling
@@ -196,6 +199,23 @@ def _sups(wl) -> list[dict]:
     return records
 
 
+def corner_misses(sups: list[dict]) -> dict:
+    """Per part of the ``sups`` set, the worst relative miss of the sups at the constant
+    corners against their closed form ``2^{1-rho_a-rho_b-n}``, at n >= 1, with where it is."""
+    worst = {}
+    for rec in sups:
+        ra, rb = float.fromhex(rec["rho_a"]), float.fromhex(rec["rho_b"])
+        if not {ra, rb} <= {0.0, 0.5}:
+            continue
+        tally = worst.setdefault(rec["part"], {"miss": 0.0, "at": None})
+        for n, value in enumerate(rec["sups"][1:], start=1):
+            want = 2.0 ** (1.0 - ra - rb - n)
+            miss = abs(float.fromhex(value) - want) / want
+            if miss > tally["miss"]:
+                tally.update(miss=miss, at=f"({ra:g}, {rb:g}, {n})")
+    return worst
+
+
 def compare_sups(sups: list[dict], other: list[dict]) -> dict:
     """Per part of the ``sups`` set, the sups equal to ``other``'s bit for bit, out of those
     both dumps hold, and the worst relative drift between the two, with where it is."""
@@ -307,6 +327,7 @@ def main(argv=None) -> int:
     result["batch"] = batch_identical(widomlab, checks, workloads, records)
     result["reordered"] = reordered_identical(widomlab, checks, records)
     sups = _sups(widomlab)
+    result["corners"] = corner_misses(sups)
     if args.against:
         other = json.loads(args.against.read_text())
         result["comparison"] = compare(records, other["records"])
