@@ -25,7 +25,7 @@ from numpy.polynomial import polynomial as npp
 
 from widomlab.bounds import weight_sup_bound
 from widomlab.minimax import ChebyshevSolution, MonicPolynomial, solve_many
-from widomlab.special import WeightParams, _polish_peaks, _power, _sample_count
+from widomlab.special import WeightParams, _polish_peaks, _power, _sample_count, _whole_degrees
 
 __all__ = [
     "RealPolynomial",
@@ -102,9 +102,11 @@ def _moduli(phi: np.ndarray, coeffs: np.ndarray, plus, minus, rows=...) -> np.nd
 
 
 def circle_minimizer_from_interval(w: WeightParams, sol: ChebyshevSolution) -> CircleFunction:
-    """Lift an interval solution to the monic degree 2n+1 circle minimizer."""
+    """Lift an interval solution of the weight ``w`` to the monic degree 2n+1 circle minimizer."""
     if w.rho_a < 0.5 or w.rho_b < 0.5:
         raise ValueError("circle correspondence requires rho_a, rho_b >= 1/2")
+    if sol.weight != w:
+        raise ValueError(f"the solution is for {sol.weight}, not {w}")
     n = sol.poly.degree
     ra, rb = w.rho_a, w.rho_b
     # T_k((z + 1/z) / 2) = (z^k + z^-k) / 2, so R = 2^n z^n P carries
@@ -155,7 +157,7 @@ def _circle_maxes(bind, samples) -> np.ndarray:
         step.append(2.0 * np.pi / len(phi))
         counts.append(at.size)
     k = np.repeat(np.arange(len(counts)), counts)
-    top = _polish_peaks(bind(k), np.concatenate(t), np.concatenate(y), np.repeat(step, counts), 30, 0.5)
+    top = _polish_peaks(bind(k), np.concatenate(t), np.concatenate(y), np.repeat(step, counts))
     out = np.full(len(counts), -np.inf)
     np.maximum.at(out, k, top)
     return out
@@ -215,10 +217,12 @@ def verify_cn_relation(w, n):
     call.  Their degrees from 1 up go through one
     :func:`widomlab.minimax.solve_many` call, and the circle sups of all
     their lifts are polished together; the first solver error, in the order
-    given, is raised.
+    given, is raised.  Each degree is a whole number of at least 0, by the
+    rule of :func:`widomlab.special.jacobi_eval`: 2.5 raises ValueError.
     """
     single = isinstance(w, WeightParams)
-    weights, degrees = ([w], [n]) if single else (list(w), [int(k) for k in n])
+    weights = [w] if single else list(w)
+    degrees = np.atleast_1d(_whole_degrees(n, 0)).tolist()
     if len(weights) != len(degrees):
         raise ValueError("give one degree per weight")
     if any(v.rho_a < 0.5 or v.rho_b < 0.5 for v in weights):

@@ -333,17 +333,13 @@ def _refine_newton(cells: _Cells, blocks, counts, coefs, lo, hi, rows: _Rows, sl
 
     The brackets come in consecutive blocks, ``counts[i]`` of them for the
     problem ``blocks[i]``; each problem's Newton stops on its own step.  The
-    iterate in bracket j takes its trig rows from ``rows``, in slot ``slots[j]``.
+    iterate in bracket j takes its trig rows from ``rows``, in slot ``slots[j]``;
+    Newton passes the brackets ``at`` still running, in the slots ``slots[at]``.
     """
-    # the slots of the points of the blocks still running, by their number: the blocks only drop out
-    coefs, running = coefs[blocks], {blocks.size: slots}
+    coefs = coefs[blocks]
 
-    def slope(theta, live):
-        if live.size not in running:
-            on = np.zeros(blocks.size, dtype=bool)
-            on[live] = True
-            running[live.size] = slots[np.repeat(on, counts)]
-        trig = rows(theta, running[live.size])
+    def slope(theta, live, at):
+        trig = rows(theta, slots[at])
         return _log_error_slope(cells, blocks[live], counts[live], coefs[live], theta, *trig)
 
     return _bracketed_newton(slope, lo, hi, 1.0, 3e-16, 50, counts)
@@ -581,16 +577,13 @@ def _extremum_step(cells: _Cells, grids: _Grids, coefs, e, ae, peaks, chosen, ce
     theta, step = grids.theta, grids.step[own]
     left, right = theta[idx - 1], theta[idx + 1]
     newton, top = certify[order], int(cells.deg[order].max())
-    if newton.all():
-        tr = np.empty(idx.size)
-    else:
-        d = _parabolic_shift(ae[idx - 1], ae[idx], ae[idx + 1], step)
-        # a tail point, or a uniform point next to one, has a neighbour nearer than step
-        tr = np.clip(theta[idx] + np.where(right - left > 1.75 * step, d, 0.0), 0.0, np.pi)
+    d = _parabolic_shift(ae[idx - 1], ae[idx], ae[idx + 1], step)
+    # a tail point, or a uniform point next to one, has a neighbour nearer than step
+    tr = np.clip(theta[idx] + np.where(right - left > 1.75 * step, d, 0.0), 0.0, np.pi)
     if newton.any():
-        # Newton's trig rows, a slot per maximum, serve the evaluation at its points too
-        at = np.s_[:] if newton.all() else np.repeat(newton, sizes)
-        rows, slots = _Rows(idx.size, top), np.arange(idx.size)[at]
+        # Newton overwrites the vertices of its maxima; its trig rows, a slot each, serve every point
+        at = np.repeat(newton, sizes)
+        rows, slots = _Rows(idx.size, top), np.flatnonzero(at)
         tr[at] = _refine_newton(cells, order[newton], sizes[newton], coefs, left[at], right[at], rows, slots)
         cos_k, _ = rows(tr, np.arange(idx.size))
     else:
@@ -662,19 +655,17 @@ def error_extrema(w: WeightParams, poly: MonicPolynomial, grid: int) -> list[tup
     return [(float(np.cos(t)), float(v)) for t, v in zip(kt[::-1], ke[::-1])]
 
 
-def _certified_extrema(weights, degrees, coefs, sizes=None) -> list:
+def _certified_extrema(weights, degrees, coefs, sizes) -> list:
     """The certified extremum step of :func:`solve` on the series ``coefs[i]`` of ``weights[i]`` at ``degrees[i]``.
 
-    Each problem's grid has ``sizes[i]`` uniform points, the solver's
-    :func:`_grid_size` by default (``bounds._jacobi_sups`` passes the
-    ``special._sample_count`` of each degree), and its step ignores errors below
-    1e-15 times its largest |e| on that grid.  Returns, in the order of
-    ``weights``, the (theta, e) that the step keeps of each problem, by
-    ascending theta; no problem's result depends on the others.
+    Each problem's grid has ``sizes[i]`` uniform points, and its step
+    ignores errors below 1e-15 times its largest |e| on that grid.  Returns,
+    in the order of ``weights``, the (theta, e) that the step keeps of each
+    problem, by ascending theta; no problem's result depends on the others.
     """
     cells = _Cells(weights, degrees)
     every = np.arange(cells.deg.size)
-    grids = _Grids(cells, _grid_size(cells.deg) if sizes is None else sizes).join(every)
+    grids = _Grids(cells, sizes).join(every)
     e = grids.errors(coefs)
     ae = np.abs(e)
     floor = np.empty(every.size)

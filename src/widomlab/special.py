@@ -243,25 +243,29 @@ def _parabolic_shift(yl, y, yh, step):
     return np.clip(shift, -step, step)
 
 
-def _polish_peaks(f, t, y, step, rounds: int, shrink: float):
+# the rounds of :func:`_polish_peaks`, and the factor that scales its step after each
+_POLISH_ROUNDS, _POLISH_SHRINK = 30, 0.5
+
+
+def _polish_peaks(f, t, y, step):
     """Iterated parabolic polish of the peaks of ``f`` at points ``t`` with values ``y``.
 
     Each round fits a parabola to f at t - step, t, t + step, moves each point
     to its vertex (at most ``step`` away) unless f is lower there, and scales
-    ``step`` by ``shrink``; ``step`` is a number or one per point.  ``f`` must
-    accept points up to ``step`` outside the range ``t`` was sampled from,
-    and be elementwise: it gets t - step and t + step in one call, stacked
-    as the two rows of an array, and anything it holds per peak must
-    broadcast against each row.  Returns the polished values.
+    ``step`` by ``_POLISH_SHRINK``; ``step`` is a number or one per point.
+    ``f`` must accept points up to ``step`` outside the range ``t`` was
+    sampled from, and be elementwise: it gets t - step and t + step in one
+    call, stacked as the two rows of an array, and anything it holds per peak
+    must broadcast against each row.  Returns the polished values.
     """
-    for _ in range(rounds):
+    for _ in range(_POLISH_ROUNDS):
         yl, yh = f(np.stack((t - step, t + step)))
         t2 = t + _parabolic_shift(yl, y, yh, step)
         y2 = f(t2)
         better = y2 >= y
         t = np.where(better, t2, t)
         y = np.where(better, y2, y)
-        step = step * shrink
+        step = step * _POLISH_SHRINK
     return y
 
 
@@ -278,23 +282,25 @@ def _bracketed_newton(f, lo, hi, sign_lo, tol: float, max_steps: int, counts=Non
 
     With ``counts`` the points form consecutive blocks of those sizes, each a
     problem of its own: a block stops once its own points are done, with the
-    result it would have alone, and ``f`` is called as ``f(x, live)`` with the
-    points of the blocks ``live`` (indices into ``counts``) still running.
+    result it would have alone.  ``f`` is then called as ``f(x, live, at)``
+    with the points of the blocks ``live`` (ascending indices into
+    ``counts``) still running, which are the brackets ``at`` (ascending
+    indices into ``lo``); without ``counts`` it is called as ``f(x)``.
     """
     x = 0.5 * (lo + hi)
     prev = np.full_like(x, np.nan)
     out = np.empty_like(x)
     if counts is None:
-        counts, call = np.array([x.size]), lambda t, live: f(t)
+        counts, call = np.array([x.size]), lambda t, live, at: f(t)
     else:
         counts, call = np.asarray(counts), f
     # a block without points is done at once
     live = np.flatnonzero(counts)
     starts = np.cumsum(counts[live]) - counts[live]
     at = np.arange(x.size)  # where the running points go in the result
-    sign_lo = np.asarray(sign_lo, dtype=float)
+    sign_lo = np.full_like(x, sign_lo)
     for _ in range(max_steps):
-        v, dv = call(x, live)
+        v, dv = call(x, live, at)
         same = np.sign(v) == sign_lo
         lo = np.where(same, x, lo)
         hi = np.where(same, hi, x)
@@ -307,16 +313,13 @@ def _bracketed_newton(f, lo, hi, sign_lo, tol: float, max_steps: int, counts=Non
         if not busy.any():
             out[at] = xn
             return out
-        if live.size > 1:
-            running = np.logical_or.reduceat(busy, starts)
-            if not running.all():
-                keep = np.repeat(running, counts[live])
-                out[at[~keep]] = xn[~keep]
-                live, at, x, xn = live[running], at[keep], x[keep], xn[keep]
-                lo, hi = lo[keep], hi[keep]
-                if sign_lo.ndim:
-                    sign_lo = sign_lo[keep]
-                starts = np.cumsum(counts[live]) - counts[live]
+        running = np.logical_or.reduceat(busy, starts)
+        if not running.all():
+            keep = np.repeat(running, counts[live])
+            out[at[~keep]] = xn[~keep]
+            live, at, x, xn = live[running], at[keep], x[keep], xn[keep]
+            lo, hi, sign_lo = lo[keep], hi[keep], sign_lo[keep]
+            starts = np.cumsum(counts[live]) - counts[live]
         prev, x = x, xn
     out[at] = x
     return out

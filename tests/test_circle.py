@@ -64,6 +64,13 @@ def test_circle_minimizer_degree_and_exponents():
         circle_minimizer_from_interval(WeightParams(0.4, 1.0), solve(WeightParams(0.4, 1.0), 1))
 
 
+def test_circle_minimizer_rejects_a_solution_for_another_weight():
+    # the (0.75, 0.75) solution lifted as if for (1, 1) once gave circle_sup 1.5266,
+    # where the (1, 1) lift reads 1.2852 = 2^{n+rho_a+rho_b-1} I_3
+    with pytest.raises(ValueError, match="solution is for"):
+        circle_minimizer_from_interval(WeightParams(1.0, 1.0), solve(WeightParams(0.75, 0.75), 3))
+
+
 def test_circle_sup_closed_forms():
     f = CircleFunction(0.0, 0.0, RealPolynomial((-1.0, 0.0, 1.0)))
     assert abs(circle_sup(f) - 2.0) < 1e-9
@@ -129,6 +136,20 @@ def test_cn_relations_in_one_batch_equal_each_alone():
     assert verify_cn_relation([], []) == []
     with pytest.raises(ValueError):
         verify_cn_relation([WeightParams(1.0, 1.0), WeightParams(0.3, 0.7)], [1, 1])
+
+
+@pytest.mark.parametrize("n", [2.7, 2.5])
+def test_cn_relation_rejects_a_fractional_degree_in_both_forms(n):
+    # the sequence form once truncated 2.7 to 2 and returned the n = 2 triple
+    w = WeightParams(0.75, 0.75)
+    with pytest.raises(ValueError, match="integer"):
+        verify_cn_relation(w, n)
+    with pytest.raises(ValueError, match="integer"):
+        verify_cn_relation([w], [n])
+    for args in ((w, -1), ([w], [-1])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_cn_relation(*args)
+    assert verify_cn_relation([w], [2.0]) == [verify_cn_relation(w, 2)]
 
 
 def test_circle_minimizer_roots_conjugate_closed():

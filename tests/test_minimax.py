@@ -812,7 +812,7 @@ def test_certified_extrema_take_grid_points_on_compensated_rows():
     for k in range(1, 201):
         coef = np.full(k + 1, 2.0 ** (1 - k))
         coef[0] = 2.0**-k
-        ((_, e),) = minimax._certified_extrema([w], [k], coef[None])
+        ((_, e),) = minimax._certified_extrema([w], [k], coef[None], [_grid_size(k)])
         want = np.ldexp(math.sqrt(2.0), -k)
         worst = max(worst, abs(np.abs(e).max() - want) / want)
     assert worst <= 5e-14

@@ -221,6 +221,36 @@ def test_bracketed_newton_stops_on_a_two_cycle():
     assert len(calls) <= 4
 
 
+def test_bracketed_newton_names_the_running_brackets_to_its_callback():
+    # cube roots of c, in consecutive blocks of brackets: block 2 starts on its
+    # root 1, the others stop in turn (3 last), and the empty block 1 never runs
+    counts = np.array([3, 0, 1, 4, 2])
+    c = np.array([1.001, 1.1, 0.9, 1.0, 0.01, 0.02, 0.05, 0.1, 3.0, 5.0])
+    lo, hi = np.zeros(c.size), np.full(c.size, 2.0)
+    starts = np.cumsum(counts) - counts
+
+    def cube(c, calls):
+        def f(x, live, at):
+            calls.append((live, at))
+            return x**3 - c[at], 3.0 * x**2
+
+        return f
+
+    calls = []
+    got = _bracketed_newton(cube(c, calls), lo, hi, -1.0, 1e-16, 60, counts)
+    for live, at in calls:
+        assert np.all(np.diff(live) > 0) and 1 not in live
+        assert np.array_equal(at, np.concatenate([starts[b] + np.arange(counts[b]) for b in live]))
+    assert [live.tolist() for live, _ in calls[:: len(calls) - 1]] == [[0, 2, 3, 4], [3]]
+    assert len({live.size for live, _ in calls}) == 4
+    # each block alone, bit for bit
+    for b in np.flatnonzero(counts):
+        part = np.s_[starts[b] : starts[b] + counts[b]]
+        alone = _bracketed_newton(cube(c[part], []), lo[part], hi[part], -1.0, 1e-16, 60, counts[b : b + 1])
+        assert np.array_equal(got[part], alone)
+    assert np.max(np.abs(got**3 - c) / c) <= 1e-15
+
+
 def test_polish_peaks_finds_maxima_between_grid_points():
     # cos(4(t - c)) peaks at c and c + pi/2 in [0, pi], neither a grid point
     c = 0.4321
@@ -232,11 +262,11 @@ def test_polish_peaks_finds_maxima_between_grid_points():
     y = f(grid)
     idx = np.nonzero((y[1:-1] >= y[:-2]) & (y[1:-1] >= y[2:]))[0] + 1
     assert idx.size == 2 and np.all(y[idx] < 1.0 - 1e-4)
-    top = _polish_peaks(f, grid[idx], y[idx], grid[1], 30, 0.5)
+    top = _polish_peaks(f, grid[idx], y[idx], grid[1])
     assert np.all(top > 1.0 - 1e-14)
     # a step per point gives the same polish, and the caller's steps stay as passed
     steps = np.full(idx.size, grid[1])
-    assert np.array_equal(_polish_peaks(f, grid[idx], y[idx], steps, 30, 0.5), top)
+    assert np.array_equal(_polish_peaks(f, grid[idx], y[idx], steps), top)
     assert np.all(steps == grid[1])
 
 
@@ -329,7 +359,11 @@ def test_weighted_sups_at_their_bandwidth_lose_no_peak(monkeypatch):
     ns = [*range(0, 41), 103, 150]
     got = bounds._jacobi_sups(weights, ns)
     dense = minimax._certified_extrema
-    monkeypatch.setattr(bounds, "_certified_extrema", lambda batch, degrees, coefs, sizes: dense(batch, degrees, coefs))
+    monkeypatch.setattr(
+        bounds,
+        "_certified_extrema",
+        lambda batch, degrees, coefs, sizes: dense(batch, degrees, coefs, [minimax._grid_size(k) for k in degrees]),
+    )
     want = bounds._jacobi_sups(weights, ns)
     assert np.max(np.abs(got - want) / want) <= 2e-13
 

@@ -15,7 +15,9 @@ written) plus fixed sets of weights:
 - ``stall``: the points in STALL, where the cheap phase once plateaued above
   its hand-over gate, so that a survey covers the exit from the cheap phase;
 - ``mid``: the weights in MID at n = WEIGHTS_N_MAX + 1 .. MID_N_MAX, the
-  degrees below the grid FFT that no other set reaches.
+  degrees below the grid FFT that no other set reaches;
+- ``large``: the exponents LARGE_A x LARGE_B at n = 2..LARGE_N_MAX, where
+  the Chebyshev representation of the solver reaches its precision floor.
 
 The ``sups`` set is not a set of solves: it holds ``bounds._jacobi_sups``,
 the weighted sups of the monic Jacobi polynomials, as ``float.hex`` strings,
@@ -74,6 +76,9 @@ TINY = ((0.0, 0.004), (0.001, 0.3), (1e-6, 1e-6))
 WEIGHTS_N_MAX = 100
 MID = ((0.25, 0.75), (0.1, 0.1))
 MID_N_MAX = 142
+LARGE_A = (10.0, 15.0, 20.0, 25.0, 30.0)
+LARGE_B = (0.0, 0.5, 1.0, 3.0)
+LARGE_N_MAX = 8
 SUPS_GRID_N_MAX = 60
 SUPS_N_MAX = 40
 # two cells of the 250x250 scan grid over [0, 0.8]^2
@@ -96,6 +101,7 @@ def _points(workloads) -> list[tuple[str, float, float, int]]:
         points += [(group, ra, rb, n) for ra, rb in weights for n in range(1, WEIGHTS_N_MAX + 1)]
     points += [("stall", ra, rb, n) for ra, rb, n in STALL]
     points += [("mid", ra, rb, n) for ra, rb in MID for n in range(WEIGHTS_N_MAX + 1, MID_N_MAX + 1)]
+    points += [("large", ra, rb, n) for ra in LARGE_A for rb in LARGE_B for n in range(2, LARGE_N_MAX + 1)]
     return points
 
 
@@ -252,7 +258,7 @@ def _max_rel(one: list[str], two: list[str], scale: float = 0.0) -> float:
     return worst
 
 
-GROUPS = ("scan", "pool", "weights", "tiny", "stall", "mid")
+GROUPS = ("scan", "pool", "weights", "tiny", "stall", "mid", "large")
 
 
 def _margin(records: list[dict]) -> dict | None:
