@@ -154,9 +154,9 @@ class ChebyshevSolution:
 
 
 def weight_eval(w: WeightParams, x):
-    """(1-x)^rho_a (1+x)^rho_b on [-1, 1], with the 0^0 = 1 convention."""
+    """(1-x)^rho_a (1+x)^rho_b on [-1, 1], with the 0^0 = 1 convention; nan is outside."""
     xs = np.asarray(x, dtype=float)
-    if np.any(np.abs(xs) > 1.0 + 1e-12):
+    if not np.all(np.abs(xs) <= 1.0 + 1e-12):
         raise ValueError("x must lie in [-1, 1]")
     xs = np.clip(xs, -1.0, 1.0)
     out = np.ones_like(xs)

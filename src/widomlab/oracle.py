@@ -1,12 +1,14 @@
 """Brute-force minimax reference for tiny degrees.
 
-Solves the discrete minimax LP on a 20,001-point grid, by constraint
-generation: minimise t subject to |w(x_i) p(x_i)| <= t at the grid points
-x_i = cos(theta_i), over the n free monomial coefficients of the monic p
-(Cheney, *Introduction to Approximation Theory*, 1966, ch. 2).  The problem is
-convex, so one LP gives the global optimum on the grid.  Only for n <= 3, and
-entirely independent of the Remez machinery, which makes it a trustworthy
-cross-check.
+Solves the discrete minimax problem on a 20,001-point grid exactly: minimise
+max_i |w(x_i) p(x_i)| at the grid points x_i = cos(theta_i), over the n free
+monomial coefficients of the monic p.  That is a linear program, and
+Stiefel's exchange, the dual simplex method for discrete Chebyshev problems
+(Stiefel, *Numer. Math.* 1, 1959; Cheney, *Introduction to Approximation
+Theory*, 1966, ch. 2), solves it with one (n+1)x(n+1) system per step, in
+numpy alone.  It stops on an LP-duality lower bound, so its answer rests on no
+alternation theorem.  Only for n <= 3, and entirely independent of the Remez
+machinery, which makes it a trustworthy cross-check.
 """
 
 from __future__ import annotations
@@ -14,31 +16,34 @@ from __future__ import annotations
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from widomlab.special import WeightParams
+from widomlab.special import WeightParams, _whole_degrees
 
 __all__ = ["brute_minimax"]
 
 _GRID = 20001
-# evenly spaced grid indices of the first LP
-_START = 257
-# the full-grid max may exceed the LP value by this relative margin
+# the full-grid max may exceed the duality lower bound by this relative margin
 _STOP_RTOL = 1e-9
-_MAX_ROUNDS = 20
-_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+_MAX_EXCHANGES = 100
 
 
 def brute_minimax(w: WeightParams, n: int) -> tuple[list[float], float]:
     """Minimax monic degree-n polynomial on the grid: (sorted real roots, grid max).
 
-    Starts from 257 evenly spaced grid points.  Each round solves the LP on
-    the active points with HiGHS, evaluates the weighted error on the full
-    grid, and adds every grid local maximum and endpoint whose error is above
-    the LP value.  Stops once the full-grid max is within a relative 1e-9 of
-    the LP value; raises ``RuntimeError`` after 20 rounds or when a round adds
-    no point.
+    The degree is a whole number from 0 to 3 (integral floats pass), or
+    ``ValueError``.  The reference holds n + 1 grid points of positive
+    weight, first evenly spaced.  Each step solves the levelled system
+    ``w_j p(x_j) = (-1)^j h`` on the reference, evaluates the weighted error
+    on the full grid and swaps its largest point into the reference, keeping
+    the signs alternating.  The vector ``lam`` with ``A^T lam = e_{n+1}``
+    annihilates ``w x^k`` (k < n) on the reference, so every monic q has
+    ``|sum_j lam_j w_j x_j^n| <= sum_j |lam_j| max |w q|``: a lower bound on
+    the grid minimum.  Stops once the full-grid max is within a relative
+    1e-9 of it; raises ``RuntimeError`` after 100 exchanges.
     """
-    if n < 0 or n > 3:
-        raise ValueError("brute_minimax only supports degrees 0 through 3")
+    deg = _whole_degrees(n, 0)
+    if deg.ndim or deg > 3:
+        raise ValueError("brute_minimax only supports one degree, 0 through 3")
+    n = int(deg)
     theta = np.linspace(0.0, np.pi, _GRID)
     x = np.cos(theta)
     wt = np.ones_like(theta)
@@ -50,38 +55,46 @@ def brute_minimax(w: WeightParams, n: int) -> tuple[list[float], float]:
         wt[-1] = 0.0
     if n == 0:
         return [], float(np.max(wt))
-    # scipy.optimize takes most of a cold `import widomlab`; only the oracle needs it
-    from scipy.optimize import linprog
-
-    cost = np.zeros(n + 1)
-    cost[n] = 1.0
-    bounds = [(None, None)] * n + [(0.0, None)]
-    active = np.round(np.linspace(0, _GRID - 1, _START)).astype(int)
-    for _ in range(_MAX_ROUNDS):
-        # +-wt_i (sum_{k<n} c_k x_i^k) - t <= -+wt_i x_i^n
-        xa, wa = x[active], wt[active]
-        rows = wa[:, None] * xa[:, None] ** np.arange(n)
-        lead = wa * xa**n
-        ones = np.ones((len(active), 1))
-        a_ub = np.block([[rows, -ones], [-rows, -ones]])
-        b_ub = np.concatenate((-lead, lead))
-        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=_LP_OPTIONS)
-        if res.status != 0:
-            raise RuntimeError(f"oracle LP failed: {res.message}")
-        coef, value = np.append(res.x[:n], 1.0), float(res.x[n])
+    live = np.flatnonzero(wt)  # all but the ends where the weight vanishes
+    ref = np.round(np.linspace(live[0], live[-1], n + 1)).astype(int)
+    sign = (-1.0) ** np.arange(n + 1)
+    for _ in range(_MAX_EXCHANGES):
+        # w_j (sum_{k<n} c_k x_j^k) - (-1)^j h = -w_j x_j^n
+        xr, wr = x[ref], wt[ref]
+        a = np.column_stack((wr[:, None] * xr[:, None] ** np.arange(n), -sign))
+        lead = wr * xr**n
+        sol = np.linalg.solve(a, -lead)
+        lam = np.linalg.solve(a.T, np.eye(n + 1)[n])
+        bound = abs(float(lam @ lead)) / float(np.sum(np.abs(lam)))
+        coef = np.append(sol[:n], 1.0)
         # weighted error on the full grid, by Horner's rule
         p = np.ones_like(x)
         for c in coef[-2::-1]:
             p = p * x + c
-        err = wt * np.abs(p)
-        top = float(np.max(err))
-        if top <= value * (1.0 + _STOP_RTOL):
+        err = wt * p
+        top_at = int(np.argmax(np.abs(err)))
+        top = abs(float(err[top_at]))
+        if top <= bound * (1.0 + _STOP_RTOL):
             roots = npp.polyroots(coef)
             return sorted(float(r.real) for r in roots if r.imag == 0.0), top
-        peak = np.nonzero((err[1:-1] >= err[:-2]) & (err[1:-1] >= err[2:]))[0] + 1
-        cand = np.concatenate(([0], peak, [_GRID - 1]))
-        new = np.setdiff1d(cand[err[cand] > value], active)
-        if new.size == 0:
-            raise RuntimeError(f"oracle LP added no point: grid max {top!r}, LP value {value!r}")
-        active = np.union1d(active, new)
-    raise RuntimeError(f"oracle LP did not settle in {_MAX_ROUNDS} rounds")
+        ref = _exchange(ref, sign * sol[n] > 0.0, top_at, err[top_at] > 0.0)
+    raise RuntimeError(f"oracle exchange did not settle in {_MAX_EXCHANGES} steps")
+
+
+def _exchange(ref: np.ndarray, ref_up: np.ndarray, i: int, up: bool) -> np.ndarray:
+    """Reference ``ref`` with grid index ``i`` swapped in, the signs still alternating.
+
+    ``ref`` holds sorted grid indices whose errors alternate in sign,
+    positive where ``ref_up``; ``up`` is the sign of the error at ``i``.
+    Between two reference points ``i`` replaces the neighbour of its sign.
+    Past an end it replaces that end if the signs agree, and otherwise
+    shifts the reference by one, dropping the far end.
+    """
+    j = int(np.searchsorted(ref, i))
+    if j == 0 and ref_up[0] != up:
+        return np.concatenate(([i], ref[:-1]))
+    if j == len(ref) and ref_up[-1] != up:
+        return np.concatenate((ref[1:], [i]))
+    out = ref.copy()
+    out[j if j < len(ref) and ref_up[j] == up else j - 1] = i
+    return out

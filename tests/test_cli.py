@@ -250,7 +250,7 @@ def test_verify_rejects_empty_sweeps(argv, capsys):
 
 
 def test_import_loads_no_scipy():
-    # scipy.optimize would dominate a cold `import widomlab`; only the oracle imports it, on call
+    # scipy.optimize would dominate a cold `import widomlab`, and nothing in the package imports it
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     code = "import sys, widomlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

@@ -58,6 +58,12 @@ def test_weight_eval_values():
         weight_eval(w, 1.5)
 
 
+@pytest.mark.parametrize("x", [math.nan, [0.2, math.nan, -0.4], -math.inf])
+def test_weight_eval_rejects_nan_and_inf(x):
+    with pytest.raises(ValueError, match=r"x must lie in \[-1, 1\]"):
+        weight_eval(WeightParams(0.3, 0.4), x)
+
+
 def test_monic_polynomial_invariants():
     p = MonicPolynomial(2, (0.0, 0.0))
     assert np.allclose(p.full_cheb_coeffs(), [0.0, 0.0, 0.5])
